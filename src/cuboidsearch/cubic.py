@@ -7,10 +7,12 @@ and if so into which roots?  The answer is computed exactly:
   1. prefilter: the discriminant must be the square of a rational, since
      for a fully split cubic it equals the squared product of root
      differences.  Almost every candidate dies here, on a cheap integer
-     perfect-square test, before any factoring work.
+     perfect-square test, before any root search.
   2. clear denominators to a primitive integer cubic.
-  3. find one root among the finitely many p/q with p | a0 and q | a3,
-     tried in increasing height.
+  3. find the largest root: the substitution y = a3*x makes the cubic
+     monic with integer coefficients, so every rational root is y/a3 for
+     an integer root y, and the largest y is found by integer bisection on
+     an interval where the cubic is monotone.  No integer is factored.
   4. deflate and solve the remaining quadratic exactly.
 
 No floating point is used anywhere.
@@ -19,11 +21,8 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import NamedTuple, Optional
-
-TRIAL_DIVISION_LIMIT = 10**6
 
 
 class CubicPoly(NamedTuple):
@@ -75,95 +74,6 @@ def is_rational_square(r: Fraction) -> Optional[Fraction]:
     return Fraction(num_root, den_root)
 
 
-# --- integer factorization: trial division with a Pollard-rho fallback ---
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
-    rng = random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        x = rng.randrange(2, n)
-        y = x
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    if n < 1:
-        raise ValueError("factorize expects a positive integer")
-    factors: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    # wheel over 6k +/- 1 up to the trial division limit
-    p = 7
-    step = 4
-    while p * p <= n and p <= TRIAL_DIVISION_LIMIT:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += step
-        step = 6 - step
-    if n == 1:
-        return factors
-    if p * p > n or _is_probable_prime(n):
-        factors[n] = factors.get(n, 0) + 1
-        return factors
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _clear_to_integer_cubic(q: CubicPoly) -> tuple[int, int, int, int]:
     """Primitive integer form a3*x^3 + a2*x^2 + a1*x + a0 with a3 > 0."""
     lcm = 1
@@ -177,34 +87,56 @@ def _clear_to_integer_cubic(q: CubicPoly) -> tuple[int, int, int, int]:
     return a3 // content, a2 // content, a1 // content, a0 // content
 
 
-def _first_rational_root(a3: int, a2: int, a1: int, a0: int) -> Optional[Fraction]:
-    """Lowest-height rational root of the integer cubic, or None.
+def _largest_rational_root(a3: int, a2: int, a1: int, a0: int) -> Optional[Fraction]:
+    """Largest root of the integer cubic if it is rational, else None.
 
-    Candidates are p/q with p | a0, q | a3 (rational root theorem), both
-    signs, tested in increasing height so the returned root is canonical.
+    The cubic must have three real roots (nonnegative discriminant).  Write
+    g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 = a3^2 * cubic(y / a3).  g is
+    monic with integer coefficients, so its rational roots are integers and
+    the cubic's rational roots are exactly y / a3 for them.  If the cubic
+    splits over Q, its largest root r times a3 is therefore an integer.
+
+    Search interval.  g'(y) = 3y^2 + 2*a2*y + a1*a3 has roots
+    (-a2 +- sqrt(D)) / 3 with D = a2^2 - 3*a1*a3.  By Rolle (Gauss-Lucas
+    with multiplicities), the critical points of a cubic with three real
+    roots lie between its smallest and largest root, so D >= 0 and
+    a3*r >= c = (-a2 + sqrt(D)) / 3.  This holds with equality when the
+    largest root is a double root (it is then the larger critical point)
+    or a triple root (D = 0).  Being an integer, a3*r is at least ceil(c),
+    which is computed exactly: with s = ceil(sqrt(D)) from isqrt,
+    ceil((s - a2) / 3) = ceil(c).  For square D the two are equal; for
+    nonsquare D, c lies strictly between (s - 1 - a2) / 3 and (s - a2) / 3,
+    and no integer k has c <= k < (s - a2) / 3, since 3k would lie strictly
+    between the consecutive integers s - 1 - a2 and s - a2.  By Cauchy's bound
+    every root has |y| < M = 1 + max(|a2|, |a1*a3|, |a0*a3^2|), so
+    g(M) > 0.
+
+    Bisection.  g is nondecreasing on [ceil(c), M], so g(y) <= 0 holds on
+    a prefix of its integers.  Every y above the largest root of g has
+    g(y) > 0, so when a3*r is an integer the last integer of that prefix
+    is a3*r, and g is zero there.  Otherwise g is nonzero there (or the
+    prefix is empty), the largest root is irrational, and None is returned.
     """
-    if a0 == 0:
-        return Fraction(0)
-    nums = divisors(abs(a0))
-    dens = divisors(a3)
-    candidates = [
-        (max(p, q), q, p)
-        for p in nums
-        for q in dens
-        if math.gcd(p, q) == 1
-    ]
-    candidates.sort()
-    for _, q, p in candidates:
-        q2 = q * q
-        q3 = q2 * q
-        # Horner in homogeneous form keeps everything in integers.
-        pos = ((a3 * p + a2 * q) * p + a1 * q2) * p + a0 * q3
-        if pos == 0:
-            return Fraction(p, q)
-        neg = ((-a3 * p + a2 * q) * p - a1 * q2) * p + a0 * q3
-        if neg == 0:
-            return Fraction(-p, q)
-    return None
+    b1 = a1 * a3
+    b0 = a0 * a3 * a3
+
+    def g(y: int) -> int:
+        return ((y + a2) * y + b1) * y + b0
+
+    d = a2 * a2 - 3 * b1
+    s = math.isqrt(d)
+    if s * s < d:
+        s += 1
+    lo = -((a2 - s) // 3)
+    hi = 1 + max(abs(a2), abs(b1), abs(b0))
+    # g(hi) > 0 throughout; the last integer with g <= 0, if any, is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return Fraction(lo, a3) if g(lo) == 0 else None
 
 
 def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
@@ -217,7 +149,7 @@ def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
     if is_rational_square(discriminant(q)) is None:
         return None
     a3, a2, a1, a0 = _clear_to_integer_cubic(q)
-    first = _first_rational_root(a3, a2, a1, a0)
+    first = _largest_rational_root(a3, a2, a1, a0)
     if first is None:
         return None
     # q(x) = (x - r)(x^2 + p*x + s) by synthetic division

@@ -39,15 +39,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
-def is_reduced_form(text: str) -> bool:
-    """True if the text is already in lowest terms with a positive denominator."""
-    try:
-        value = parse_rational(text)
-    except RationalParseError:
-        return False
-    return format_rational(value) == text.strip().lstrip("+")
-
-
 def format_rational(value: Fraction) -> str:
     """Canonical string form: "p/q" in lowest terms, "p" for integers."""
     return str(value)

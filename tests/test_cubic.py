@@ -8,8 +8,6 @@ import pytest
 from cuboidsearch.cubic import (
     CubicPoly,
     discriminant,
-    divisors,
-    factorize,
     is_perfect_square,
     is_rational_square,
     rational_roots,
@@ -115,28 +113,6 @@ def test_is_perfect_square_large():
     assert is_perfect_square(-1) is None
 
 
-# --- factorization helpers ---------------------------------------------------
-
-
-def test_factorize_small():
-    assert factorize(1) == {}
-    assert factorize(12) == {2: 2, 3: 1}
-    assert factorize(97) == {97: 1}
-    assert factorize(2 * 3 * 5 * 7 * 11 * 13) == {2: 1, 3: 1, 5: 1, 7: 1, 11: 1, 13: 1}
-
-
-def test_factorize_beyond_trial_division():
-    # both primes exceed the trial-division limit, forcing the rho fallback
-    p, q = 10000019, 10000079
-    assert factorize(p * q) == {p: 1, q: 1}
-    assert factorize(p * p) == {p: 2}
-
-
-def test_divisors_sorted_complete():
-    assert divisors(1) == [1]
-    assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
-
-
 # --- rational_roots ----------------------------------------------------------
 
 
@@ -165,6 +141,17 @@ def test_square_discriminant_without_rational_roots():
 def test_repeated_roots_returned_with_multiplicity():
     assert rational_roots(cubic_from_roots(F(2), F(2), F(2))) == (F(2), F(2), F(2))
     assert rational_roots(cubic_from_roots(F(-1), F(-1), F(3))) == (F(-1), F(-1), F(3))
+    # a double root at the larger critical point
+    assert rational_roots(cubic_from_roots(F(-1), F(3), F(3))) == (F(-1), F(3), F(3))
+    assert rational_roots(cubic_from_roots(F(0), F(0), F(5, 7))) == (F(0), F(0), F(5, 7))
+    third = F(-4, 3)
+    assert rational_roots(cubic_from_roots(third, third, third)) == (third, third, third)
+
+
+def test_root_with_large_semiprime_factor():
+    # a0 has two large prime factors; the root search must not factor it
+    big = (2**61 - 1) * (2**89 - 1)
+    assert rational_roots(cubic_from_roots(F(1), F(2), F(big))) == (F(1), F(2), F(big))
 
 
 def test_zero_root_returned():

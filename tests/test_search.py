@@ -287,7 +287,6 @@ def test_e21_form_discrepancies_detects_differences():
     assert diffs[0]["level5_plus"]
 
 
-@pytest.mark.xfail(strict=False, reason="advisory throughput guard, not acceptance-blocking")
 def test_prefilter_rejects_most_nonsingular_points(tmp_path):
     summary = run(SearchSpace(height=6), jobs=1, checkpoint_path=None, output_path=None)
     nonsingular = summary["visited"] - summary["singular"]
