@@ -137,11 +137,24 @@ class IntPoly2:
         )
 
     def eval(self, b: Fraction, c: Fraction) -> Fraction:
-        """Exact value at a rational point."""
-        total = Fraction(0)
+        """Exact value at a rational point.
+
+        With b = p/q, c = r/s and degrees m in b and n in c, every term
+        times q^m s^n is an integer, so the sum runs over integers and one
+        Fraction is built at the end.
+        """
+        if not self.terms:
+            return Fraction(0)
+        b = Fraction(b)
+        c = Fraction(c)
+        p, q = b.numerator, b.denominator
+        r, s = c.numerator, c.denominator
+        m = self.degree_b()
+        n = self.degree_c()
+        total = 0
         for (db, dc), coeff in self.terms.items():
-            total += coeff * b**db * c**dc
-        return total
+            total += coeff * p**db * q ** (m - db) * r**dc * s ** (n - dc)
+        return Fraction(total, q**m * s**n)
 
     # --- display ---
 

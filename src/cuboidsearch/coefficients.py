@@ -8,7 +8,10 @@ points where a denominator vanishes.
 Every formula is implemented twice, from independent transcriptions:
 
   * the direct path (`eval_coefficients`) evaluates each formula in its
-    nested-product shape straight in Fractions — the production path;
+    nested-product shape straight in Fractions — the production path.  It
+    comes in three stages, so the verifier computes a group only for the
+    points that reach it: edge (e10, e20, e30), diagonal (e01, e02, e03)
+    and auxiliary (e21, e11, e12);
   * the cleared path (`eval_coefficients_cleared`) re-enters each formula
     as a single numerator/denominator pair of integer polynomials.
 
@@ -42,6 +45,30 @@ class Params(NamedTuple):
 
     b: Fraction
     c: Fraction
+
+
+class EdgeCoefficients(NamedTuple):
+    """The edge stage: the coefficients of the edge cubic."""
+
+    e10: Fraction
+    e20: Fraction
+    e30: Fraction
+
+
+class DiagonalCoefficients(NamedTuple):
+    """The diagonal stage: the coefficients of the diagonal cubic."""
+
+    e01: Fraction
+    e02: Fraction
+    e03: Fraction
+
+
+class AuxiliaryCoefficients(NamedTuple):
+    """The auxiliary stage: right-hand sides of the auxiliary equations."""
+
+    e21: Fraction
+    e11: Fraction
+    e12: Fraction
 
 
 class CoefficientSet(NamedTuple):
@@ -89,7 +116,8 @@ class E21DenominatorPole(ZeroDivisionError):
         )
 
 
-def _check_form(e21_form: str) -> None:
+def check_e21_form(e21_form: str) -> None:
+    """Raise ValueError unless ``e21_form`` names one of the two e21 variants."""
     if e21_form not in E21_FORMS:
         raise ValueError(f"e21_form must be one of {E21_FORMS}, got {e21_form!r}")
 
@@ -115,13 +143,79 @@ def eval_coefficients(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> 
 
 
 def eval_coefficients_unchecked(b: Fraction, c: Fraction, e21_form: str) -> CoefficientSet:
-    """Direct-path evaluation without the singularity precheck.
+    """Direct-path evaluation of all three stages, without the singularity precheck.
 
-    For callers that have already classified the point (the verifier
-    pipeline classifies once and must not pay for it twice).  Behavior at
+    For callers that have already classified the point.  Behavior at
     singular points is undefined.
     """
-    _check_form(e21_form)
+    return CoefficientSet(
+        *edge_coefficients(b, c),
+        *diagonal_coefficients(b, c),
+        *auxiliary_coefficients(b, c, e21_form),
+    )
+
+
+def _denominators(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The shared denominator, the squared curve product and the quartic factor."""
+    b2 = b * b
+    c2 = c * c
+    f1 = b * c - 1 - b
+    f2 = b * c - c - 2 * b
+    shared = b2 * c2 + 2 * b2 - 3 * b2 * c + c - b * c2 + 2 * b
+    quart = b2 * c2 * c2 - 6 * b2 * c2 * c + 13 * b2 * c2 - 12 * b2 * c + 4 * b2 + c2
+    return shared, f1 * f1 * f2 * f2, quart
+
+
+def edge_coefficients(b: Fraction, c: Fraction) -> EdgeCoefficients:
+    """Direct-path e10, e20, e30 at a nonsingular point (not checked)."""
+    shared, curves_sq, quart = _denominators(b, c)
+    b2 = b * b
+    c2 = c * c
+    e10 = -(b2 * c2 + 2 * b2 - 3 * b2 * c - c) / shared
+    e20 = (
+        b * (b * c2 - 2 * c - 2 * b) * (2 * b * c2 - c2 - 6 * b * c + 2 + 4 * b)
+    ) / (2 * curves_sq)
+    e30 = (
+        c * b2 * (1 - c) * (c - 2)
+        * (b * c2 - 4 * b * c + 2 + 4 * b)
+        * (2 * b * c2 - c2 - 4 * b * c + 2 * b)
+    ) / (quart * curves_sq)
+    return EdgeCoefficients(e10, e20, e30)
+
+
+def diagonal_coefficients(b: Fraction, c: Fraction) -> DiagonalCoefficients:
+    """Direct-path e01, e02, e03 at a nonsingular point (not checked)."""
+    shared, curves_sq, quart = _denominators(b, c)
+    b2 = b * b
+    b3 = b2 * b
+    b4 = b3 * b
+    c2 = c * c
+    c3 = c2 * c
+    c4 = c3 * c
+    e01 = -(b * (c2 + 2 - 2 * c)) / shared
+    e02 = (
+        28 * b2 * c2 - 16 * b2 * c - 2 * c2 - 4 * b2 - b2 * c4
+        + 4 * b3 * c4 - 12 * b3 * c3 + 4 * b * c3 + 24 * b3 * c
+        - 8 * b * c - 2 * b4 * c4 + 12 * b4 * c3 - 26 * b4 * c2
+        - 8 * b2 * c3 + 24 * b4 * c - 16 * b3 - 8 * b4
+    ) / (2 * curves_sq)
+    e03 = (
+        b
+        * (b2 * c4 - 5 * b2 * c3 + 10 * b2 * c2 - 10 * b2 * c + 4 * b2
+           + 2 * b * c + 2 * c2 - b * c3)
+        * (2 * b2 * c4 - 12 * b2 * c3 + 26 * b2 * c2 - 24 * b2 * c + 8 * b2
+           - c4 * b + 3 * b * c3 - 6 * b * c + 4 * b + c3 - 2 * c2 + 2 * c)
+    ) / (2 * quart * curves_sq)
+    return DiagonalCoefficients(e01, e02, e03)
+
+
+def auxiliary_coefficients(b: Fraction, c: Fraction, e21_form: str) -> AuxiliaryCoefficients:
+    """Direct-path e21, e11, e12 at a nonsingular point (not checked).
+
+    Raises E21DenominatorPole at the printed form's extra zeros.
+    """
+    check_e21_form(e21_form)
+    shared, curves_sq, quart = _denominators(b, c)
     b2 = b * b
     b3 = b2 * b
     b4 = b3 * b
@@ -132,37 +226,6 @@ def eval_coefficients_unchecked(b: Fraction, c: Fraction, e21_form: str) -> Coef
     c6 = c5 * c
     c7 = c6 * c
     c8 = c7 * c
-
-    f1 = b * c - 1 - b
-    f2 = b * c - c - 2 * b
-    curves_sq = f1 * f1 * f2 * f2
-    shared = b2 * c2 + 2 * b2 - 3 * b2 * c + c - b * c2 + 2 * b
-    quart = b2 * c4 - 6 * b2 * c3 + 13 * b2 * c2 - 12 * b2 * c + 4 * b2 + c2
-
-    e11 = -(b * (c2 + 2 - 4 * c)) / shared
-    e10 = -(b2 * c2 + 2 * b2 - 3 * b2 * c - c) / shared
-    e01 = -(b * (c2 + 2 - 2 * c)) / shared
-    e20 = (
-        b * (b * c2 - 2 * c - 2 * b) * (2 * b * c2 - c2 - 6 * b * c + 2 + 4 * b)
-    ) / (2 * curves_sq)
-    e02 = (
-        28 * b2 * c2 - 16 * b2 * c - 2 * c2 - 4 * b2 - b2 * c4
-        + 4 * b3 * c4 - 12 * b3 * c3 + 4 * b * c3 + 24 * b3 * c
-        - 8 * b * c - 2 * b4 * c4 + 12 * b4 * c3 - 26 * b4 * c2
-        - 8 * b2 * c3 + 24 * b4 * c - 16 * b3 - 8 * b4
-    ) / (2 * curves_sq)
-    e30 = (
-        c * b2 * (1 - c) * (c - 2)
-        * (b * c2 - 4 * b * c + 2 + 4 * b)
-        * (2 * b * c2 - c2 - 4 * b * c + 2 * b)
-    ) / (quart * curves_sq)
-    e03 = (
-        b
-        * (b2 * c4 - 5 * b2 * c3 + 10 * b2 * c2 - 10 * b2 * c + 4 * b2
-           + 2 * b * c + 2 * c2 - b * c3)
-        * (2 * b2 * c4 - 12 * b2 * c3 + 26 * b2 * c2 - 24 * b2 * c + 8 * b2
-           - c4 * b + 3 * b * c3 - 6 * b * c + 4 * b + c3 - 2 * c2 + 2 * c)
-    ) / (2 * quart * curves_sq)
 
     e21_quart = quart - 4 * c3 if e21_form == E21_PRINTED else quart
     if e21_quart == 0:
@@ -177,6 +240,7 @@ def eval_coefficients_unchecked(b: Fraction, c: Fraction, e21_form: str) -> Coef
            - 852 * b4 * c3 + 568 * b4 * c2 + 104 * b2 * c3 - 208 * b4 * c
            + 8 * c4 + 16 * b3 - 112 * b3 * c + 142 * b4 * c6 + 32 * b4 - 2 * c5)
     ) / (2 * e21_quart * curves_sq)
+    e11 = -(b * (c2 + 2 - 4 * c)) / shared
     e12 = (
         16 * b**6 + 32 * b**5 - 6 * c5 * b2 + 2 * c5 * b - 62 * b**5 * c6
         + 62 * b**6 * c6 + 16 * b4 - 180 * b**6 * c5 - c7 * b3 + 18 * b**5 * c7
@@ -188,8 +252,7 @@ def eval_coefficients_unchecked(b: Fraction, c: Fraction, e21_form: str) -> Coef
         - 28 * b3 * c2 - 4 * b * c3 + 8 * b3 * c - 57 * b4 * c4
         + 36 * b4 * c3 - 12 * b2 * c3 - 48 * b4 * c - c4
     ) / (quart * curves_sq)
-
-    return CoefficientSet(e10, e20, e30, e01, e02, e03, e21, e11, e12)
+    return AuxiliaryCoefficients(e21, e11, e12)
 
 
 # --- cleared-fraction path: each formula as one polynomial fraction -------
@@ -279,7 +342,7 @@ def eval_coefficients_cleared(
     b: Fraction, c: Fraction, e21_form: str = E21_PRINTED
 ) -> CoefficientSet:
     """Second, independently transcribed path: one cleared fraction per formula."""
-    _check_form(e21_form)
+    check_e21_form(e21_form)
     flags = classify(b, c)
     if flags:
         raise SingularPoint(b, c, flags)
@@ -294,11 +357,11 @@ def eval_coefficients_cleared(
     return CoefficientSet(**values)
 
 
-def edge_cubic(cs: CoefficientSet) -> CubicPoly:
+def edge_cubic(cs: EdgeCoefficients | CoefficientSet) -> CubicPoly:
     """Monic cubic whose roots are the candidate edges: x^3 - e10 x^2 + e20 x - e30."""
     return CubicPoly(-cs.e10, cs.e20, -cs.e30)
 
 
-def diagonal_cubic(cs: CoefficientSet) -> CubicPoly:
+def diagonal_cubic(cs: DiagonalCoefficients | CoefficientSet) -> CubicPoly:
     """Monic cubic whose roots are the candidate face diagonals."""
     return CubicPoly(-cs.e01, cs.e02, -cs.e03)

@@ -6,8 +6,10 @@ and if so into which roots?  The answer is computed exactly:
 
   1. prefilter: the discriminant must be the square of a rational, since
      for a fully split cubic it equals the squared product of root
-     differences.  Almost every candidate dies here, on a cheap integer
-     perfect-square test, before any root search.
+     differences.  A cheap integer perfect-square test rejects the cubic
+     before any root search.  (The verifier settles this for the edge
+     cubic earlier, from the discriminant's factored form, so the edge
+     cubics that reach this function all pass it.)
   2. clear denominators to a primitive integer cubic.
   3. find the largest root: the substitution y = a3*x makes the cubic
      monic with integer coefficients, so every rational root is y/a3 for

@@ -15,6 +15,10 @@ the coefficient formulas fit together:
 Each check expands both sides with exact integer arithmetic and compares
 canonical forms, so a pass is a proof of the identity, not a sampling
 argument.
+
+A fifth identity, checked on its own by
+``check_edge_discriminant_factorization``, proves the factored form of the
+edge cubic's discriminant that the verifier's integer prefilter rests on.
 """
 
 from __future__ import annotations
@@ -22,8 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipoly import B, C, IntPoly2, discriminant_in_b
-from .coefficients import SHARED_DENOMINATOR_POLY
+from .coefficients import (
+    SHARED_DENOMINATOR_POLY,
+    _E10_NUM,
+    _E20_DEN,
+    _E20_NUM,
+    _E30_DEN,
+    _E30_NUM,
+)
 from .singularity import FIRST_CURVE_POLY, QUARTIC_POLY, SECOND_CURVE_POLY
+from .verifier import EDGE_DISC_G, EDGE_DISC_S
 
 
 @dataclass(frozen=True)
@@ -79,3 +91,41 @@ def run_identity_checks(
 
 def all_identities_hold() -> bool:
     return all(result.passed for result in run_identity_checks())
+
+
+def _table_poly(rows: tuple) -> IntPoly2:
+    """The polynomial whose coefficient of b^i c^j is rows[i][j]."""
+    return IntPoly2(
+        {(i, j): coeff for i, row in enumerate(rows) for j, coeff in enumerate(row)}
+    )
+
+
+def check_edge_discriminant_factorization(
+    g_table: tuple = EDGE_DISC_G, s_table: tuple = EDGE_DISC_S
+) -> IdentityResult:
+    """Prove disc(edge cubic) = b^2 G^2 S / (4 f1^6 f2^6 Q^2) by expansion.
+
+    The edge cubic x^3 + a2 x^2 + a1 x + a0 has a2 = -e10, a1 = e20 and
+    a0 = -e30, taken from the cleared numerators n and denominators d of
+    the coefficient formulas.  Its discriminant
+    18 a2 a1 a0 - 4 a2^3 a0 + a2^2 a1^2 - 4 a1^3 - 27 a0^2, multiplied by
+    M = d10^3 d20^3 d30^2, is a polynomial; the check expands
+    4 f1^6 f2^6 Q^2 * (M * disc) and M * b^2 G^2 S and compares them.  G
+    and S come from the coefficient tables the verifier evaluates; tests
+    pass altered tables as a negative control.
+    """
+    n2, d2 = -_E10_NUM, SHARED_DENOMINATOR_POLY
+    n1, d1 = _E20_NUM, _E20_DEN
+    n0, d0 = -_E30_NUM, _E30_DEN
+    cleared_disc = (
+        18 * n2 * n1 * n0 * d2**2 * d1**2 * d0
+        - 4 * n2**3 * n0 * d1**3 * d0
+        + n2**2 * n1**2 * d2 * d1 * d0**2
+        - 4 * n1**3 * d2**3 * d0**2
+        - 27 * n0**2 * d2**3 * d1**3
+    )
+    left = 4 * FIRST_CURVE_POLY**6 * SECOND_CURVE_POLY**6 * QUARTIC_POLY**2 * cleared_disc
+    g = _table_poly(g_table)
+    right = d2**3 * d1**3 * d0**2 * B**2 * g * g * _table_poly(s_table)
+    diff = left - right
+    return IdentityResult("edge-discriminant-factorization", diff.is_zero(), diff)

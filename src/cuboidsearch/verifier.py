@@ -17,6 +17,18 @@ exact checks, and the verdict records how deep it got:
 All residuals are exact rationals; a check passes only on residual zero,
 never within a tolerance.
 
+The stages run in this order, and each computes only what its level needs,
+so the points that stop early pay for little:
+
+  1. classify the point against the singular factors;
+  2. test the edge discriminant for a rational square from its factored
+     form, with integers alone (``nonsquare_edge_discriminant``); the
+     rejected points, nearly all of them, never get a coefficient;
+  3. compute e10, e20, e30 and split the edge cubic;
+  4. compute e01, e02, e03 and split the diagonal cubic;
+  5. compute e21, e11, e12 and check the auxiliary equations, then the
+     Pythagorean relations.
+
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
 under permuting edges and diagonals simultaneously, so holding the edges in
@@ -29,22 +41,101 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .coefficients import (
-    CoefficientSet,
+    AuxiliaryCoefficients,
     E21_PRINTED,
     E21DenominatorPole,
+    auxiliary_coefficients,
+    check_e21_form,
+    diagonal_coefficients,
     diagonal_cubic,
+    edge_coefficients,
     edge_cubic,
-    eval_coefficients_unchecked,
 )
-from .cubic import discriminant, is_rational_square, rational_roots
+from .cubic import discriminant, is_perfect_square, rational_roots
 from .singularity import SingularityClass, classify
 
 # All permutations of the three diagonal slots, in lexicographic order.
 PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
 
 LEVEL_PERFECT = 6
+
+# The edge cubic's discriminant factors as
+#
+#     disc = b^2 * G^2 * S / (4 * f1^6 * f2^6 * Q^2)
+#
+# with f1, f2 and Q the singular factors.  Row i, column j holds the
+# coefficient of b^i c^j.  identities.check_edge_discriminant_factorization
+# proves the identity from these tables.
+EDGE_DISC_G = (
+    (0, 0, -2, 4, -1, 0, 0),
+    (0, -8, 12, 0, -6, 2, 0),
+    (8, -40, 78, -76, 39, -10, 1),
+)
+EDGE_DISC_S = (
+    (0, 0, 0, 0, 4, 0, 0, 0, 0),
+    (0, 0, 0, 40, 0, -20, 0, 0, 0),
+    (0, 0, 132, 64, -236, 32, 33, 0, 0),
+    (0, 160, 432, -904, 0, 452, -108, -20, 0),
+    (32, 784, -888, -1448, 2368, -724, -222, 98, 2),
+    (192, 960, -3904, 3816, 0, -1908, 976, -120, -12),
+    (400, -560, -1948, 5784, -6036, 2892, -487, -70, 25),
+    (320, -1440, 2480, -1800, 0, 900, -620, 180, -20),
+    (64, -384, 992, -1440, 1284, -720, 248, -48, 4),
+)
+
+
+def _homogeneous_powers(num: int, den: int) -> list[int]:
+    """num^i * den^(8 - i) for i = 0..8: the powers x^i of x = num/den, times den^8.
+
+    8 is the largest degree of G and S in either variable.
+    """
+    up = [1]
+    down = [1]
+    for _ in range(8):
+        up.append(up[-1] * num)
+        down.append(down[-1] * den)
+    return list(map(mul, up, reversed(down)))
+
+
+def _cleared_value(rows: tuple, b_powers: list[int], c_powers: list[int]) -> int:
+    """q^8 s^8 * P(p/q, r/s) for the coefficient table of P, from the two power lists."""
+    return sum(map(mul, b_powers, [sum(map(mul, row, c_powers)) for row in rows]))
+
+
+def nonsquare_edge_discriminant(b: Fraction, c: Fraction) -> Fraction | None:
+    """The edge cubic's discriminant if it is not a rational square, else None.
+
+    The point must be nonsingular.  There f1, f2 and Q are nonzero, so by
+    the factorization above the discriminant is a rational square exactly
+    when b = 0, or G = 0, or S is a rational square.  With b = p/q and
+    c = r/s in lowest terms, g = q^8 s^8 G and t = q^8 s^8 S are integers,
+    and as q^8 s^8 is a square, S is a rational square exactly when t is a
+    perfect square.  The test therefore needs only integers and one isqrt.
+
+    For a point that fails, the discriminant is assembled as one Fraction
+    from the same integers:  disc = p^2 g^2 t / (4 q^10 s^4 F1^6 F2^6 R^2)
+    with F1 = qs*f1, F2 = qs*f2 and R = q^2 s^4 * Q, the last written from
+    the sum-of-squares form Q = (c-1)^2 (c-2)^2 b^2 + c^2.
+    """
+    p, q = b.numerator, b.denominator
+    if p == 0:
+        return None
+    r, s = c.numerator, c.denominator
+    b_powers = _homogeneous_powers(p, q)
+    c_powers = _homogeneous_powers(r, s)
+    g = _cleared_value(EDGE_DISC_G, b_powers, c_powers)
+    if g == 0:
+        return None
+    t = _cleared_value(EDGE_DISC_S, b_powers, c_powers)
+    if is_perfect_square(t) is not None:
+        return None
+    f1 = p * r - q * s - p * s
+    f2 = p * r - q * r - 2 * p * s
+    quart = (p * (r - s) * (r - 2 * s)) ** 2 + (q * r * s) ** 2
+    return Fraction((p * g) ** 2 * t, 4 * q**10 * s**4 * (f1 * f2) ** 6 * quart**2)
 
 
 @dataclass(frozen=True)
@@ -70,7 +161,7 @@ def _permuted(d: tuple, perm: tuple) -> tuple:
 
 
 def auxiliary_residuals(
-    x: tuple, d: tuple, perm: tuple, cs: CoefficientSet
+    x: tuple, d: tuple, perm: tuple, cs: AuxiliaryCoefficients
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Exact (left side - right side) of the three auxiliary equations.
 
@@ -87,7 +178,7 @@ def auxiliary_residuals(
     return (r1, r2, r3)
 
 
-def check_pairings(x: tuple, d: tuple, cs: CoefficientSet) -> tuple | None:
+def check_pairings(x: tuple, d: tuple, cs: AuxiliaryCoefficients) -> tuple | None:
     """First permutation (lexicographic) zeroing all three auxiliary residuals."""
     for perm in PERMUTATIONS:
         if all(r == 0 for r in auxiliary_residuals(x, d, perm, cs)):
@@ -130,37 +221,29 @@ def pythagorean_check(
 def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     """Run the whole pipeline on one point and report the deepest level reached.
 
-    The singular skip is decided by the classifier alone.  Under the printed
-    e21 form, a point where that form's extra denominator factor vanishes is
-    still graded through the cubic stages (the first eight coefficients are
-    form-independent) but cannot be checked against the auxiliary equations,
-    so it caps at level 4 with reason "e21-printed-pole".
+    The stages run in the order the module docstring gives.  Under the
+    printed e21 form, a point where that form's extra denominator factor
+    vanishes cannot be checked against the auxiliary equations, so it caps
+    at level 4 with reason "e21-printed-pole".
     """
     flags = classify(b, c)
     if flags:
         return Verdict(0, "singular", flags=flags)
+    check_e21_form(e21_form)
 
-    aux_defined = True
-    try:
-        cs = eval_coefficients_unchecked(b, c, e21_form)
-    except E21DenominatorPole:
-        # Only e21 is undefined here; re-evaluate the form-independent rest.
-        cs = eval_coefficients_unchecked(b, c, "common")
-        aux_defined = False
-
-    edge = edge_cubic(cs)
-    edge_disc = discriminant(edge)
-    if is_rational_square(edge_disc) is None:
+    edge_disc = nonsquare_edge_discriminant(b, c)
+    if edge_disc is not None:
         return Verdict(0, "disc-nonsquare", residuals=(edge_disc,))
 
+    edge = edge_cubic(edge_coefficients(b, c))
     edges = rational_roots(edge)
     if edges is None:
-        return Verdict(1, "edge-no-split", residuals=(edge_disc,))
+        return Verdict(1, "edge-no-split", residuals=(discriminant(edge),))
     if edges[0] <= 0:
         bad = tuple(r for r in edges if r <= 0)
         return Verdict(2, "edge-root-nonpositive", residuals=bad, edges=edges)
 
-    diagonals = rational_roots(diagonal_cubic(cs))
+    diagonals = rational_roots(diagonal_cubic(diagonal_coefficients(b, c)))
     if diagonals is None:
         return Verdict(3, "diag-no-split", edges=edges)
     if diagonals[0] <= 0:
@@ -169,12 +252,14 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
             3, "diag-root-nonpositive", residuals=bad, edges=edges, diagonals=diagonals
         )
 
-    if not aux_defined:
+    try:
+        aux = auxiliary_coefficients(b, c, e21_form)
+    except E21DenominatorPole:
         return Verdict(4, "e21-printed-pole", edges=edges, diagonals=diagonals)
 
-    pairing = check_pairings(edges, diagonals, cs)
+    pairing = check_pairings(edges, diagonals, aux)
     if pairing is None:
-        first = auxiliary_residuals(edges, diagonals, PERMUTATIONS[0], cs)
+        first = auxiliary_residuals(edges, diagonals, PERMUTATIONS[0], aux)
         return Verdict(
             4, "aux-unsatisfied", residuals=first, edges=edges, diagonals=diagonals
         )

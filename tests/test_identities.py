@@ -1,6 +1,11 @@
 from cuboidsearch.bipoly import B, C
-from cuboidsearch.identities import all_identities_hold, run_identity_checks
+from cuboidsearch.identities import (
+    all_identities_hold,
+    check_edge_discriminant_factorization,
+    run_identity_checks,
+)
 from cuboidsearch.singularity import QUARTIC_POLY
+from cuboidsearch.verifier import EDGE_DISC_G, EDGE_DISC_S
 
 
 def test_all_four_identities_pass():
@@ -42,3 +47,26 @@ def test_checks_are_exact_not_sampled():
     # the sum-of-squares identity proves the quartic's only rational zero is
     # the origin; check the expansion literally once more here
     assert QUARTIC_POLY == (C - 1) ** 2 * (C - 2) ** 2 * B**2 + C**2
+
+
+def test_edge_discriminant_factorization_holds():
+    result = check_edge_discriminant_factorization()
+    assert result.name == "edge-discriminant-factorization"
+    assert result.passed, f"difference = {result.detail}"
+    assert result.difference.is_zero()
+    # the tables the verifier evaluates: G has 14 terms, S has 57
+    assert sum(1 for row in EDGE_DISC_G for coeff in row if coeff) == 14
+    assert sum(1 for row in EDGE_DISC_S for coeff in row if coeff) == 57
+
+
+def test_edge_discriminant_factorization_detects_altered_coefficient():
+    # negative control: one coefficient of S off by one (the b^4 c^4 term)
+    altered = [list(row) for row in EDGE_DISC_S]
+    altered[4][4] += 1
+    result = check_edge_discriminant_factorization(s_table=tuple(map(tuple, altered)))
+    assert not result.passed
+    assert not result.difference.is_zero()
+    assert result.detail != "0"
+    # the check also guards G
+    altered_g = (EDGE_DISC_G[0], EDGE_DISC_G[1], EDGE_DISC_G[2][:-1] + (2,))
+    assert not check_edge_discriminant_factorization(g_table=altered_g).passed

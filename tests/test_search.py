@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -292,3 +293,14 @@ def test_prefilter_rejects_most_nonsingular_points(tmp_path):
     nonsingular = summary["visited"] - summary["singular"]
     rejected_at_prefilter = summary["counts"][0] - summary["singular"]
     assert rejected_at_prefilter >= 0.95 * nonsingular
+
+
+def test_record_stream_pinned_height_6(tmp_path):
+    # sha256 of the canonical records of the default height-6 search: any
+    # change to a logged level, reason or residual changes it
+    out = str(tmp_path / "records.jsonl")
+    summary = run(SearchSpace(height=6), jobs=1, checkpoint_path=None, output_path=out)
+    records = canonical_records(out)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+    assert summary["counts"] == {0: 2150, 1: 0, 2: 59, 3: 0, 4: 0, 5: 0, 6: 0}
+    assert digest == "24300ae4ff43f5ec0c3defa3b3b4f543c97fe769a8e85fffe95699864a416f78"

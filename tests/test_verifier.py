@@ -1,14 +1,26 @@
 import random
 from fractions import Fraction
 
-from cuboidsearch.coefficients import CoefficientSet, eval_coefficients
-from cuboidsearch.singularity import SingularFlag
+from cuboidsearch.coefficients import (
+    E21_COMMON,
+    E21_PRINTED,
+    CoefficientSet,
+    E21DenominatorPole,
+    diagonal_cubic,
+    edge_cubic,
+    eval_coefficients,
+    eval_coefficients_cleared,
+)
+from cuboidsearch.cubic import discriminant, is_rational_square, rational_roots
+from cuboidsearch.search import SearchSpace, enumerate_points, fraction_values
+from cuboidsearch.singularity import SingularFlag, classify
 from cuboidsearch.verifier import (
     PERMUTATIONS,
     Verdict,
     auxiliary_residuals,
     check_pairings,
     grade,
+    nonsquare_edge_discriminant,
     pythagorean_check,
 )
 
@@ -160,8 +172,6 @@ def test_grade_edge_root_nonpositive():
 
 def test_grade_levels_monotone_structure():
     # any verdict with level >= 2 has edges recorded; >= 4 has diagonals
-    from cuboidsearch.search import SearchSpace, enumerate_points
-
     for b, c in enumerate_points(SearchSpace(height=4)):
         verdict = grade(b, c)
         if verdict.level >= 2:
@@ -187,7 +197,7 @@ def test_grade_caps_at_level_four_on_printed_pole(monkeypatch):
     monkeypatch.setattr(
         verifier, "rational_roots", lambda q: (F(1, 3), F(1, 2), F(2, 3))
     )
-    monkeypatch.setattr(verifier, "discriminant", lambda q: F(1))
+    monkeypatch.setattr(verifier, "nonsquare_edge_discriminant", lambda b, c: None)
     verdict = verifier.grade(F(2, 3), F(1, 2), "printed")
     assert verdict.level == 4
     assert verdict.reason == "e21-printed-pole"
@@ -200,3 +210,74 @@ def test_grade_caps_at_level_four_on_printed_pole(monkeypatch):
 def test_grade_uses_verifier_pipeline_consistently():
     cs = eval_coefficients(F(1), F(1))
     assert cs.e10 == F(1, 2)  # grading above relied on these exact values
+
+
+def test_prefilter_matches_cleared_discriminant_height_6():
+    # exhaustive: the integer test on the factored discriminant against the
+    # discriminant of the edge cubic built from the cleared transcription
+    # (the common e21 form never raises, and the edge cubic ignores e21)
+    values = fraction_values(6)
+    checked = rejected = 0
+    for b in values:
+        for c in values:
+            if classify(b, c):
+                continue
+            disc = discriminant(edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)))
+            expected = None if is_rational_square(disc) is not None else disc
+            got = nonsquare_edge_discriminant(b, c)
+            assert got == expected, (b, c)
+            checked += 1
+            rejected += got is not None
+    assert checked == 2148
+    assert rejected == 2089
+
+
+def reference_grade(b, c, e21_form):
+    """Grading with all nine cleared-path coefficients computed up front."""
+    flags = classify(b, c)
+    if flags:
+        return Verdict(0, "singular", flags=flags)
+    aux_defined = True
+    try:
+        cs = eval_coefficients_cleared(b, c, e21_form)
+    except E21DenominatorPole:
+        cs = eval_coefficients_cleared(b, c, E21_COMMON)
+        aux_defined = False
+    edge = edge_cubic(cs)
+    disc = discriminant(edge)
+    if is_rational_square(disc) is None:
+        return Verdict(0, "disc-nonsquare", residuals=(disc,))
+    edges = rational_roots(edge)
+    if edges is None:
+        return Verdict(1, "edge-no-split", residuals=(disc,))
+    if edges[0] <= 0:
+        bad = tuple(r for r in edges if r <= 0)
+        return Verdict(2, "edge-root-nonpositive", residuals=bad, edges=edges)
+    diagonals = rational_roots(diagonal_cubic(cs))
+    if diagonals is None:
+        return Verdict(3, "diag-no-split", edges=edges)
+    if diagonals[0] <= 0:
+        bad = tuple(r for r in diagonals if r <= 0)
+        return Verdict(3, "diag-root-nonpositive", residuals=bad, edges=edges, diagonals=diagonals)
+    if not aux_defined:
+        return Verdict(4, "e21-printed-pole", edges=edges, diagonals=diagonals)
+    pairing = check_pairings(edges, diagonals, cs)
+    if pairing is None:
+        first = auxiliary_residuals(edges, diagonals, PERMUTATIONS[0], cs)
+        return Verdict(4, "aux-unsatisfied", residuals=first, edges=edges, diagonals=diagonals)
+    ok, faces, space = pythagorean_check(edges, diagonals, pairing)
+    if not ok:
+        return Verdict(
+            5, "pythagoras-failed", residuals=faces + (space,),
+            edges=edges, diagonals=diagonals, pairing=pairing,
+        )
+    return Verdict(6, "perfect-cuboid", edges=edges, diagonals=diagonals, pairing=pairing)
+
+
+def test_staged_grade_matches_reference_height_4():
+    reasons = set()
+    for b, c in enumerate_points(SearchSpace(height=4)):
+        verdict = grade(b, c, E21_PRINTED)
+        assert verdict == reference_grade(b, c, E21_PRINTED), (b, c)
+        reasons.add(verdict.reason)
+    assert reasons == {"singular", "disc-nonsquare", "edge-root-nonpositive"}
