@@ -224,36 +224,23 @@ def cmd_search(args) -> int:
     def bound(text):
         return None if text is None else _rational(args, text)
 
-    space = SearchSpace(
-        height=args.height,
-        b_min=bound(args.b_min),
-        b_max=bound(args.b_max),
-        c_min=bound(args.c_min),
-        c_max=bound(args.c_max),
-        e21_form=args.e21_form,
-    )
+    bounds = {key: bound(getattr(args, key)) for key in ("b_min", "b_max", "c_min", "c_max")}
     log = None if args.quiet else (lambda message: print(message, file=sys.stderr))
-    summary = run(
-        space,
-        jobs=args.jobs,
-        checkpoint_path=args.checkpoint,
-        output_path=args.output,
-        stop_on_hit=args.stop_on_hit,
-        block_size=args.block_size,
-        log=log,
-    )
-    payload = {
-        "counts": {str(k): v for k, v in summary["counts"].items()},
-        "singular": summary["singular"],
-        "visited": summary["visited"],
-        "cursor": summary["cursor"],
-        "total": summary["total"],
-        "completed": summary["completed"],
-        "hits": summary["hits"],
-        "stopped_on_hit": summary["stopped_on_hit"],
-        "e21_form": summary["e21_form"],
-        "output": args.output,
-    }
+    try:
+        space = SearchSpace(height=args.height, e21_form=args.e21_form, **bounds)
+        summary = run(
+            space,
+            jobs=args.jobs,
+            checkpoint_path=args.checkpoint,
+            output_path=args.output,
+            stop_on_hit=args.stop_on_hit,
+            block_size=args.block_size,
+            log=log,
+        )
+    except ValueError as exc:
+        print(f"cuboidsearch: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    payload = dict(summary, output=args.output)
     lines = [
         f"visited={summary['visited']} singular={summary['singular']} "
         f"cursor={summary['cursor']}/{summary['total']}",

@@ -7,11 +7,11 @@ points where a denominator vanishes.
 
 Every formula is implemented twice, from independent transcriptions:
 
-  * the direct path (`eval_coefficients`) evaluates each formula in its
-    nested-product shape straight in Fractions — the production path.  It
-    comes in three stages, so the verifier computes a group only for the
-    points that reach it: edge (e10, e20, e30), diagonal (e01, e02, e03)
-    and auxiliary (e21, e11, e12);
+  * the direct path evaluates each formula in its nested-product shape
+    straight in Fractions.  It comes in three stages, edge (e10, e20, e30),
+    diagonal (e01, e02, e03) and auxiliary (e21, e11, e12), and the
+    verifier's `grade` calls each stage only for the points that reach it;
+    `eval_coefficients` checks the point and evaluates all three;
   * the cleared path (`eval_coefficients_cleared`) re-enters each formula
     as a single numerator/denominator pair of integer polynomials.
 
@@ -139,15 +139,6 @@ def eval_coefficients(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> 
     flags = classify(b, c)
     if flags:
         raise SingularPoint(b, c, flags)
-    return eval_coefficients_unchecked(b, c, e21_form)
-
-
-def eval_coefficients_unchecked(b: Fraction, c: Fraction, e21_form: str) -> CoefficientSet:
-    """Direct-path evaluation of all three stages, without the singularity precheck.
-
-    For callers that have already classified the point.  Behavior at
-    singular points is undefined.
-    """
     return CoefficientSet(
         *edge_coefficients(b, c),
         *diagonal_coefficients(b, c),

@@ -10,14 +10,18 @@ Determinism is the backbone of everything here:
 
   * values are ordered by (height, numeric value), so the point stream is
     reproducible and low-height points come first;
-  * the flat cursor index over the b x c grid defines block boundaries;
+  * the flat cursor index counts in-range points only: it runs row-major
+    over the in-range b values and the in-range c values, so a narrow
+    range walks no out-of-range position.  It defines block boundaries;
     workers grade disjoint blocks and results are flushed strictly in block
     order, so the output is identical for any worker count;
-  * the checkpoint stores the cursor and per-level counts and is only
-    advanced after a block's records are flushed.  On resume, any records
-    at or past the stored cursor (flushed but not yet checkpointed when the
-    process died) are dropped before continuing, so an interrupted run
-    converges to exactly the uninterrupted output.
+  * the checkpoint (version 2) stores the cursor and per-level counts and
+    is only advanced after a block's records are flushed.  On resume, any
+    records at or past the stored cursor (flushed but not yet checkpointed
+    when the process died) are dropped before continuing, so an
+    interrupted run converges to exactly the uninterrupted output.  A
+    version-1 checkpoint counted every grid position, in range or not; it
+    is refused with CheckpointMismatch rather than misread.
 
 Rationals are serialized as exact "p/q" strings, never floats.
 """
@@ -33,13 +37,13 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import E21_PRINTED, E21_FORMS, Params
 from .rationals import format_rational, parse_rational
 from .verifier import LEVEL_PERFECT, grade
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 DEFAULT_BLOCK_SIZE = 512
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
 
@@ -93,53 +97,55 @@ def fraction_values(height: int) -> tuple[Fraction, ...]:
     return tuple(ordered)
 
 
+class _Axes(NamedTuple):
+    bs: tuple[Fraction, ...]
+    cs: tuple[Fraction, ...]
+    b_index: dict[Fraction, int]
+    c_index: dict[Fraction, int]
+
+
 @lru_cache(maxsize=16)
-def _value_index(height: int) -> dict[Fraction, int]:
-    return {v: i for i, v in enumerate(fraction_values(height))}
+def _axes(space: SearchSpace) -> _Axes:
+    """The in-range b and c values, in (height, value) order, with their indices."""
+    values = fraction_values(space.height)
+
+    def axis(lo, hi):
+        return tuple(v for v in values if (lo is None or lo <= v) and (hi is None or v <= hi))
+
+    bs = axis(space.b_min, space.b_max)
+    cs = axis(space.c_min, space.c_max)
+    return _Axes(bs, cs, {v: i for i, v in enumerate(bs)}, {v: i for i, v in enumerate(cs)})
 
 
 def grid_size(space: SearchSpace) -> int:
-    """Number of cursor positions (in-range or not) in the full b x c grid."""
-    n = len(fraction_values(space.height))
-    return n * n
+    """Number of cursor positions: the in-range points of the b x c grid."""
+    axes = _axes(space)
+    return len(axes.bs) * len(axes.cs)
+
+
+def _walk(space: SearchSpace, start: int, end: int) -> Iterator[Params]:
+    """The points at cursor indices start..end-1, in cursor order."""
+    axes = _axes(space)
+    n = len(axes.cs)
+    for index in range(start, end):
+        i, j = divmod(index, n)
+        yield Params(axes.bs[i], axes.cs[j])
 
 
 def point_at(space: SearchSpace, index: int) -> Params:
     """The parameter point at a flat cursor index (row-major: b outer, c inner)."""
-    values = fraction_values(space.height)
-    n = len(values)
-    return Params(values[index // n], values[index % n])
+    return next(_walk(space, index, index + 1))
 
 
 def point_index(space: SearchSpace, b: Fraction, c: Fraction) -> int:
-    idx = _value_index(space.height)
-    n = len(fraction_values(space.height))
-    return idx[b] * n + idx[c]
-
-
-def _in_range(space: SearchSpace, b: Fraction, c: Fraction) -> bool:
-    if space.b_min is not None and b < space.b_min:
-        return False
-    if space.b_max is not None and b > space.b_max:
-        return False
-    if space.c_min is not None and c < space.c_min:
-        return False
-    if space.c_max is not None and c > space.c_max:
-        return False
-    return True
+    """The cursor index of an in-range point; KeyError for any other point."""
+    axes = _axes(space)
+    return axes.b_index[b] * len(axes.cs) + axes.c_index[c]
 
 
 def enumerate_points(space: SearchSpace) -> Iterator[Params]:
     """Deterministic stream of all in-range points, in cursor order."""
-    values = fraction_values(space.height)
-    for b in values:
-        if (space.b_min is not None and b < space.b_min) or (
-            space.b_max is not None and b > space.b_max
-        ):
-            continue
-        for c in values:
-            if _in_range(space, b, c):
-                yield Params(b, c)
+    return _walk(space, 0, grid_size(space))
 
 
 # --- configuration digest and checkpoint file ------------------------------
@@ -277,18 +283,10 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
 
 def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     """Grade the points of one cursor block. Pure; runs in worker processes."""
-    values = fraction_values(space.height)
-    n = len(values)
     counts = {level: 0 for level in LEVELS}
     singular = 0
-    visited = 0
     records = []
-    for index in range(start, end):
-        b = values[index // n]
-        c = values[index % n]
-        if not _in_range(space, b, c):
-            continue
-        visited += 1
+    for b, c in _walk(space, start, end):
         verdict = grade(b, c, space.e21_form)
         counts[verdict.level] += 1
         if verdict.reason == "singular":
@@ -300,7 +298,6 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
         "end": end,
         "counts": counts,
         "singular": singular,
-        "visited": visited,
         "records": records,
     }
 
@@ -324,6 +321,8 @@ def run(
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
     total = grid_size(space)
     cursor = 0
     counts = {level: 0 for level in LEVELS}
@@ -374,7 +373,7 @@ def run(
             for level in LEVELS:
                 counts[level] += result["counts"][level]
             singular += result["singular"]
-            visited += result["visited"]
+            visited += result["end"] - result["start"]
             cursor = result["end"]
             if checkpoint_path:
                 _save_checkpoint(checkpoint_path, space, cursor, counts, singular)

@@ -230,7 +230,26 @@ def test_search_end_to_end(tmp_path, capsys):
     assert payload["completed"] is True
     assert payload["visited"] == 49
     assert payload["hits"] == 0
+    assert payload["interrupted"] is False
+    assert sorted(payload["counts"]) == [str(level) for level in range(7)]
     assert (tmp_path / "ck.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--height", "0"), ("--jobs", "0"), ("--block-size", "0"), ("--block-size", "-5")],
+)
+def test_search_invalid_number_exit_code(tmp_path, capsys, flag, value):
+    # argparse keeps the last value given, so the flag under test overrides --height 2
+    code, out, err = run_cli(
+        capsys, "search", "--height", "2", flag, value,
+        "--checkpoint", str(tmp_path / "ck.json"),
+        "--output", str(tmp_path / "o.jsonl"), "--quiet",
+    )
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and "invalid input" in err
+    assert not (tmp_path / "ck.json").exists()
 
 
 def test_search_checkpoint_mismatch_exit_code(tmp_path, capsys):

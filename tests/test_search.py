@@ -80,11 +80,19 @@ def test_enumerate_respects_ranges():
     assert all(isinstance(p, Params) for p in points)
 
 
-def test_point_index_round_trip():
-    space = SearchSpace(height=3)
+def assert_round_trip(space):
+    assert list(enumerate_points(space)) == [point_at(space, i) for i in range(grid_size(space))]
     for index in range(grid_size(space)):
         b, c = point_at(space, index)
         assert point_index(space, b, c) == index
+
+
+def test_point_index_round_trip():
+    assert_round_trip(SearchSpace(height=3))
+
+
+def test_ranged_point_index_round_trip():
+    assert_round_trip(SearchSpace(height=4, b_min=F(-1, 2), b_max=F(3), c_min=F(1, 3)))
 
 
 def test_invalid_space_rejected():
@@ -155,6 +163,53 @@ def test_interrupt_and_resume_match_uninterrupted(tmp_path):
     assert second["singular"] == reference["singular"]
 
 
+def test_ranged_interrupt_and_resume_match_full_grid(tmp_path):
+    # the cursor counts in-range points only, so a ranged run resumes on
+    # that index and still reproduces the full grid's records in its range
+    space = SearchSpace(height=6, b_min=F(-1), b_max=F(5, 2), c_min=F(0), c_max=F(4))
+    straight = str(tmp_path / "straight.jsonl")
+    whole = run(space, jobs=1, checkpoint_path=None, output_path=straight)
+    assert whole["total"] == whole["visited"] == len(list(enumerate_points(space)))
+
+    out = str(tmp_path / "resumed.jsonl")
+    ck = str(tmp_path / "ck.json")
+    first = run(space, jobs=1, checkpoint_path=ck, output_path=out, block_size=16, max_blocks=5)
+    assert first["interrupted"] and first["cursor"] == first["visited"] == 80
+    second = run(space, jobs=2, checkpoint_path=ck, output_path=out, block_size=16)
+    assert second["completed"]
+    assert second["visited"] == whole["total"] - 80
+    assert second["counts"] == whole["counts"]
+    assert records_in_order(out) == records_in_order(straight)
+
+    full = str(tmp_path / "full.jsonl")
+    run(SearchSpace(height=6), jobs=1, checkpoint_path=None, output_path=full)
+    in_range = [
+        record
+        for record in records_in_order(full)
+        if -1 <= parse_rational(record["b"]) <= F(5, 2)
+        and 0 <= parse_rational(record["c"]) <= 4
+    ]
+    assert in_range and records_in_order(out) == in_range
+
+
+def test_fibre_walks_only_in_range_points():
+    space = SearchSpace(height=20, b_min=F(3, 7), b_max=F(3, 7), c_min=F(1), c_max=F(2))
+    expected = sum(1 for c in fraction_values(20) if 1 <= c <= 2)
+    summary = run(space, jobs=1, checkpoint_path=None, output_path=None)
+    assert summary["completed"]
+    assert summary["total"] == summary["visited"] == expected
+
+
+def test_empty_range_completes_at_once(tmp_path):
+    out = str(tmp_path / "records.jsonl")
+    space = SearchSpace(height=4, b_min=F(1), b_max=F(0))
+    summary = run(space, jobs=2, checkpoint_path=str(tmp_path / "ck.json"), output_path=out)
+    assert summary["completed"] and not summary["interrupted"]
+    assert summary["total"] == summary["visited"] == summary["cursor"] == 0
+    assert load_records(out) == []
+    assert list(enumerate_points(space)) == []
+
+
 def test_resume_drops_uncheckpointed_tail(tmp_path):
     # simulate dying after records were flushed but before the checkpoint
     # advanced: records at or past the cursor plus a torn final line
@@ -207,6 +262,21 @@ def test_checkpoint_mismatch_detected(tmp_path):
             checkpoint_path=ck,
             output_path=out,
         )
+
+
+def test_version_one_checkpoint_refused(tmp_path):
+    # version 1 counted every grid position; its cursor means something else now
+    space = SearchSpace(height=2, c_min=F(0))
+    ck = str(tmp_path / "ck.json")
+    run(space, jobs=1, checkpoint_path=ck, output_path=None, block_size=4, max_blocks=1)
+    with open(ck, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    assert payload["version"] == 2
+    payload["version"] = payload["config"]["version"] = 1
+    with open(ck, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+    with pytest.raises(CheckpointMismatch):
+        run(space, jobs=1, checkpoint_path=ck, output_path=None)
 
 
 def test_config_digest_distinguishes_spaces():
