@@ -7,11 +7,13 @@ points where a denominator vanishes.
 
 Every formula is implemented twice, from independent transcriptions:
 
-  * the direct path evaluates each formula in its nested-product shape
-    straight in Fractions.  It comes in three stages, edge (e10, e20, e30),
-    diagonal (e01, e02, e03) and auxiliary (e21, e11, e12), and the
-    verifier's `grade` calls each stage only for the points that reach it;
-    `eval_coefficients` checks the point and evaluates all three;
+  * the direct path evaluates each formula in its nested-product shape.
+    It comes in three stages, edge (e10, e20, e30), diagonal (e01, e02,
+    e03) and auxiliary (e21, e11, e12), and the verifier's `grade` calls
+    each stage only for the points that reach it; `eval_coefficients`
+    checks the point and evaluates all three.  The edge stage, the only
+    one most graded points reach, runs in integer coordinates and builds
+    one Fraction per coefficient; the other two run in Fractions;
   * the cleared path (`eval_coefficients_cleared`) re-enters each formula
     as a single numerator/denominator pair of integer polynomials.
 
@@ -158,19 +160,35 @@ def _denominators(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fractio
 
 
 def edge_coefficients(b: Fraction, c: Fraction) -> EdgeCoefficients:
-    """Direct-path e10, e20, e30 at a nonsingular point (not checked)."""
-    shared, curves_sq, quart = _denominators(b, c)
-    b2 = b * b
-    c2 = c * c
-    e10 = -(b2 * c2 + 2 * b2 - 3 * b2 * c - c) / shared
-    e20 = (
-        b * (b * c2 - 2 * c - 2 * b) * (2 * b * c2 - c2 - 6 * b * c + 2 + 4 * b)
-    ) / (2 * curves_sq)
-    e30 = (
-        c * b2 * (1 - c) * (c - 2)
-        * (b * c2 - 4 * b * c + 2 + 4 * b)
-        * (2 * b * c2 - c2 - 4 * b * c + 2 * b)
-    ) / (quart * curves_sq)
+    """Direct-path e10, e20, e30 at a nonsingular point (not checked).
+
+    Each factor is evaluated in homogeneous integer form: with b = p/q and
+    c = r/s, a factor of degree (i, j) in (b, c) is multiplied by q^i s^j,
+    and each coefficient is one Fraction of the products.  The shared
+    denominator equals f1*f2, and quart is written from its sum-of-squares
+    form (c-1)^2 (c-2)^2 b^2 + c^2; here f1 and f2 stand for qs*f1 and qs*f2,
+    and quart for q^2 s^4 * quart.
+    """
+    p, q = b.numerator, b.denominator
+    r, s = c.numerator, c.denominator
+    pp, rr, rs, ss = p * p, r * r, r * s, s * s
+    f1 = p * r - q * s - p * s
+    f2 = p * r - q * r - 2 * p * s
+    curves_sq = (f1 * f2) ** 2
+    quart = (p * (r - s) * (r - 2 * s)) ** 2 + (q * rs) ** 2
+    e10 = Fraction(-(pp * (rr + 2 * ss - 3 * rs) - q * q * rs), f1 * f2)
+    e20 = Fraction(
+        p * q
+        * (p * rr - 2 * q * rs - 2 * p * ss)
+        * (2 * p * rr - q * rr - 6 * p * rs + 2 * q * ss + 4 * p * ss),
+        2 * curves_sq,
+    )
+    e30 = Fraction(
+        r * pp * (s - r) * (r - 2 * s) * q * q * s
+        * (p * rr - 4 * p * rs + 2 * q * ss + 4 * p * ss)
+        * (2 * p * rr - q * rr - 4 * p * rs + 2 * p * ss),
+        quart * curves_sq,
+    )
     return EdgeCoefficients(e10, e20, e30)
 
 

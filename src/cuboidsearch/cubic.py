@@ -4,18 +4,23 @@ The search pipeline asks one question per candidate point, twice: does a
 monic cubic with rational coefficients split completely over the rationals,
 and if so into which roots?  The answer is computed exactly:
 
-  1. prefilter: the discriminant must be the square of a rational, since
+  1. clear denominators once, to a primitive integer cubic
+     a3*x^3 + a2*x^2 + a1*x + a0, and substitute y = a3*x: the monic
+     integer cubic g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 has the roots
+     a3*x, so every rational root is y/a3 for an integer root y.
+  2. prefilter: the discriminant must be the square of a rational, since
      for a fully split cubic it equals the squared product of root
-     differences.  A cheap integer perfect-square test rejects the cubic
-     before any root search.  (The verifier settles this for the edge
-     cubic earlier, from the discriminant's factored form, so the edge
-     cubics that reach this function all pass it.)
-  2. clear denominators to a primitive integer cubic.
-  3. find the largest root: the substitution y = a3*x makes the cubic
-     monic with integer coefficients, so every rational root is y/a3 for
-     an integer root y, and the largest y is found by integer bisection on
-     an interval where the cubic is monotone.  No integer is factored.
-  4. deflate and solve the remaining quadratic exactly.
+     differences.  As disc(g) = a3^6 * disc, this is one integer
+     perfect-square test on disc(g), before any root search.  (The
+     verifier settles this for the edge cubic earlier, from the
+     discriminant's factored form, so the edge cubics that reach this
+     function all pass it.)
+  3. find the largest root y of g by integer bisection on an interval
+     where g is monotone, bounded below by the larger critical point and
+     above by Samuelson's bound on the largest root.  No integer is
+     factored.
+  4. deflate g in integers and solve the remaining quadratic with isqrt;
+     the roots are built as Fractions only at the end.
 
 No floating point is used anywhere.
 """
@@ -89,38 +94,39 @@ def _clear_to_integer_cubic(q: CubicPoly) -> tuple[int, int, int, int]:
     return a3 // content, a2 // content, a1 // content, a0 // content
 
 
-def _largest_rational_root(a3: int, a2: int, a1: int, a0: int) -> Optional[Fraction]:
-    """Largest root of the integer cubic if it is rational, else None.
+def _largest_integer_root(a2: int, b1: int, b0: int) -> Optional[int]:
+    """Largest root of g(y) = y^3 + a2*y^2 + b1*y + b0 if it is an integer, else None.
 
-    The cubic must have three real roots (nonnegative discriminant).  Write
-    g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 = a3^2 * cubic(y / a3).  g is
-    monic with integer coefficients, so its rational roots are integers and
-    the cubic's rational roots are exactly y / a3 for them.  If the cubic
-    splits over Q, its largest root r times a3 is therefore an integer.
+    g must have three real roots (counted with multiplicity): a square
+    discriminant guarantees it.
 
-    Search interval.  g'(y) = 3y^2 + 2*a2*y + a1*a3 has roots
-    (-a2 +- sqrt(D)) / 3 with D = a2^2 - 3*a1*a3.  By Rolle (Gauss-Lucas
+    Search interval.  g'(y) = 3y^2 + 2*a2*y + b1 has roots
+    (-a2 +- sqrt(D)) / 3 with D = a2^2 - 3*b1.  By Rolle (Gauss-Lucas
     with multiplicities), the critical points of a cubic with three real
-    roots lie between its smallest and largest root, so D >= 0 and
-    a3*r >= c = (-a2 + sqrt(D)) / 3.  This holds with equality when the
-    largest root is a double root (it is then the larger critical point)
-    or a triple root (D = 0).  Being an integer, a3*r is at least ceil(c),
-    which is computed exactly: with s = ceil(sqrt(D)) from isqrt,
-    ceil((s - a2) / 3) = ceil(c).  For square D the two are equal; for
-    nonsquare D, c lies strictly between (s - 1 - a2) / 3 and (s - a2) / 3,
-    and no integer k has c <= k < (s - a2) / 3, since 3k would lie strictly
-    between the consecutive integers s - 1 - a2 and s - a2.  By Cauchy's bound
-    every root has |y| < M = 1 + max(|a2|, |a1*a3|, |a0*a3^2|), so
-    g(M) > 0.
+    roots lie between its smallest and largest root, so D >= 0 and the
+    largest root Y satisfies Y >= c = (-a2 + sqrt(D)) / 3.  This holds with
+    equality when the largest root is a double root (it is then the larger
+    critical point) or a triple root (D = 0).  An integer Y is therefore at
+    least ceil(c), which is computed exactly: with s = ceil(sqrt(D)) from
+    isqrt, ceil((s - a2) / 3) = ceil(c).  For square D the two are equal;
+    for nonsquare D, c lies strictly between (s - 1 - a2) / 3 and
+    (s - a2) / 3, and no integer k has c <= k < (s - a2) / 3, since 3k
+    would lie strictly between the consecutive integers s - 1 - a2 and
+    s - a2.
 
-    Bisection.  g is nondecreasing on [ceil(c), M], so g(y) <= 0 holds on
+    Above, Samuelson's inequality bounds the largest of n real numbers by
+    their mean plus sqrt(n - 1) standard deviations.  The roots have mean
+    -a2/3 and, as their squares sum to a2^2 - 2*b1, variance 2D/9, so
+    Y <= (-a2 + 2*sqrt(D)) / 3 <= (2s - a2) / 3, with equality in the
+    first step when the two smaller roots coincide (as for x^2 (x - 3)).
+    Every root is thus below hi = floor((2s - a2) / 3) + 1, and g(hi) > 0.
+
+    Bisection.  g is nondecreasing on [ceil(c), hi], so g(y) <= 0 holds on
     a prefix of its integers.  Every y above the largest root of g has
-    g(y) > 0, so when a3*r is an integer the last integer of that prefix
-    is a3*r, and g is zero there.  Otherwise g is nonzero there (or the
-    prefix is empty), the largest root is irrational, and None is returned.
+    g(y) > 0, so when Y is an integer the last integer of that prefix is Y,
+    and g is zero there.  Otherwise g is nonzero there (or the prefix is
+    empty), Y is irrational, and None is returned.
     """
-    b1 = a1 * a3
-    b0 = a0 * a3 * a3
 
     def g(y: int) -> int:
         return ((y + a2) * y + b1) * y + b0
@@ -130,15 +136,15 @@ def _largest_rational_root(a3: int, a2: int, a1: int, a0: int) -> Optional[Fract
     if s * s < d:
         s += 1
     lo = -((a2 - s) // 3)
-    hi = 1 + max(abs(a2), abs(b1), abs(b0))
-    # g(hi) > 0 throughout; the last integer with g <= 0, if any, is in [lo, hi)
+    hi = (2 * s - a2) // 3 + 1
+    # g(hi) > 0; the last integer with g <= 0, if any, is in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if g(mid) <= 0:
             lo = mid
         else:
             hi = mid
-    return Fraction(lo, a3) if g(lo) == 0 else None
+    return lo if g(lo) == 0 else None
 
 
 def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
@@ -147,20 +153,31 @@ def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
     Returns a sorted ascending triple (a multiset: repeated roots appear
     with multiplicity), or None when the cubic does not fully split.
     Deterministic: equal inputs give bit-identical outputs.
+
+    With the primitive integer form a3*x^3 + a2*x^2 + a1*x + a0, the
+    substitution y = a3*x gives the monic integer cubic
+    g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 = a3^2 * cubic(y / a3).  Its
+    roots are a3 times those of q, so disc(g) = a3^6 * disc(q), and disc(q)
+    is a rational square exactly when the integer disc(g) is a perfect
+    square.  The rational roots of g are integers; the largest is found by
+    bisection, g is deflated by it, and the quadratic left over is solved
+    with isqrt.  Only the three roots are built as Fractions.
     """
-    if is_rational_square(discriminant(q)) is None:
-        return None
     a3, a2, a1, a0 = _clear_to_integer_cubic(q)
-    first = _largest_rational_root(a3, a2, a1, a0)
-    if first is None:
+    b1 = a1 * a3
+    b0 = a0 * a3 * a3
+    disc = 18 * a2 * b1 * b0 - 4 * a2**3 * b0 + a2 * a2 * b1 * b1 - 4 * b1**3 - 27 * b0 * b0
+    if is_perfect_square(disc) is None:
         return None
-    # q(x) = (x - r)(x^2 + p*x + s) by synthetic division
-    p = q.c2 + first
-    s = q.c1 + first * p
-    quad_disc = p * p - 4 * s
-    root = is_rational_square(quad_disc)
+    top = _largest_integer_root(a2, b1, b0)
+    if top is None:
+        return None
+    # g(y) = (y - top)(y^2 + p*y + s) by synthetic division
+    p = a2 + top
+    s = b1 + top * p
+    root = is_perfect_square(p * p - 4 * s)
     if root is None:
         return None
-    second = (-p + root) / 2
-    third = (-p - root) / 2
-    return tuple(sorted((first, second, third)))
+    return tuple(
+        sorted((Fraction(top, a3), Fraction(-p + root, 2 * a3), Fraction(-p - root, 2 * a3)))
+    )

@@ -21,7 +21,8 @@ Determinism is the backbone of everything here:
     when the process died) are dropped before continuing, so an
     interrupted run converges to exactly the uninterrupted output.  A
     version-1 checkpoint counted every grid position, in range or not; it
-    is refused with CheckpointMismatch rather than misread.
+    is refused with CheckpointMismatch rather than misread, and so is a
+    file that is not JSON or lacks a field or gives one the wrong type.
 
 Rationals are serialized as exact "p/q" strings, never floats.
 """
@@ -191,14 +192,38 @@ def _save_checkpoint(path: str, space: SearchSpace, cursor: int, counts: dict, s
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_checkpoint(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+def _load_checkpoint(path: str, space: SearchSpace) -> tuple[int, dict, int]:
+    """The cursor, per-level counts and singular count stored for ``space``.
+
+    Raises CheckpointMismatch for a file that is not a version-2 checkpoint
+    of this configuration, including one that is not JSON or lacks a field.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:
+        raise CheckpointMismatch(f"checkpoint is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CheckpointMismatch("checkpoint is not a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointMismatch(
             f"checkpoint version {payload.get('version')} != {CHECKPOINT_VERSION}"
         )
-    return payload
+    counts = payload.get("counts")
+    if not isinstance(counts, dict):
+        counts = {}
+    fields = [payload.get("cursor"), payload.get("singular")]
+    fields += [counts.get(str(level)) for level in LEVELS]
+    if not isinstance(payload.get("config_digest"), str) or not all(
+        type(value) is int and value >= 0 for value in fields
+    ):
+        raise CheckpointMismatch(
+            "checkpoint lacks a config_digest string, or a count for cursor, "
+            "singular or a level in counts"
+        )
+    if payload["config_digest"] != config_digest(space):
+        raise CheckpointMismatch("checkpoint was written for a different search configuration")
+    return payload["cursor"], {level: counts[str(level)] for level in LEVELS}, payload["singular"]
 
 
 def _now() -> str:
@@ -330,14 +355,7 @@ def run(
     visited = 0
 
     if checkpoint_path and os.path.exists(checkpoint_path):
-        payload = _load_checkpoint(checkpoint_path)
-        if payload["config_digest"] != config_digest(space):
-            raise CheckpointMismatch(
-                "checkpoint was written for a different search configuration"
-            )
-        cursor = payload["cursor"]
-        counts = {level: payload["counts"][str(level)] for level in LEVELS}
-        singular = payload["singular"]
+        cursor, counts, singular = _load_checkpoint(checkpoint_path, space)
         if output_path:
             _truncate_records_beyond(output_path, space, cursor)
             _truncate_records_beyond(hits_path_for(output_path), space, cursor)

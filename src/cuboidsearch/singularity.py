@@ -69,24 +69,27 @@ def factor_values(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fractio
 def classify(b: Fraction, c: Fraction, recheck_quartic: bool = False) -> SingularityClass:
     """Flags of the denominator factors vanishing at (b, c); empty = nonsingular.
 
+    With b = p/q and c = r/s, the two curve tests are decided on the
+    integers F1 = qs*f1 = p*r - q*s - p*s and F2 = qs*f2 = p*r - q*r - 2*p*s,
+    so no Fraction is built; a nonsingular point returns NONSINGULAR itself.
     The third-variety test uses its closed-form rational point list (the
-    origin only) instead of evaluating the quartic factor, which keeps the
-    search hot path cheap.  With recheck_quartic=True the quartic is also
-    evaluated and cross-checked, for debugging and grid tests.
+    origin only) instead of evaluating the quartic factor.  With
+    recheck_quartic=True the quartic is also evaluated and cross-checked,
+    for debugging and grid tests.
     """
-    flags = set()
-    if first_curve_value(b, c) == 0:
-        flags.add(SingularFlag.FIRST_CURVE)
-    if second_curve_value(b, c) == 0:
-        flags.add(SingularFlag.SECOND_CURVE)
-    on_third = b == 0 and c == 0
-    if on_third:
-        flags.add(SingularFlag.THIRD_VARIETY)
+    p, q = b.numerator, b.denominator
+    r, s = c.numerator, c.denominator
+    on_first = p * r - q * s - p * s == 0
+    on_second = p * r - q * r - 2 * p * s == 0
+    on_third = p == 0 and r == 0
     if recheck_quartic and (quartic_value(b, c) == 0) != on_third:
         raise AssertionError(
             f"closed-form third-variety test disagrees with the quartic at ({b}, {c})"
         )
-    return frozenset(flags)
+    if not (on_first or on_second or on_third):
+        return NONSINGULAR
+    hits = (on_first, on_second, on_third)
+    return frozenset(flag for flag, hit in zip(SingularFlag, hits) if hit)
 
 
 def first_curve_b(c: Fraction) -> Fraction:

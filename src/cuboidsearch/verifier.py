@@ -22,7 +22,9 @@ so the points that stop early pay for little:
 
   1. classify the point against the singular factors;
   2. test the edge discriminant for a rational square from its factored
-     form, with integers alone (``nonsquare_edge_discriminant``); the
+     form, with integers alone (``nonsquare_edge_discriminant``): the
+     tables are collapsed once per b row into integer coefficients in c,
+     and each point adds only its powers of c and two dot products; the
      rejected points, nearly all of them, never get a coefficient;
   3. compute e10, e20, e30 and split the edge cubic;
   4. compute e01, e02, e03 and split the diagonal cubic;
@@ -41,6 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .coefficients import (
@@ -100,9 +103,18 @@ def _homogeneous_powers(num: int, den: int) -> list[int]:
     return list(map(mul, up, reversed(down)))
 
 
-def _cleared_value(rows: tuple, b_powers: list[int], c_powers: list[int]) -> int:
-    """q^8 s^8 * P(p/q, r/s) for the coefficient table of P, from the two power lists."""
-    return sum(map(mul, b_powers, [sum(map(mul, row, c_powers)) for row in rows]))
+@lru_cache(maxsize=8)
+def _edge_disc_row(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """q^8 G(p/q, c) and q^8 S(p/q, c) as integer coefficient tuples in c.
+
+    The search walks b in its outer loop, so one row serves every c of a b.
+    """
+    b_powers = _homogeneous_powers(p, q)
+
+    def collapse(rows):
+        return tuple(sum(map(mul, b_powers, column)) for column in zip(*rows))
+
+    return collapse(EDGE_DISC_G), collapse(EDGE_DISC_S)
 
 
 def nonsquare_edge_discriminant(b: Fraction, c: Fraction) -> Fraction | None:
@@ -113,7 +125,9 @@ def nonsquare_edge_discriminant(b: Fraction, c: Fraction) -> Fraction | None:
     when b = 0, or G = 0, or S is a rational square.  With b = p/q and
     c = r/s in lowest terms, g = q^8 s^8 G and t = q^8 s^8 S are integers,
     and as q^8 s^8 is a square, S is a rational square exactly when t is a
-    perfect square.  The test therefore needs only integers and one isqrt.
+    perfect square.  The test therefore needs only integers and one isqrt:
+    the tables collapsed to coefficients in c for the point's b row (cached
+    per row), dotted with the point's powers of c.
 
     For a point that fails, the discriminant is assembled as one Fraction
     from the same integers:  disc = p^2 g^2 t / (4 q^10 s^4 F1^6 F2^6 R^2)
@@ -124,12 +138,12 @@ def nonsquare_edge_discriminant(b: Fraction, c: Fraction) -> Fraction | None:
     if p == 0:
         return None
     r, s = c.numerator, c.denominator
-    b_powers = _homogeneous_powers(p, q)
+    g_row, s_row = _edge_disc_row(p, q)
     c_powers = _homogeneous_powers(r, s)
-    g = _cleared_value(EDGE_DISC_G, b_powers, c_powers)
+    g = sum(map(mul, g_row, c_powers))
     if g == 0:
         return None
-    t = _cleared_value(EDGE_DISC_S, b_powers, c_powers)
+    t = sum(map(mul, s_row, c_powers))
     if is_perfect_square(t) is not None:
         return None
     f1 = p * r - q * s - p * s
@@ -226,10 +240,10 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     vanishes cannot be checked against the auxiliary equations, so it caps
     at level 4 with reason "e21-printed-pole".
     """
+    check_e21_form(e21_form)
     flags = classify(b, c)
     if flags:
         return Verdict(0, "singular", flags=flags)
-    check_e21_form(e21_form)
 
     edge_disc = nonsquare_edge_discriminant(b, c)
     if edge_disc is not None:

@@ -263,6 +263,19 @@ def test_search_checkpoint_mismatch_exit_code(tmp_path, capsys):
     assert "checkpoint mismatch" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["not json\n", '{"version": 2}\n'], ids=["not-json", "version-only"]
+)
+def test_search_malformed_checkpoint_exit_code(tmp_path, capsys, text):
+    ck_path = tmp_path / "ck.json"
+    ck_path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "search", "--height", "2", "--checkpoint", str(ck_path),
+                             "--output", str(tmp_path / "records.jsonl"), "--quiet")
+    assert code == cli.EXIT_CHECKPOINT
+    assert out == ""
+    assert err.count("\n") == 1 and "checkpoint mismatch" in err
+
+
 def test_search_stop_on_hit_exit_code(monkeypatch, tmp_path, capsys):
     summary = {
         "counts": {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1},

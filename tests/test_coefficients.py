@@ -14,6 +14,7 @@ from cuboidsearch.coefficients import (
     SingularPoint,
     diagonal_cubic,
     e21_printed_extra_value,
+    edge_coefficients,
     edge_cubic,
     eval_coefficients,
     eval_coefficients_cleared,
@@ -140,6 +141,23 @@ def test_evaluation_succeeds_exactly_off_the_singular_set():
                 assert not singular
             except SingularPoint:
                 assert singular
+
+
+def test_integer_edge_coefficients_match_cleared_path_height_6():
+    # the edge stage runs in integer coordinates; the cleared path is the
+    # reference on every nonsingular point of the H=6 grid
+    from cuboidsearch.search import fraction_values
+
+    values = fraction_values(6)
+    checked = 0
+    for b in values:
+        for c in values:
+            if classify(b, c):
+                continue
+            cs = eval_coefficients_cleared(b, c, E21_COMMON)
+            assert edge_coefficients(b, c) == (cs.e10, cs.e20, cs.e30)
+            checked += 1
+    assert checked == 2148
 
 
 def test_edge_cubic_sign_convention():

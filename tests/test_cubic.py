@@ -129,6 +129,10 @@ def test_no_rational_cube_root_of_two():
 def test_partial_splitting_rejected():
     # x^3 - x^2 + x - 1 = (x - 1)(x^2 + 1): one rational root is not enough
     assert rational_roots(CubicPoly(F(-1), F(1), F(-1))) is None
+    # x^3 - 2x + 4 = (x + 2)(x^2 - 2x + 2): a negative discriminant
+    q = CubicPoly(F(0), F(-2), F(4))
+    assert discriminant(q) < 0
+    assert rational_roots(q) is None
 
 
 def test_square_discriminant_without_rational_roots():
@@ -146,6 +150,17 @@ def test_repeated_roots_returned_with_multiplicity():
     assert rational_roots(cubic_from_roots(F(0), F(0), F(5, 7))) == (F(0), F(0), F(5, 7))
     third = F(-4, 3)
     assert rational_roots(cubic_from_roots(third, third, third)) == (third, third, third)
+    # the ends of the search interval: a double largest root at the larger
+    # critical point; a triple root (D = 0); the edge cubic at b = 0,
+    # x^2 (x - 1); and two cubics whose largest root attains Samuelson's bound
+    for roots in [
+        (F(1), F(3), F(3)),
+        (F(-5, 3), F(-5, 3), F(-5, 3)),
+        (F(0), F(0), F(1)),
+        (F(0), F(0), F(3)),
+        (F(2, 7), F(2, 7), F(9, 4)),
+    ]:
+        assert rational_roots(cubic_from_roots(*roots)) == roots
 
 
 def test_root_with_large_semiprime_factor():

@@ -279,6 +279,52 @@ def test_version_one_checkpoint_refused(tmp_path):
         run(space, jobs=1, checkpoint_path=ck, output_path=None)
 
 
+def valid_checkpoint(tmp_path):
+    space = SearchSpace(height=2)
+    ck = str(tmp_path / "ck.json")
+    run(space, jobs=1, checkpoint_path=ck, output_path=None, block_size=4, max_blocks=1)
+    with open(ck, encoding="utf-8") as handle:
+        return space, ck, json.load(handle)
+
+
+def drop_level(payload):
+    del payload["counts"]["3"]
+
+
+def string_cursor(payload):
+    payload["cursor"] = str(payload["cursor"])
+
+
+def null_digest(payload):
+    payload["config_digest"] = None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json\n",  # not JSON at all
+        '{"version": 2}\n',  # a version and nothing else
+        "[2]\n",  # JSON, but not an object
+    ],
+    ids=["not-json", "version-only", "array"],
+)
+def test_malformed_checkpoint_file_refused(tmp_path, text):
+    ck = tmp_path / "ck.json"
+    ck.write_text(text, encoding="utf-8")
+    with pytest.raises(CheckpointMismatch):
+        run(SearchSpace(height=2), jobs=1, checkpoint_path=str(ck), output_path=None)
+
+
+@pytest.mark.parametrize("damage", [drop_level, string_cursor, null_digest])
+def test_checkpoint_with_bad_field_refused(tmp_path, damage):
+    space, ck, payload = valid_checkpoint(tmp_path)
+    damage(payload)
+    with open(ck, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+    with pytest.raises(CheckpointMismatch):
+        run(space, jobs=1, checkpoint_path=ck, output_path=None)
+
+
 def test_config_digest_distinguishes_spaces():
     assert config_digest(SearchSpace(height=2)) != config_digest(SearchSpace(height=3))
     assert config_digest(SearchSpace(height=2)) != config_digest(

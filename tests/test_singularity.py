@@ -6,6 +6,7 @@ import pytest
 from cuboidsearch.coefficients import SHARED_DENOMINATOR_POLY
 from cuboidsearch.singularity import (
     FIRST_CURVE_POLY,
+    NONSINGULAR,
     QUARTIC_POLY,
     SECOND_CURVE_POLY,
     PoleError,
@@ -43,6 +44,7 @@ def test_classify_origin():
 
 def test_classify_nonsingular():
     assert classify(Fraction(1), Fraction(1)) == frozenset()
+    assert classify(Fraction(1), Fraction(1)) is NONSINGULAR
 
 
 def test_first_curve_parametrization():
@@ -105,6 +107,17 @@ def test_classify_agrees_with_unreduced_denominator_on_grid():
             or SHARED_DENOMINATOR_POLY.eval(b, c) == 0
         )
         assert (classify(b, c) == frozenset()) == (not unreduced_zero)
+
+
+def test_integer_classify_matches_factor_values_on_grid():
+    # classify decides on integer forms of f1 and f2; the zero tests of the
+    # Fraction-valued factors are the reference, on every point of the H=8 grid
+    for b, c in grid(8):
+        f1, f2, quart = factor_values(b, c)
+        expected = {
+            flag for flag, value in ((FIRST, f1), (SECOND, f2), (THIRD, quart)) if value == 0
+        }
+        assert classify(b, c) == expected
 
 
 def test_recheck_quartic_catches_disagreement():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from cuboidsearch.coefficients import (
     E21_COMMON,
     E21_PRINTED,
@@ -147,6 +149,13 @@ def test_pythagorean_accepts_cyclic_relabelling():
 def test_grade_singular_point():
     verdict = grade(F(1, 2), F(3))
     assert verdict == Verdict(0, "singular", flags=frozenset({SingularFlag.FIRST_CURVE}))
+
+
+def test_grade_rejects_unknown_e21_form_at_every_point():
+    # the form is checked before classification, so singular points raise too
+    for b, c in [(F(0), F(0)), (F(1, 2), F(3)), (F(1), F(1))]:
+        with pytest.raises(ValueError):
+            grade(b, c, "bogus")
 
 
 def test_grade_disc_nonsquare():
