@@ -102,7 +102,7 @@ def cmd_identities(args) -> int:
 def cmd_classify(args) -> int:
     b = _rational(args, args.b)
     c = _rational(args, args.c)
-    flags = sorted(flag.value for flag in classify(b, c, recheck_quartic=True))
+    flags = sorted(flag.value for flag in classify(b, c))
     values = factor_values(b, c)
     payload = {
         "b": format_rational(b),

@@ -16,9 +16,9 @@ Each check expands both sides with exact integer arithmetic and compares
 canonical forms, so a pass is a proof of the identity, not a sampling
 argument.
 
-A fifth identity, checked on its own by
-``check_edge_discriminant_factorization``, proves the factored form of the
-edge cubic's discriminant that the verifier's integer prefilter rests on.
+Two more checks, run on their own, back the verifier's level-0 test: the
+factored edge discriminant (``check_edge_discriminant_factorization``) and
+fact F1, that its factor G has no rational zero but the origin.
 """
 
 from __future__ import annotations
@@ -49,6 +49,11 @@ class IdentityResult:
         return "0" if self.passed else str(self.difference)
 
 
+def _compare(name: str, left: IntPoly2, right: IntPoly2) -> IdentityResult:
+    diff = left - right
+    return IdentityResult(name, diff.is_zero(), diff)
+
+
 def run_identity_checks(
     overrides: dict[str, IntPoly2] | None = None,
 ) -> list[IdentityResult]:
@@ -64,29 +69,16 @@ def run_identity_checks(
     quart = overrides.get("quartic", QUARTIC_POLY)
     shared = overrides.get("shared_denominator", SHARED_DENOMINATOR_POLY)
 
-    results = []
-
-    def record(name: str, left: IntPoly2, right: IntPoly2) -> None:
-        diff = left - right
-        results.append(IdentityResult(name, diff.is_zero(), diff))
-
-    record("shared-denominator-factors", f1 * f2, shared)
-    record(
-        "denominator-reduction",
-        quart * f1**2 * f2**2 * shared,
-        quart * f1**3 * f2**3,
-    )
-    record(
-        "quartic-discriminant",
-        discriminant_in_b(quart),
-        -4 * (C - 1) ** 2 * (C - 2) ** 2 * C**2,
-    )
-    record(
-        "quartic-sum-of-squares",
-        quart,
-        (C - 1) ** 2 * (C - 2) ** 2 * B**2 + C**2,
-    )
-    return results
+    return [
+        _compare("shared-denominator-factors", f1 * f2, shared),
+        _compare("denominator-reduction", quart * f1**2 * f2**2 * shared, quart * f1**3 * f2**3),
+        _compare(
+            "quartic-discriminant",
+            discriminant_in_b(quart),
+            -4 * (C - 1) ** 2 * (C - 2) ** 2 * C**2,
+        ),
+        _compare("quartic-sum-of-squares", quart, (C - 1) ** 2 * (C - 2) ** 2 * B**2 + C**2),
+    ]
 
 
 def all_identities_hold() -> bool:
@@ -127,5 +119,38 @@ def check_edge_discriminant_factorization(
     left = 4 * FIRST_CURVE_POLY**6 * SECOND_CURVE_POLY**6 * QUARTIC_POLY**2 * cleared_disc
     g = _table_poly(g_table)
     right = d2**3 * d1**3 * d0**2 * B**2 * g * g * _table_poly(s_table)
-    diff = left - right
-    return IdentityResult("edge-discriminant-factorization", diff.is_zero(), diff)
+    return _compare("edge-discriminant-factorization", left, right)
+
+
+def check_edge_g_has_no_rational_zero(g_table: tuple = EDGE_DISC_G) -> list[IdentityResult]:
+    """Prove fact F1: G vanishes at no rational point except the origin.
+
+    Four identities are checked, each on its own: as a quadratic in b,
+    G = A b^2 + L b + K with
+
+        A = (c-1)^2 (c-2)^2 (c^2 - 4c + 2),
+        L = 2c (c-1)(c-2)(c^2 - 2),
+        K = -c^2 (c^2 - 4c + 2),
+
+    and its discriminant in b is 8 (c (c-1)(c-2)(c^2 - 2c + 2))^2.
+
+    F1 follows.  Fix a rational c outside {0, 1, 2}.  Then A(c) != 0, since
+    c^2 - 4c + 2 has the irrational roots 2 +- sqrt(2), so G is a genuine
+    quadratic in b, and it has a rational zero only if its discriminant is
+    a rational square.  c^2 - 2c + 2 = (c-1)^2 + 1 is positive, so the
+    discriminant is 8 times a nonzero rational square, and as sqrt(2) is
+    irrational it is not a square.  At c = 0, 1 and 2, G is 8b^2, 1 and 8,
+    read off A, L and K, so its only zero there is b = 0 at c = 0.
+    """
+    g = _table_poly(g_table)
+    quad = C**2 - 4 * C + 2
+    return [
+        _compare("edge-g-b2-coefficient", g.coeff_in_b(2), (C - 1) ** 2 * (C - 2) ** 2 * quad),
+        _compare("edge-g-b1-coefficient", g.coeff_in_b(1), 2 * C * (C - 1) * (C - 2) * (C**2 - 2)),
+        _compare("edge-g-b0-coefficient", g.coeff_in_b(0), -(C**2) * quad),
+        _compare(
+            "edge-g-discriminant",
+            discriminant_in_b(g),
+            8 * (C * (C - 1) * (C - 2) * (C**2 - 2 * C + 2)) ** 2,
+        ),
+    ]

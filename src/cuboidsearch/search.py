@@ -1,8 +1,9 @@
 """Deterministic, checkpointable search over the rational parameter plane.
 
 The search enumerates every reduced fraction of bounded height for each of
-the two parameters, grades every in-range point with the verification
-pipeline, and appends any point reaching level 1 or higher to a JSONL file.
+the two parameters, rejects most in-range points with the verifier's integer
+level-0 test, grades the rest with the full pipeline, and appends any point
+reaching level 1 or higher to a JSONL file.
 Points the classifier marks singular are counted but not logged: along the
 two singular curves they are endless and carry no search information.
 
@@ -42,7 +43,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import E21_PRINTED, E21_FORMS, Params
 from .rationals import format_rational, parse_rational
-from .verifier import LEVEL_PERFECT, grade
+from .verifier import LEVEL_PERFECT, grade, passes_edge_discriminant
 
 CHECKPOINT_VERSION = 2
 DEFAULT_BLOCK_SIZE = 512
@@ -277,7 +278,7 @@ def hits_path_for(output_path: str) -> str:
 
 
 def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
-    """Drop records at or past the cursor (and torn trailing lines); return kept count.
+    """Drop records at or past the cursor, torn lines and non-records; return kept count.
 
     Used on resume: such records were flushed after the last checkpoint
     write and will be regenerated.
@@ -292,11 +293,12 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
                 continue
             try:
                 record = json.loads(line)
-                index = point_index(
-                    space, parse_rational(record["b"]), parse_rational(record["c"])
-                )
-            except (ValueError, KeyError):
-                continue  # torn write from a hard kill
+                b, c = record["b"], record["c"]
+                if not (isinstance(b, str) and isinstance(c, str)):
+                    continue
+                index = point_index(space, parse_rational(b), parse_rational(c))
+            except (ValueError, KeyError, TypeError):
+                continue  # torn write from a hard kill, or not a record
             if index < cursor:
                 kept.append(json.dumps(record, sort_keys=True))
     _atomic_write(path, "".join(line + "\n" for line in kept))
@@ -307,11 +309,14 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
 
 
 def _process_block(space: SearchSpace, start: int, end: int) -> dict:
-    """Grade the points of one cursor block. Pure; runs in worker processes."""
+    """Count one cursor block, grading only level-0 survivors. Pure; runs in workers."""
     counts = {level: 0 for level in LEVELS}
     singular = 0
     records = []
     for b, c in _walk(space, start, end):
+        if not passes_edge_discriminant(b, c):
+            counts[0] += 1
+            continue
         verdict = grade(b, c, space.e21_form)
         counts[verdict.level] += 1
         if verdict.reason == "singular":

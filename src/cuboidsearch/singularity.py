@@ -39,8 +39,8 @@ class PoleError(ZeroDivisionError):
     """
 
 
-# Symbolic forms of the three factors, used by the identity checks and by
-# test oracles.  The fast paths below evaluate the same expressions inline.
+# Symbolic forms of the three factors, used by the identity checks, by
+# factor_values and by test oracles.
 FIRST_CURVE_POLY = B * C - 1 - B
 SECOND_CURVE_POLY = B * C - C - 2 * B
 QUARTIC_POLY: IntPoly2 = (
@@ -48,44 +48,25 @@ QUARTIC_POLY: IntPoly2 = (
 )
 
 
-def first_curve_value(b: Fraction, c: Fraction) -> Fraction:
-    return b * c - 1 - b
-
-
-def second_curve_value(b: Fraction, c: Fraction) -> Fraction:
-    return b * c - c - 2 * b
-
-
-def quartic_value(b: Fraction, c: Fraction) -> Fraction:
-    b2 = b * b
-    return b2 * c**4 - 6 * b2 * c**3 + 13 * b2 * c * c - 12 * b2 * c + 4 * b2 + c * c
-
-
 def factor_values(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
     """Values of the three reduced denominator factors at (b, c)."""
-    return (first_curve_value(b, c), second_curve_value(b, c), quartic_value(b, c))
+    return tuple(poly.eval(b, c) for poly in (FIRST_CURVE_POLY, SECOND_CURVE_POLY, QUARTIC_POLY))
 
 
-def classify(b: Fraction, c: Fraction, recheck_quartic: bool = False) -> SingularityClass:
+def classify(b: Fraction, c: Fraction) -> SingularityClass:
     """Flags of the denominator factors vanishing at (b, c); empty = nonsingular.
 
     With b = p/q and c = r/s, the two curve tests are decided on the
     integers F1 = qs*f1 = p*r - q*s - p*s and F2 = qs*f2 = p*r - q*r - 2*p*s,
     so no Fraction is built; a nonsingular point returns NONSINGULAR itself.
     The third-variety test uses its closed-form rational point list (the
-    origin only) instead of evaluating the quartic factor.  With
-    recheck_quartic=True the quartic is also evaluated and cross-checked,
-    for debugging and grid tests.
+    origin only) instead of evaluating the quartic factor.
     """
     p, q = b.numerator, b.denominator
     r, s = c.numerator, c.denominator
     on_first = p * r - q * s - p * s == 0
     on_second = p * r - q * r - 2 * p * s == 0
     on_third = p == 0 and r == 0
-    if recheck_quartic and (quartic_value(b, c) == 0) != on_third:
-        raise AssertionError(
-            f"closed-form third-variety test disagrees with the quartic at ({b}, {c})"
-        )
     if not (on_first or on_second or on_third):
         return NONSINGULAR
     hits = (on_first, on_second, on_third)

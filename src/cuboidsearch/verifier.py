@@ -17,19 +17,20 @@ exact checks, and the verdict records how deep it got:
 All residuals are exact rationals; a check passes only on residual zero,
 never within a tolerance.
 
-The stages run in this order, and each computes only what its level needs,
-so the points that stop early pay for little:
+The stages of ``grade`` run in this order, and each computes only what its
+level needs:
 
   1. classify the point against the singular factors;
-  2. test the edge discriminant for a rational square from its factored
-     form, with integers alone (``nonsquare_edge_discriminant``): the
-     tables are collapsed once per b row into integer coefficients in c,
-     and each point adds only its powers of c and two dot products; the
-     rejected points, nearly all of them, never get a coefficient;
-  3. compute e10, e20, e30 and split the edge cubic;
+  2. compute e10, e20, e30 and test the edge discriminant for a rational
+     square, on integers and its factor S alone (``passes_edge_discriminant``);
+     a point that fails gets the edge cubic's discriminant as its residual;
+  3. split the edge cubic;
   4. compute e01, e02, e03 and split the diagonal cubic;
   5. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
+
+The search calls ``passes_edge_discriminant`` first and grades only the
+survivors and the singular points; it counts every other point at level 0.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -71,7 +72,8 @@ LEVEL_PERFECT = 6
 #
 # with f1, f2 and Q the singular factors.  Row i, column j holds the
 # coefficient of b^i c^j.  identities.check_edge_discriminant_factorization
-# proves the identity from these tables.
+# proves the identity from these tables, and check_edge_g_has_no_rational_zero
+# that G vanishes at no nonsingular rational point (F1): level 0 tests S alone.
 EDGE_DISC_G = (
     (0, 0, -2, 4, -1, 0, 0),
     (0, -8, 12, 0, -6, 2, 0),
@@ -93,7 +95,7 @@ EDGE_DISC_S = (
 def _homogeneous_powers(num: int, den: int) -> list[int]:
     """num^i * den^(8 - i) for i = 0..8: the powers x^i of x = num/den, times den^8.
 
-    8 is the largest degree of G and S in either variable.
+    8 is the largest degree of S in either variable.
     """
     up = [1]
     down = [1]
@@ -104,52 +106,35 @@ def _homogeneous_powers(num: int, den: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def _edge_disc_row(p: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """q^8 G(p/q, c) and q^8 S(p/q, c) as integer coefficient tuples in c.
+def _s_row(p: int, q: int) -> tuple[int, ...]:
+    """q^8 S(p/q, c) as integer coefficients in c.
 
     The search walks b in its outer loop, so one row serves every c of a b.
     """
     b_powers = _homogeneous_powers(p, q)
-
-    def collapse(rows):
-        return tuple(sum(map(mul, b_powers, column)) for column in zip(*rows))
-
-    return collapse(EDGE_DISC_G), collapse(EDGE_DISC_S)
+    return tuple(sum(map(mul, b_powers, column)) for column in zip(*EDGE_DISC_S))
 
 
-def nonsquare_edge_discriminant(b: Fraction, c: Fraction) -> Fraction | None:
-    """The edge cubic's discriminant if it is not a rational square, else None.
+def passes_edge_discriminant(b: Fraction, c: Fraction) -> bool:
+    """False exactly when ``grade`` stops (b, c) at level 0 with "disc-nonsquare".
 
-    The point must be nonsingular.  There f1, f2 and Q are nonzero, so by
-    the factorization above the discriminant is a rational square exactly
-    when b = 0, or G = 0, or S is a rational square.  With b = p/q and
-    c = r/s in lowest terms, g = q^8 s^8 G and t = q^8 s^8 S are integers,
-    and as q^8 s^8 is a square, S is a rational square exactly when t is a
-    perfect square.  The test therefore needs only integers and one isqrt:
-    the tables collapsed to coefficients in c for the point's b row (cached
-    per row), dotted with the point's powers of c.
-
-    For a point that fails, the discriminant is assembled as one Fraction
-    from the same integers:  disc = p^2 g^2 t / (4 q^10 s^4 F1^6 F2^6 R^2)
-    with F1 = qs*f1, F2 = qs*f2 and R = q^2 s^4 * Q, the last written from
-    the sum-of-squares form Q = (c-1)^2 (c-2)^2 b^2 + c^2.
+    That is a nonsingular point whose edge-cubic discriminant is not a
+    rational square.  There f1, f2 and Q are nonzero, and so is G: by fact
+    F1 (``identities.check_edge_g_has_no_rational_zero``) G vanishes at a
+    rational point only at the singular origin.  By the factorization above
+    the discriminant is then a rational square exactly when b = 0 or S is a
+    rational square, and S(0, c) = 4c^4 is one, so S alone decides.  With
+    b = p/q and c = r/s in lowest terms, t = q^8 s^8 S is an integer, and
+    as q^8 s^8 is a square, S is a rational square exactly when t is a
+    perfect square.  The test needs only integers and one isqrt: the S
+    table collapsed to coefficients in c for the point's b row (cached per
+    row), dotted with the point's powers of c.
     """
-    p, q = b.numerator, b.denominator
-    if p == 0:
-        return None
-    r, s = c.numerator, c.denominator
-    g_row, s_row = _edge_disc_row(p, q)
-    c_powers = _homogeneous_powers(r, s)
-    g = sum(map(mul, g_row, c_powers))
-    if g == 0:
-        return None
-    t = sum(map(mul, s_row, c_powers))
-    if is_perfect_square(t) is not None:
-        return None
-    f1 = p * r - q * s - p * s
-    f2 = p * r - q * r - 2 * p * s
-    quart = (p * (r - s) * (r - 2 * s)) ** 2 + (q * r * s) ** 2
-    return Fraction((p * g) ** 2 * t, 4 * q**10 * s**4 * (f1 * f2) ** 6 * quart**2)
+    if classify(b, c):
+        return True
+    s_row = _s_row(b.numerator, b.denominator)
+    t = sum(map(mul, s_row, _homogeneous_powers(c.numerator, c.denominator)))
+    return is_perfect_square(t) is not None
 
 
 @dataclass(frozen=True)
@@ -245,11 +230,9 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     if flags:
         return Verdict(0, "singular", flags=flags)
 
-    edge_disc = nonsquare_edge_discriminant(b, c)
-    if edge_disc is not None:
-        return Verdict(0, "disc-nonsquare", residuals=(edge_disc,))
-
     edge = edge_cubic(edge_coefficients(b, c))
+    if not passes_edge_discriminant(b, c):
+        return Verdict(0, "disc-nonsquare", residuals=(discriminant(edge),))
     edges = rational_roots(edge)
     if edges is None:
         return Verdict(1, "edge-no-split", residuals=(discriminant(edge),))

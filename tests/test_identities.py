@@ -1,7 +1,8 @@
-from cuboidsearch.bipoly import B, C
+from cuboidsearch.bipoly import B, C, IntPoly2
 from cuboidsearch.identities import (
     all_identities_hold,
     check_edge_discriminant_factorization,
+    check_edge_g_has_no_rational_zero,
     run_identity_checks,
 )
 from cuboidsearch.singularity import QUARTIC_POLY
@@ -70,3 +71,32 @@ def test_edge_discriminant_factorization_detects_altered_coefficient():
     # the check also guards G
     altered_g = (EDGE_DISC_G[0], EDGE_DISC_G[1], EDGE_DISC_G[2][:-1] + (2,))
     assert not check_edge_discriminant_factorization(g_table=altered_g).passed
+
+
+def test_edge_g_has_no_rational_zero_holds():
+    results = check_edge_g_has_no_rational_zero()
+    assert [r.name for r in results] == [
+        "edge-g-b2-coefficient",
+        "edge-g-b1-coefficient",
+        "edge-g-b0-coefficient",
+        "edge-g-discriminant",
+    ]
+    for result in results:
+        assert result.passed, f"{result.name}: difference = {result.detail}"
+        assert result.detail == "0"
+    # the value of G at c = 0, 1 and 2 that the argument reads off
+    g = IntPoly2(
+        {(i, j): coeff for i, row in enumerate(EDGE_DISC_G) for j, coeff in enumerate(row)}
+    )
+    assert [g.eval(b, c) for b, c in [(3, 0), (5, 1), (7, 2)]] == [72, 1, 8]
+
+
+def test_edge_g_has_no_rational_zero_detects_altered_coefficient():
+    # negative control: the b^2 c^6 coefficient of G off by one
+    altered = (EDGE_DISC_G[0], EDGE_DISC_G[1], EDGE_DISC_G[2][:-1] + (2,))
+    by_name = {r.name: r for r in check_edge_g_has_no_rational_zero(altered)}
+    assert not by_name["edge-g-b2-coefficient"].passed
+    assert by_name["edge-g-b2-coefficient"].detail == "c^6"
+    assert not by_name["edge-g-discriminant"].passed
+    assert by_name["edge-g-b1-coefficient"].passed
+    assert by_name["edge-g-b0-coefficient"].passed

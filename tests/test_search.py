@@ -18,6 +18,7 @@ from cuboidsearch.search import (
     grid_size,
     hits_path_for,
     load_records,
+    make_record,
     point_at,
     point_index,
     run,
@@ -237,6 +238,27 @@ def test_resume_drops_uncheckpointed_tail(tmp_path):
     assert records_in_order(out) == records_in_order(straight)
 
 
+def test_resume_drops_lines_that_are_not_records(tmp_path):
+    # valid JSON that is not a record, in the records file and in the hit
+    # file, is dropped on resume as a torn line is
+    space = SearchSpace(height=4)
+    straight = str(tmp_path / "straight.jsonl")
+    run(space, jobs=1, checkpoint_path=None, output_path=straight, block_size=64)
+
+    out = str(tmp_path / "records.jsonl")
+    ck = str(tmp_path / "ck.json")
+    run(space, jobs=1, checkpoint_path=ck, output_path=out, block_size=64, max_blocks=2)
+    junk = '[1]\n{"b": 1, "c": "1"}\n"1/2"\nnull\n{"b": "1", "c": null}\n'
+    for path in (out, hits_path_for(out)):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(junk)
+
+    final = run(space, jobs=1, checkpoint_path=ck, output_path=out, block_size=64)
+    assert final["completed"]
+    assert records_in_order(out) == records_in_order(straight)
+    assert load_records(hits_path_for(out)) == []
+
+
 def test_resume_after_completion_is_idempotent(tmp_path):
     space = SearchSpace(height=2)
     out = str(tmp_path / "records.jsonl")
@@ -357,7 +379,14 @@ def test_stop_on_hit(monkeypatch, tmp_path):
             return Verdict(6, "perfect-cuboid", edges=(F(1), F(1), F(1)))
         return real_grade(b, c, form)
 
+    real_passes = search_module.passes_edge_discriminant
+
+    def fake_passes(b, c):
+        # the real level-0 test rejects the target, so let it through to grade
+        return (b, c) == target or real_passes(b, c)
+
     monkeypatch.setattr(search_module, "grade", fake_grade)
+    monkeypatch.setattr(search_module, "passes_edge_discriminant", fake_passes)
     out = str(tmp_path / "records.jsonl")
     summary = run(
         SearchSpace(height=2),
@@ -402,6 +431,31 @@ def test_e21_form_discrepancies_detects_differences():
     assert len(diffs) == 1
     assert diffs[0]["b"] == "1" and diffs[0]["c"] == "2"
     assert diffs[0]["level5_plus"]
+
+
+@pytest.mark.parametrize("height, e21_form", [(8, "printed"), (8, "common"), (10, "printed")])
+def test_search_matches_grading_every_point(tmp_path, height, e21_form):
+    # the search grades only the points that pass the level-0 test; a loop
+    # that grades every point must give the same counts and records
+    space = SearchSpace(height=height, e21_form=e21_form)
+    counts = {level: 0 for level in range(7)}
+    singular = 0
+    expected = []
+    for b, c in enumerate_points(space):
+        verdict = grade(b, c, e21_form)
+        counts[verdict.level] += 1
+        singular += verdict.reason == "singular"
+        if verdict.level >= 1:
+            record = make_record(b, c, verdict, e21_form)
+            del record["ts"]
+            expected.append(((b, c), record))
+    expected = [record for _, record in sorted(expected, key=lambda item: item[0])]
+
+    out = str(tmp_path / "records.jsonl")
+    summary = run(space, jobs=1, checkpoint_path=None, output_path=out)
+    assert summary["counts"] == counts
+    assert summary["singular"] == singular
+    assert canonical_records(out) == expected
 
 
 def test_prefilter_rejects_most_nonsingular_points(tmp_path):

@@ -89,7 +89,7 @@ def test_curve_parametrizations_land_on_curves():
 
 def test_mutual_exclusion_and_third_variety_on_grid():
     for b, c in grid(8):
-        flags = classify(b, c, recheck_quartic=True)
+        flags = classify(b, c)
         assert not (FIRST in flags and SECOND in flags)
         if THIRD in flags:
             assert (b, c) == (0, 0)
@@ -118,10 +118,3 @@ def test_integer_classify_matches_factor_values_on_grid():
             flag for flag, value in ((FIRST, f1), (SECOND, f2), (THIRD, quart)) if value == 0
         }
         assert classify(b, c) == expected
-
-
-def test_recheck_quartic_catches_disagreement():
-    # the closed-form test and the quartic agree everywhere rational, so the
-    # recheck must pass on a sample including the origin
-    for b, c in [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(4)), (Fraction(1), Fraction(1))]:
-        classify(b, c, recheck_quartic=True)

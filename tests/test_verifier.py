@@ -22,7 +22,7 @@ from cuboidsearch.verifier import (
     auxiliary_residuals,
     check_pairings,
     grade,
-    nonsquare_edge_discriminant,
+    passes_edge_discriminant,
     pythagorean_check,
 )
 
@@ -206,7 +206,7 @@ def test_grade_caps_at_level_four_on_printed_pole(monkeypatch):
     monkeypatch.setattr(
         verifier, "rational_roots", lambda q: (F(1, 3), F(1, 2), F(2, 3))
     )
-    monkeypatch.setattr(verifier, "nonsquare_edge_discriminant", lambda b, c: None)
+    monkeypatch.setattr(verifier, "passes_edge_discriminant", lambda b, c: True)
     verdict = verifier.grade(F(2, 3), F(1, 2), "printed")
     assert verdict.level == 4
     assert verdict.reason == "e21-printed-pole"
@@ -222,21 +222,24 @@ def test_grade_uses_verifier_pipeline_consistently():
 
 
 def test_prefilter_matches_cleared_discriminant_height_6():
-    # exhaustive: the integer test on the factored discriminant against the
-    # discriminant of the edge cubic built from the cleared transcription
-    # (the common e21 form never raises, and the edge cubic ignores e21)
+    # exhaustive: the integer level-0 test against the discriminant of the
+    # edge cubic built from the cleared transcription, and grade's residual
+    # at every rejected point against that discriminant (the common e21
+    # form never raises, and the edge cubic ignores e21)
     values = fraction_values(6)
     checked = rejected = 0
     for b in values:
         for c in values:
             if classify(b, c):
+                assert passes_edge_discriminant(b, c), (b, c)
                 continue
             disc = discriminant(edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)))
-            expected = None if is_rational_square(disc) is not None else disc
-            got = nonsquare_edge_discriminant(b, c)
-            assert got == expected, (b, c)
+            passed = passes_edge_discriminant(b, c)
+            assert passed == (is_rational_square(disc) is not None), (b, c)
+            if not passed:
+                assert grade(b, c) == Verdict(0, "disc-nonsquare", residuals=(disc,)), (b, c)
             checked += 1
-            rejected += got is not None
+            rejected += not passed
     assert checked == 2148
     assert rejected == 2089
 
