@@ -25,8 +25,9 @@ from .coefficients import (
     E21_FORMS,
     E21_PRINTED,
     E21DenominatorPole,
-    SingularPoint,
+    diagonal_coefficients,
     diagonal_cubic,
+    edge_coefficients,
     edge_cubic,
     eval_coefficients,
 )
@@ -117,27 +118,26 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _coefficients_or_exit(args, b: Fraction, c: Fraction):
+def _refuse_singular(b: Fraction, c: Fraction) -> bool:
+    flags = classify(b, c)
+    if flags:
+        print("singular: " + ", ".join(sorted(flag.value for flag in flags)), file=sys.stderr)
+    return bool(flags)
+
+
+def cmd_coeffs(args) -> int:
+    b = _rational(args, args.b)
+    c = _rational(args, args.c)
+    if _refuse_singular(b, c):
+        return EXIT_INVALID
     try:
-        return eval_coefficients(b, c, args.e21_form)
-    except SingularPoint as exc:
-        flags = ", ".join(sorted(flag.value for flag in exc.flags))
-        print(f"singular: {flags}", file=sys.stderr)
-        return None
+        cs = eval_coefficients(b, c, args.e21_form)
     except E21DenominatorPole:
         print(
             "e21 denominator (printed form) vanishes here; "
             "re-run with --e21-form common",
             file=sys.stderr,
         )
-        return None
-
-
-def cmd_coeffs(args) -> int:
-    b = _rational(args, args.b)
-    c = _rational(args, args.c)
-    cs = _coefficients_or_exit(args, b, c)
-    if cs is None:
         return EXIT_INVALID
     payload = {
         "b": format_rational(b),
@@ -156,16 +156,17 @@ def cmd_coeffs(args) -> int:
 def cmd_solve(args) -> int:
     b = _rational(args, args.b)
     c = _rational(args, args.c)
-    cs = _coefficients_or_exit(args, b, c)
-    if cs is None:
+    if _refuse_singular(b, c):
         return EXIT_INVALID
     payload = {
         "b": format_rational(b),
         "c": format_rational(c),
-        "e21_form": args.e21_form,
+        "e21_form": args.e21_form,  # echoed only: neither cubic reads e21
     }
     lines = []
-    for label, cubic in (("edge", edge_cubic(cs)), ("diagonal", diagonal_cubic(cs))):
+    edge = edge_cubic(edge_coefficients(b, c))
+    diagonal = diagonal_cubic(diagonal_coefficients(b, c))
+    for label, cubic in (("edge", edge), ("diagonal", diagonal)):
         roots = rational_roots(cubic)
         if roots is None:
             payload[label] = {"splits": False, "roots": None}

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .bipoly import B, C, IntPoly2
 from .cubic import CubicPoly
-from .singularity import SingularityClass, classify
+from .singularity import SingularityClass, classify, curve_forms
 
 E21_PRINTED = "printed"
 E21_COMMON = "common"
@@ -166,14 +166,13 @@ def edge_coefficients(b: Fraction, c: Fraction) -> EdgeCoefficients:
     c = r/s, a factor of degree (i, j) in (b, c) is multiplied by q^i s^j,
     and each coefficient is one Fraction of the products.  The shared
     denominator equals f1*f2, and quart is written from its sum-of-squares
-    form (c-1)^2 (c-2)^2 b^2 + c^2; here f1 and f2 stand for qs*f1 and qs*f2,
-    and quart for q^2 s^4 * quart.
+    form (c-1)^2 (c-2)^2 b^2 + c^2; here f1 and f2 stand for qs*f1 and qs*f2
+    (``singularity.curve_forms``), and quart for q^2 s^4 * quart.
     """
     p, q = b.numerator, b.denominator
     r, s = c.numerator, c.denominator
     pp, rr, rs, ss = p * p, r * r, r * s, s * s
-    f1 = p * r - q * s - p * s
-    f2 = p * r - q * r - 2 * p * s
+    f1, f2 = curve_forms(p, q, r, s)
     curves_sq = (f1 * f2) ** 2
     quart = (p * (r - s) * (r - 2 * s)) ** 2 + (q * rs) ** 2
     e10 = Fraction(-(pp * (rr + 2 * ss - 3 * rs) - q * q * rs), f1 * f2)

@@ -12,9 +12,8 @@ and if so into which roots?  The answer is computed exactly:
      for a fully split cubic it equals the squared product of root
      differences.  As disc(g) = a3^6 * disc, this is one integer
      perfect-square test on disc(g), before any root search.  (The
-     verifier settles this for the edge cubic earlier, from the
-     discriminant's factored form, so the edge cubics that reach this
-     function all pass it.)
+     search screens out most edge cubics first, from the discriminant's
+     factor S; ``grade`` passes every nonsingular edge cubic here.)
   3. find the largest root y of g by integer bisection on an interval
      where g is monotone, bounded below by the larger critical point and
      above by Samuelson's bound on the largest root.  No integer is

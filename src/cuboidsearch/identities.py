@@ -35,7 +35,15 @@ from .coefficients import (
     _E30_NUM,
 )
 from .singularity import FIRST_CURVE_POLY, QUARTIC_POLY, SECOND_CURVE_POLY
-from .verifier import EDGE_DISC_G, EDGE_DISC_S
+from .verifier import EDGE_DISC_S
+
+# The factor G of the edge discriminant, laid out as verifier.EDGE_DISC_S.
+# By F1 it vanishes at no nonsingular rational point, so level 0 tests S alone.
+EDGE_DISC_G = (
+    (0, 0, -2, 4, -1, 0, 0),
+    (0, -8, 12, 0, -6, 2, 0),
+    (8, -40, 78, -76, 39, -10, 1),
+)
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,8 @@ def check_edge_discriminant_factorization(
     18 a2 a1 a0 - 4 a2^3 a0 + a2^2 a1^2 - 4 a1^3 - 27 a0^2, multiplied by
     M = d10^3 d20^3 d30^2, is a polynomial; the check expands
     4 f1^6 f2^6 Q^2 * (M * disc) and M * b^2 G^2 S and compares them.  G
-    and S come from the coefficient tables the verifier evaluates; tests
-    pass altered tables as a negative control.
+    comes from EDGE_DISC_G and S from the table the verifier evaluates;
+    tests pass altered tables as a negative control.
     """
     n2, d2 = -_E10_NUM, SHARED_DENOMINATOR_POLY
     n1, d1 = _E20_NUM, _E20_DEN

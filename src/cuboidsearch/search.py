@@ -434,7 +434,7 @@ def _block_results(space: SearchSpace, blocks: list, jobs: int):
             yield _process_block(space, start, end)
         return
     window = jobs * 4
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
         futures = {}
         submitted = 0
         emitted = 0

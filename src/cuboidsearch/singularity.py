@@ -53,23 +53,24 @@ def factor_values(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fractio
     return tuple(poly.eval(b, c) for poly in (FIRST_CURVE_POLY, SECOND_CURVE_POLY, QUARTIC_POLY))
 
 
+def curve_forms(p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    """The integers F1 = qs*f1 and F2 = qs*f2 of the two curve factors at b = p/q, c = r/s."""
+    return p * r - q * s - p * s, p * r - q * r - 2 * p * s
+
+
 def classify(b: Fraction, c: Fraction) -> SingularityClass:
     """Flags of the denominator factors vanishing at (b, c); empty = nonsingular.
 
-    With b = p/q and c = r/s, the two curve tests are decided on the
-    integers F1 = qs*f1 = p*r - q*s - p*s and F2 = qs*f2 = p*r - q*r - 2*p*s,
-    so no Fraction is built; a nonsingular point returns NONSINGULAR itself.
+    The two curve tests are decided on the integers of ``curve_forms``, so
+    no Fraction is built; a nonsingular point returns NONSINGULAR itself.
     The third-variety test uses its closed-form rational point list (the
     origin only) instead of evaluating the quartic factor.
     """
-    p, q = b.numerator, b.denominator
-    r, s = c.numerator, c.denominator
-    on_first = p * r - q * s - p * s == 0
-    on_second = p * r - q * r - 2 * p * s == 0
-    on_third = p == 0 and r == 0
-    if not (on_first or on_second or on_third):
+    p, r = b.numerator, c.numerator
+    f1, f2 = curve_forms(p, b.denominator, r, c.denominator)
+    hits = (f1 == 0, f2 == 0, p == 0 and r == 0)
+    if not any(hits):
         return NONSINGULAR
-    hits = (on_first, on_second, on_third)
     return frozenset(flag for flag, hit in zip(SingularFlag, hits) if hit)
 
 

@@ -21,16 +21,16 @@ The stages of ``grade`` run in this order, and each computes only what its
 level needs:
 
   1. classify the point against the singular factors;
-  2. compute e10, e20, e30 and test the edge discriminant for a rational
-     square, on integers and its factor S alone (``passes_edge_discriminant``);
-     a point that fails gets the edge cubic's discriminant as its residual;
-  3. split the edge cubic;
-  4. compute e01, e02, e03 and split the diagonal cubic;
-  5. compute e21, e11, e12 and check the auxiliary equations, then the
+  2. compute e10, e20, e30 and split the edge cubic; only when it does not
+     split is its discriminant computed, and that discriminant's square
+     test puts the point at level 0 or 1, with the discriminant as residual;
+  3. compute e01, e02, e03 and split the diagonal cubic;
+  4. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
-The search calls ``passes_edge_discriminant`` first and grades only the
-survivors and the singular points; it counts every other point at level 0.
+The search decides level 0 first, from S alone (``passes_edge_discriminant``),
+and grades only survivors and singular points.  ``grade`` never calls that
+shortcut, so grading every point checks it against the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -45,7 +45,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .coefficients import (
     AuxiliaryCoefficients,
@@ -58,7 +57,7 @@ from .coefficients import (
     edge_coefficients,
     edge_cubic,
 )
-from .cubic import discriminant, is_perfect_square, rational_roots
+from .cubic import discriminant, is_perfect_square, is_rational_square, rational_roots
 from .singularity import SingularityClass, classify
 
 # All permutations of the three diagonal slots, in lexicographic order.
@@ -71,14 +70,7 @@ LEVEL_PERFECT = 6
 #     disc = b^2 * G^2 * S / (4 * f1^6 * f2^6 * Q^2)
 #
 # with f1, f2 and Q the singular factors.  Row i, column j holds the
-# coefficient of b^i c^j.  identities.check_edge_discriminant_factorization
-# proves the identity from these tables, and check_edge_g_has_no_rational_zero
-# that G vanishes at no nonsingular rational point (F1): level 0 tests S alone.
-EDGE_DISC_G = (
-    (0, 0, -2, 4, -1, 0, 0),
-    (0, -8, 12, 0, -6, 2, 0),
-    (8, -40, 78, -76, 39, -10, 1),
-)
+# coefficient of b^i c^j in S; identities holds G and proves the identity.
 EDGE_DISC_S = (
     (0, 0, 0, 0, 4, 0, 0, 0, 0),
     (0, 0, 0, 40, 0, -20, 0, 0, 0),
@@ -92,17 +84,14 @@ EDGE_DISC_S = (
 )
 
 
-def _homogeneous_powers(num: int, den: int) -> list[int]:
-    """num^i * den^(8 - i) for i = 0..8: the powers x^i of x = num/den, times den^8.
-
-    8 is the largest degree of S in either variable.
-    """
-    up = [1]
-    down = [1]
-    for _ in range(8):
-        up.append(up[-1] * num)
-        down.append(down[-1] * den)
-    return list(map(mul, up, reversed(down)))
+def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """den^n * P(num/den) for P(x) = sum(coeffs[i] * x^i) of degree n, by Horner's rule."""
+    acc = 0
+    den_power = 1
+    for coeff in reversed(coeffs):
+        acc = acc * num + coeff * den_power
+        den_power *= den
+    return acc
 
 
 @lru_cache(maxsize=8)
@@ -111,8 +100,7 @@ def _s_row(p: int, q: int) -> tuple[int, ...]:
 
     The search walks b in its outer loop, so one row serves every c of a b.
     """
-    b_powers = _homogeneous_powers(p, q)
-    return tuple(sum(map(mul, b_powers, column)) for column in zip(*EDGE_DISC_S))
+    return tuple(_homogeneous_horner(column, p, q) for column in zip(*EDGE_DISC_S))
 
 
 def passes_edge_discriminant(b: Fraction, c: Fraction) -> bool:
@@ -128,12 +116,11 @@ def passes_edge_discriminant(b: Fraction, c: Fraction) -> bool:
     as q^8 s^8 is a square, S is a rational square exactly when t is a
     perfect square.  The test needs only integers and one isqrt: the S
     table collapsed to coefficients in c for the point's b row (cached per
-    row), dotted with the point's powers of c.
+    row), evaluated at (r, s) by Horner's rule.
     """
     if classify(b, c):
         return True
-    s_row = _s_row(b.numerator, b.denominator)
-    t = sum(map(mul, s_row, _homogeneous_powers(c.numerator, c.denominator)))
+    t = _homogeneous_horner(_s_row(b.numerator, b.denominator), c.numerator, c.denominator)
     return is_perfect_square(t) is not None
 
 
@@ -231,11 +218,12 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
         return Verdict(0, "singular", flags=flags)
 
     edge = edge_cubic(edge_coefficients(b, c))
-    if not passes_edge_discriminant(b, c):
-        return Verdict(0, "disc-nonsquare", residuals=(discriminant(edge),))
     edges = rational_roots(edge)
     if edges is None:
-        return Verdict(1, "edge-no-split", residuals=(discriminant(edge),))
+        disc = discriminant(edge)
+        if is_rational_square(disc) is None:
+            return Verdict(0, "disc-nonsquare", residuals=(disc,))
+        return Verdict(1, "edge-no-split", residuals=(disc,))
     if edges[0] <= 0:
         bad = tuple(r for r in edges if r <= 0)
         return Verdict(2, "edge-root-nonpositive", residuals=bad, edges=edges)

@@ -117,6 +117,19 @@ def test_solve_output(capsys):
     assert lines[1] == "diagonal: -1 0 1"
 
 
+def test_solve_at_printed_pole(capsys):
+    # solve reads no e21, so the printed form's pole at (0, 1/4) is no error
+    code, out, _ = run_cli(capsys, "solve", "0", "1/4")
+    assert code == 0
+    assert out.strip().splitlines() == ["edge: 0 0 1", "diagonal: -1 0 1"]
+
+
+def test_solve_singular_rejected(capsys):
+    code, _, err = run_cli(capsys, "solve", "1/2", "3")
+    assert code == cli.EXIT_INVALID
+    assert "singular: FirstCurve" in err
+
+
 def test_solve_no_splitting(capsys):
     code, out, _ = run_cli(capsys, "solve", "1", "1")
     assert code == 0

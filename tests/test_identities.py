@@ -1,12 +1,13 @@
 from cuboidsearch.bipoly import B, C, IntPoly2
 from cuboidsearch.identities import (
+    EDGE_DISC_G,
     all_identities_hold,
     check_edge_discriminant_factorization,
     check_edge_g_has_no_rational_zero,
     run_identity_checks,
 )
 from cuboidsearch.singularity import QUARTIC_POLY
-from cuboidsearch.verifier import EDGE_DISC_G, EDGE_DISC_S
+from cuboidsearch.verifier import EDGE_DISC_S
 
 
 def test_all_four_identities_pass():

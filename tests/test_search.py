@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,38 @@ def test_jobs_do_not_change_output(tmp_path):
         paths[jobs] = out
     assert records_in_order(paths[1]) == records_in_order(paths[2])
     assert canonical_records(paths[1]) == canonical_records(paths[2])
+
+
+def test_pool_starts_no_more_workers_than_blocks(monkeypatch, tmp_path):
+    # a stand-in executor records the worker count and runs each call
+    # inline, so no process is started
+    import cuboidsearch.search as search_module
+
+    requested = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlineExecutor)
+    space = SearchSpace(height=2)
+    paths = {}
+    for jobs in (1, 1000):
+        paths[jobs] = str(tmp_path / f"records{jobs}.jsonl")
+        run(space, jobs=jobs, checkpoint_path=None, output_path=paths[jobs], block_size=1)
+    assert requested == [grid_size(space)] == [49]
+    assert records_in_order(paths[1]) == records_in_order(paths[1000])
 
 
 def test_interrupt_and_resume_match_uninterrupted(tmp_path):

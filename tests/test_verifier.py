@@ -14,11 +14,15 @@ from cuboidsearch.coefficients import (
     eval_coefficients_cleared,
 )
 from cuboidsearch.cubic import discriminant, is_rational_square, rational_roots
+from cuboidsearch.identities import _table_poly
 from cuboidsearch.search import SearchSpace, enumerate_points, fraction_values
 from cuboidsearch.singularity import SingularFlag, classify
 from cuboidsearch.verifier import (
+    EDGE_DISC_S,
     PERMUTATIONS,
     Verdict,
+    _homogeneous_horner,
+    _s_row,
     auxiliary_residuals,
     check_pairings,
     grade,
@@ -206,7 +210,6 @@ def test_grade_caps_at_level_four_on_printed_pole(monkeypatch):
     monkeypatch.setattr(
         verifier, "rational_roots", lambda q: (F(1, 3), F(1, 2), F(2, 3))
     )
-    monkeypatch.setattr(verifier, "passes_edge_discriminant", lambda b, c: True)
     verdict = verifier.grade(F(2, 3), F(1, 2), "printed")
     assert verdict.level == 4
     assert verdict.reason == "e21-printed-pole"
@@ -242,6 +245,22 @@ def test_prefilter_matches_cleared_discriminant_height_6():
             rejected += not passed
     assert checked == 2148
     assert rejected == 2089
+
+
+def test_horner_s_row_matches_s_table_on_random_points():
+    # q^8 s^8 S(p/q, r/s) from the cached row and Horner's rule, against
+    # IntPoly2.eval of the whole S table
+    s_poly = _table_poly(EDGE_DISC_S)
+    rng = random.Random(7)
+
+    def draw():
+        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+    for _ in range(300):
+        b, c = draw(), draw()
+        p, q, r, s = b.numerator, b.denominator, c.numerator, c.denominator
+        t = _homogeneous_horner(_s_row(p, q), r, s)
+        assert t == q**8 * s**8 * s_poly.eval(b, c), (b, c)
 
 
 def reference_grade(b, c, e21_form):
@@ -286,7 +305,15 @@ def reference_grade(b, c, e21_form):
     return Verdict(6, "perfect-cuboid", edges=edges, diagonals=diagonals, pairing=pairing)
 
 
-def test_staged_grade_matches_reference_height_4():
+def test_staged_grade_matches_reference_height_4(monkeypatch):
+    # grade decides level 0 from its own edge cubic, never from the
+    # search's shortcut on S
+    import cuboidsearch.verifier as verifier
+
+    def shortcut_called(b, c):
+        raise AssertionError(f"grade called passes_edge_discriminant at ({b}, {c})")
+
+    monkeypatch.setattr(verifier, "passes_edge_discriminant", shortcut_called)
     reasons = set()
     for b, c in enumerate_points(SearchSpace(height=4)):
         verdict = grade(b, c, E21_PRINTED)
