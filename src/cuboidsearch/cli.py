@@ -338,7 +338,12 @@ def build_parser() -> _Parser:
     p.add_argument("--b-max", help="upper bound for b")
     p.add_argument("--c-min", help="lower bound for c")
     p.add_argument("--c-max", help="upper bound for c")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes (default 1); never more than the CPUs or the blocks",
+    )
     p.add_argument("--checkpoint", required=True, help="checkpoint file (JSON)")
     p.add_argument("--output", required=True, help="JSONL output for level>=1 records")
     p.add_argument(

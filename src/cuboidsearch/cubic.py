@@ -177,6 +177,5 @@ def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
     root = is_perfect_square(p * p - 4 * s)
     if root is None:
         return None
-    return tuple(
-        sorted((Fraction(top, a3), Fraction(-p + root, 2 * a3), Fraction(-p - root, 2 * a3)))
-    )
+    # the roots are y / (2 * a3) with a3 > 0, so sorting the numerators y sorts them
+    return tuple(Fraction(y, 2 * a3) for y in sorted((2 * top, -p + root, -p - root)))

@@ -1,9 +1,10 @@
 """Deterministic, checkpointable search over the rational parameter plane.
 
 The search enumerates every reduced fraction of bounded height for each of
-the two parameters, rejects most in-range points with the verifier's integer
-level-0 test, grades the rest with the full pipeline, and appends any point
-reaching level 1 or higher to a JSONL file.
+the two parameters.  It screens the in-range points one b row piece at a
+time with the verifier's integer level-0 test (``level0_survivors``), which
+rejects most of them, grades the survivors with the full pipeline, and
+appends any point reaching level 1 or higher to a JSONL file.
 Points the classifier marks singular are counted but not logged: along the
 two singular curves they are endless and carry no search information.
 
@@ -13,9 +14,12 @@ Determinism is the backbone of everything here:
     reproducible and low-height points come first;
   * the flat cursor index counts in-range points only: it runs row-major
     over the in-range b values and the in-range c values, so a narrow
-    range walks no out-of-range position.  It defines block boundaries;
-    workers grade disjoint blocks and results are flushed strictly in block
-    order, so the output is identical for any worker count;
+    range walks no out-of-range position.  It defines block boundaries,
+    which may cut a row anywhere; the level-0 test treats each point on
+    its own, so the cuts do not change results.  Workers (never more than
+    the blocks or the CPUs) grade disjoint blocks and results are flushed
+    strictly in block order, so the output is identical for any worker
+    count;
   * the checkpoint (version 2) stores the cursor and per-level counts and
     is only advanced after a block's records are flushed.  On resume, any
     records at or past the stored cursor (flushed but not yet checkpointed
@@ -43,7 +47,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import E21_PRINTED, E21_FORMS, Params
 from .rationals import format_rational, parse_rational
-from .verifier import LEVEL_PERFECT, grade, passes_edge_discriminant
+from .verifier import LEVEL_PERFECT, grade, level0_survivors
 
 CHECKPOINT_VERSION = 2
 DEFAULT_BLOCK_SIZE = 512
@@ -125,13 +129,25 @@ def grid_size(space: SearchSpace) -> int:
     return len(axes.bs) * len(axes.cs)
 
 
+def _row_segments(width: int, start: int, end: int) -> Iterator[tuple[int, int, int]]:
+    """Cursor indices start..end-1 of a grid ``width`` columns wide, as row pieces.
+
+    Each piece (i, j0, j1) is columns j0..j1-1 of row i; the pieces come in
+    cursor order.
+    """
+    while start < end:
+        i, j0 = divmod(start, width)
+        j1 = min(width, j0 + end - start)
+        yield i, j0, j1
+        start += j1 - j0
+
+
 def _walk(space: SearchSpace, start: int, end: int) -> Iterator[Params]:
     """The points at cursor indices start..end-1, in cursor order."""
     axes = _axes(space)
-    n = len(axes.cs)
-    for index in range(start, end):
-        i, j = divmod(index, n)
-        yield Params(axes.bs[i], axes.cs[j])
+    for i, j0, j1 in _row_segments(len(axes.cs), start, end):
+        for c in axes.cs[j0:j1]:
+            yield Params(axes.bs[i], c)
 
 
 def point_at(space: SearchSpace, index: int) -> Params:
@@ -309,20 +325,28 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
 
 
 def _process_block(space: SearchSpace, start: int, end: int) -> dict:
-    """Count one cursor block, grading only level-0 survivors. Pure; runs in workers."""
+    """Count one cursor block, grading only level-0 survivors. Pure; runs in workers.
+
+    Each row piece of the block goes through ``level0_survivors`` at once;
+    the points it rejects are counted at level 0 and nothing more is built
+    for them.  The survivors are graded in cursor order.
+    """
+    axes = _axes(space)
     counts = {level: 0 for level in LEVELS}
     singular = 0
     records = []
-    for b, c in _walk(space, start, end):
-        if not passes_edge_discriminant(b, c):
-            counts[0] += 1
-            continue
-        verdict = grade(b, c, space.e21_form)
-        counts[verdict.level] += 1
-        if verdict.reason == "singular":
-            singular += 1
-        if verdict.level >= 1:
-            records.append(make_record(b, c, verdict, space.e21_form))
+    for i, j0, j1 in _row_segments(len(axes.cs), start, end):
+        b, cs = axes.bs[i], axes.cs[j0:j1]
+        survivors = level0_survivors(b, cs)
+        counts[0] += len(cs) - len(survivors)
+        for j in survivors:
+            c = cs[j]
+            verdict = grade(b, c, space.e21_form)
+            counts[verdict.level] += 1
+            if verdict.reason == "singular":
+                singular += 1
+            if verdict.level >= 1:
+                records.append(make_record(b, c, verdict, space.e21_form))
     return {
         "start": start,
         "end": end,
@@ -429,12 +453,13 @@ def run(
 
 def _block_results(space: SearchSpace, blocks: list, jobs: int):
     """Yield block results strictly in block order, regardless of worker count."""
-    if jobs <= 1 or len(blocks) <= 1:
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         for start, end in blocks:
             yield _process_block(space, start, end)
         return
-    window = jobs * 4
-    with ProcessPoolExecutor(max_workers=min(jobs, len(blocks))) as pool:
+    window = workers * 4
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {}
         submitted = 0
         emitted = 0

@@ -28,9 +28,11 @@ level needs:
   4. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
-The search decides level 0 first, from S alone (``passes_edge_discriminant``),
-and grades only survivors and singular points.  ``grade`` never calls that
-shortcut, so grading every point checks it against the definition.
+The search decides level 0 first, one b row at a time, from S alone
+(``level0_survivors``): integers, one square test per point, and a curve
+test only for the points that fail it.  It grades only the survivors, which
+are the points that pass and the singular points.  ``grade`` never calls
+that shortcut, so grading every point checks it against the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -58,7 +60,7 @@ from .coefficients import (
     edge_cubic,
 )
 from .cubic import discriminant, is_perfect_square, is_rational_square, rational_roots
-from .singularity import SingularityClass, classify
+from .singularity import SingularityClass, classify, curve_forms
 
 # All permutations of the three diagonal slots, in lexicographic order.
 PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
@@ -103,25 +105,32 @@ def _s_row(p: int, q: int) -> tuple[int, ...]:
     return tuple(_homogeneous_horner(column, p, q) for column in zip(*EDGE_DISC_S))
 
 
-def passes_edge_discriminant(b: Fraction, c: Fraction) -> bool:
-    """False exactly when ``grade`` stops (b, c) at level 0 with "disc-nonsquare".
+def level0_survivors(b: Fraction, cs: tuple[Fraction, ...]) -> list[int]:
+    """Indices into ``cs`` of the c where ``grade`` does not stop (b, c) at "disc-nonsquare".
 
-    That is a nonsingular point whose edge-cubic discriminant is not a
-    rational square.  There f1, f2 and Q are nonzero, and so is G: by fact
-    F1 (``identities.check_edge_g_has_no_rational_zero``) G vanishes at a
+    The indices come in order.  Those points are the singular points and
+    the points whose edge-cubic discriminant is a rational square.  At a
+    nonsingular point f1, f2 and Q are nonzero, and so is G: by fact F1
+    (``identities.check_edge_g_has_no_rational_zero``) G vanishes at a
     rational point only at the singular origin.  By the factorization above
     the discriminant is then a rational square exactly when b = 0 or S is a
     rational square, and S(0, c) = 4c^4 is one, so S alone decides.  With
     b = p/q and c = r/s in lowest terms, t = q^8 s^8 S is an integer, and
     as q^8 s^8 is a square, S is a rational square exactly when t is a
-    perfect square.  The test needs only integers and one isqrt: the S
-    table collapsed to coefficients in c for the point's b row (cached per
-    row), evaluated at (r, s) by Horner's rule.
+    perfect square.  So each c costs Horner's rule on the row of b (cached
+    per row) and one isqrt.  Only a c that fails that test is checked for
+    singularity, on the integer curve forms: the third variety's one
+    rational point, the origin, lies on F2 = 0.
     """
-    if classify(b, c):
-        return True
-    t = _homogeneous_horner(_s_row(b.numerator, b.denominator), c.numerator, c.denominator)
-    return is_perfect_square(t) is not None
+    p, q = b.numerator, b.denominator
+    row = _s_row(p, q)
+    survivors = []
+    for j, c in enumerate(cs):
+        r, s = c.numerator, c.denominator
+        t = _homogeneous_horner(row, r, s)
+        if is_perfect_square(t) is not None or 0 in curve_forms(p, q, r, s):
+            survivors.append(j)
+    return survivors
 
 
 @dataclass(frozen=True)

@@ -172,11 +172,21 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch, tmp_path):
     monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlineExecutor)
     space = SearchSpace(height=2)
     paths = {}
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 64)
     for jobs in (1, 1000):
         paths[jobs] = str(tmp_path / f"records{jobs}.jsonl")
         run(space, jobs=jobs, checkpoint_path=None, output_path=paths[jobs], block_size=1)
     assert requested == [grid_size(space)] == [49]
     assert records_in_order(paths[1]) == records_in_order(paths[1000])
+
+    # nor more than the CPUs; with the CPU count unknown, one worker runs
+    # the blocks in-process and no pool is opened
+    for cpus, pool_sizes in ((2, [49, 2]), (None, [49, 2])):
+        monkeypatch.setattr(search_module.os, "cpu_count", lambda: cpus)
+        path = str(tmp_path / f"records-cpus-{cpus}.jsonl")
+        run(space, jobs=1000, checkpoint_path=None, output_path=path, block_size=1)
+        assert requested == pool_sizes
+        assert records_in_order(path) == records_in_order(paths[1])
 
 
 def test_interrupt_and_resume_match_uninterrupted(tmp_path):
@@ -412,14 +422,15 @@ def test_stop_on_hit(monkeypatch, tmp_path):
             return Verdict(6, "perfect-cuboid", edges=(F(1), F(1), F(1)))
         return real_grade(b, c, form)
 
-    real_passes = search_module.passes_edge_discriminant
+    real_survivors = search_module.level0_survivors
 
-    def fake_passes(b, c):
+    def fake_survivors(b, cs):
         # the real level-0 test rejects the target, so let it through to grade
-        return (b, c) == target or real_passes(b, c)
+        passed = set(real_survivors(b, cs))
+        return [j for j, c in enumerate(cs) if (b, c) == target or j in passed]
 
     monkeypatch.setattr(search_module, "grade", fake_grade)
-    monkeypatch.setattr(search_module, "passes_edge_discriminant", fake_passes)
+    monkeypatch.setattr(search_module, "level0_survivors", fake_survivors)
     out = str(tmp_path / "records.jsonl")
     summary = run(
         SearchSpace(height=2),
@@ -466,7 +477,9 @@ def test_e21_form_discrepancies_detects_differences():
     assert diffs[0]["level5_plus"]
 
 
-@pytest.mark.parametrize("height, e21_form", [(8, "printed"), (8, "common"), (10, "printed")])
+@pytest.mark.parametrize(
+    "height, e21_form", [(8, "printed"), (8, "common"), (10, "printed"), (12, "printed")]
+)
 def test_search_matches_grading_every_point(tmp_path, height, e21_form):
     # the search grades only the points that pass the level-0 test; a loop
     # that grades every point must give the same counts and records
@@ -489,6 +502,23 @@ def test_search_matches_grading_every_point(tmp_path, height, e21_form):
     assert summary["counts"] == counts
     assert summary["singular"] == singular
     assert canonical_records(out) == expected
+
+
+@pytest.mark.parametrize("block_size, jobs", [(1, 1), (7, 1), (48, 1), (7, 2)])
+def test_block_cuts_do_not_change_output(tmp_path, block_size, jobs):
+    # height-6 rows hold 47 points: blocks of 1 and 7 cut rows into pieces,
+    # blocks of 48 straddle two rows, and the default 512 spans many rows
+    space = SearchSpace(height=6)
+    summaries, paths = {}, {}
+    for size, workers in ((512, 1), (block_size, jobs)):
+        paths[size] = str(tmp_path / f"records{size}.jsonl")
+        summaries[size] = run(
+            space, jobs=workers, checkpoint_path=None, output_path=paths[size], block_size=size
+        )
+    assert len(fraction_values(6)) == 47
+    assert summaries[block_size]["counts"] == summaries[512]["counts"]
+    assert summaries[block_size]["singular"] == summaries[512]["singular"]
+    assert canonical_records(paths[block_size]) == canonical_records(paths[512])
 
 
 def test_prefilter_rejects_most_nonsingular_points(tmp_path):

@@ -26,7 +26,7 @@ from cuboidsearch.verifier import (
     auxiliary_residuals,
     check_pairings,
     grade,
-    passes_edge_discriminant,
+    level0_survivors,
     pythagorean_check,
 )
 
@@ -232,12 +232,13 @@ def test_prefilter_matches_cleared_discriminant_height_6():
     values = fraction_values(6)
     checked = rejected = 0
     for b in values:
-        for c in values:
+        survivors = set(level0_survivors(b, values))
+        for j, c in enumerate(values):
             if classify(b, c):
-                assert passes_edge_discriminant(b, c), (b, c)
+                assert j in survivors, (b, c)
                 continue
             disc = discriminant(edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)))
-            passed = passes_edge_discriminant(b, c)
+            passed = j in survivors
             assert passed == (is_rational_square(disc) is not None), (b, c)
             if not passed:
                 assert grade(b, c) == Verdict(0, "disc-nonsquare", residuals=(disc,)), (b, c)
@@ -310,10 +311,10 @@ def test_staged_grade_matches_reference_height_4(monkeypatch):
     # search's shortcut on S
     import cuboidsearch.verifier as verifier
 
-    def shortcut_called(b, c):
-        raise AssertionError(f"grade called passes_edge_discriminant at ({b}, {c})")
+    def shortcut_called(b, cs):
+        raise AssertionError(f"grade called level0_survivors at b = {b}")
 
-    monkeypatch.setattr(verifier, "passes_edge_discriminant", shortcut_called)
+    monkeypatch.setattr(verifier, "level0_survivors", shortcut_called)
     reasons = set()
     for b, c in enumerate_points(SearchSpace(height=4)):
         verdict = grade(b, c, E21_PRINTED)
