@@ -5,8 +5,8 @@ the two parameters.  It screens the in-range points one b row piece at a
 time with the verifier's integer level-0 test (``level0_survivors``), which
 rejects most of them, grades the survivors with the full pipeline, and
 appends any point reaching level 1 or higher to a JSONL file.
-Points the classifier marks singular are counted but not logged: along the
-two singular curves they are endless and carry no search information.
+Singular points are counted but not graded or logged: along the two
+singular curves they are endless and carry no search information.
 
 Determinism is the backbone of everything here:
 
@@ -52,6 +52,8 @@ from .verifier import LEVEL_PERFECT, grade, level0_survivors
 CHECKPOINT_VERSION = 2
 DEFAULT_BLOCK_SIZE = 512
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
+# One encoder for every record line; json.dumps would build one per call.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class CheckpointMismatch(RuntimeError):
@@ -108,11 +110,18 @@ class _Axes(NamedTuple):
     cs: tuple[Fraction, ...]
     b_index: dict[Fraction, int]
     c_index: dict[Fraction, int]
+    c_nums: tuple[int, ...]
+    c_dens: tuple[int, ...]
+    s_powers: dict[int, tuple[int, ...]]
 
 
 @lru_cache(maxsize=16)
 def _axes(space: SearchSpace) -> _Axes:
-    """The in-range b and c values, in (height, value) order, with their indices."""
+    """The in-range b and c values, in (height, value) order, with their indices.
+
+    For the level-0 kernel, also the c numerators and denominators, and
+    (s^8, ..., 1) for each denominator s.
+    """
     values = fraction_values(space.height)
 
     def axis(lo, hi):
@@ -120,7 +129,12 @@ def _axes(space: SearchSpace) -> _Axes:
 
     bs = axis(space.b_min, space.b_max)
     cs = axis(space.c_min, space.c_max)
-    return _Axes(bs, cs, {v: i for i, v in enumerate(bs)}, {v: i for i, v in enumerate(cs)})
+    dens = tuple(c.denominator for c in cs)
+    powers = {s: tuple(s**k for k in range(8, -1, -1)) for s in set(dens)}
+    return _Axes(
+        bs, cs, {v: i for i, v in enumerate(bs)}, {v: i for i, v in enumerate(cs)},
+        tuple(c.numerator for c in cs), dens, powers,
+    )
 
 
 def grid_size(space: SearchSpace) -> int:
@@ -316,7 +330,7 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
             except (ValueError, KeyError, TypeError):
                 continue  # torn write from a hard kill, or not a record
             if index < cursor:
-                kept.append(json.dumps(record, sort_keys=True))
+                kept.append(_RECORD_ENCODER.encode(record))
     _atomic_write(path, "".join(line + "\n" for line in kept))
     return len(kept)
 
@@ -328,23 +342,25 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     """Count one cursor block, grading only level-0 survivors. Pure; runs in workers.
 
     Each row piece of the block goes through ``level0_survivors`` at once;
-    the points it rejects are counted at level 0 and nothing more is built
-    for them.  The survivors are graded in cursor order.
+    the singular points and the points it rejects are counted at level 0
+    and nothing more is built for them.  The survivors are graded in cursor
+    order.
     """
     axes = _axes(space)
     counts = {level: 0 for level in LEVELS}
     singular = 0
     records = []
     for i, j0, j1 in _row_segments(len(axes.cs), start, end):
-        b, cs = axes.bs[i], axes.cs[j0:j1]
-        survivors = level0_survivors(b, cs)
-        counts[0] += len(cs) - len(survivors)
+        b = axes.bs[i]
+        survivors, piece_singular = level0_survivors(
+            b.numerator, b.denominator, axes.c_nums, axes.c_dens, j0, j1, axes.s_powers
+        )
+        counts[0] += j1 - j0 - len(survivors)
+        singular += piece_singular
         for j in survivors:
-            c = cs[j]
+            c = axes.cs[j]
             verdict = grade(b, c, space.e21_form)
             counts[verdict.level] += 1
-            if verdict.reason == "singular":
-                singular += 1
             if verdict.level >= 1:
                 records.append(make_record(b, c, verdict, space.e21_form))
     return {
@@ -402,7 +418,7 @@ def run(
         for done, result in enumerate(results, start=1):
             block_hit = False
             for record in result["records"]:
-                line = json.dumps(record, sort_keys=True)
+                line = _RECORD_ENCODER.encode(record)
                 if out:
                     out.write(line + "\n")
                 if record["level"] == LEVEL_PERFECT:

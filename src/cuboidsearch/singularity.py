@@ -6,13 +6,16 @@ factor that is quadratic in b.  A parameter pair (b, c) is singular exactly
 when one of those factors vanishes there.  Over the rationals the quartic
 factor vanishes only at the origin, because it can be rewritten as
 (c-1)^2 (c-2)^2 b^2 + c^2, a sum of squares; that rewriting is one of the
-machine-checked identities (see the identities module).
+machine-checked identities (see the identities module).  The curves are
+linear in c too, so a row b has at most two singular columns
+(``singular_columns``).
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import gcd
 
 from .bipoly import B, C, IntPoly2
 
@@ -56,6 +59,20 @@ def factor_values(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fractio
 def curve_forms(p: int, q: int, r: int, s: int) -> tuple[int, int]:
     """The integers F1 = qs*f1 and F2 = qs*f2 of the two curve factors at b = p/q, c = r/s."""
     return p * r - q * s - p * s, p * r - q * r - 2 * p * s
+
+
+def singular_columns(p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """The reduced c = r/s (s > 0) where (p/q, c) is singular, p/q in lowest terms.
+
+    f1 vanishes at c = (p + q)/p if p != 0, and f2 at c = 2p/(p - q) if
+    p != q; at p = 0 that is the origin, the third variety's only point.
+    """
+    columns = []
+    for r, s in ((p + q, p), (2 * p, p - q)):
+        if s:
+            g = gcd(r, s) if s > 0 else -gcd(r, s)
+            columns.append((r // g, s // g))
+    return tuple(columns)
 
 
 def classify(b: Fraction, c: Fraction) -> SingularityClass:

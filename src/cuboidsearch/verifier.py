@@ -28,11 +28,11 @@ level needs:
   4. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
-The search decides level 0 first, one b row at a time, from S alone
-(``level0_survivors``): integers, one square test per point, and a curve
-test only for the points that fail it.  It grades only the survivors, which
-are the points that pass and the singular points.  ``grade`` never calls
-that shortcut, so grading every point checks it against the definition.
+The search decides level 0 first, one b row piece at a time, in integers
+and from S alone (``level0_survivors``), counts the singular points from
+their closed form, and grades only the nonsingular points that pass.
+``grade`` never calls that shortcut, so grading every point checks it
+against the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -47,6 +47,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .coefficients import (
     AuxiliaryCoefficients,
@@ -59,8 +60,8 @@ from .coefficients import (
     edge_coefficients,
     edge_cubic,
 )
-from .cubic import discriminant, is_perfect_square, is_rational_square, rational_roots
-from .singularity import SingularityClass, classify, curve_forms
+from .cubic import discriminant, is_rational_square, rational_roots
+from .singularity import SingularityClass, classify, singular_columns
 
 # All permutations of the three diagonal slots, in lexicographic order.
 PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
@@ -97,40 +98,64 @@ def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _s_row(p: int, q: int) -> tuple[int, ...]:
-    """q^8 S(p/q, c) as integer coefficients in c.
+def _s_row(p: int, q: int) -> tuple[tuple[int, ...], int, int, int, int]:
+    """q^8 S(p/q, c) as integer coefficients in c, and the row's singular columns.
 
     The search walks b in its outer loop, so one row serves every c of a b.
+    The columns r1/s1, r2/s2 are ``singular_columns`` padded with 0/0.
     """
-    return tuple(_homogeneous_horner(column, p, q) for column in zip(*EDGE_DISC_S))
+    row = tuple(_homogeneous_horner(column, p, q) for column in zip(*EDGE_DISC_S))
+    (r1, s1), (r2, s2) = (singular_columns(p, q) + ((0, 0), (0, 0)))[:2]
+    return row, r1, s1, r2, s2
 
 
-def level0_survivors(b: Fraction, cs: tuple[Fraction, ...]) -> list[int]:
-    """Indices into ``cs`` of the c where ``grade`` does not stop (b, c) at "disc-nonsquare".
+def level0_survivors(
+    p: int,
+    q: int,
+    rs: tuple[int, ...],
+    ss: tuple[int, ...],
+    j0: int,
+    j1: int,
+    s_powers: dict[int, tuple[int, ...]],
+) -> tuple[list[int], int]:
+    """Level 0 of the row b = p/q at the columns c = rs[j]/ss[j], j0 <= j < j1.
 
-    The indices come in order.  Those points are the singular points and
-    the points whose edge-cubic discriminant is a rational square.  At a
-    nonsingular point f1, f2 and Q are nonzero, and so is G: by fact F1
-    (``identities.check_edge_g_has_no_rational_zero``) G vanishes at a
+    Returns the indices j, in order, of the nonsingular points that
+    ``grade`` does not stop at "disc-nonsquare", and the number of singular
+    points.  ``s_powers`` maps each denominator s to (s^8, s^7, ..., 1).
+
+    At a nonsingular point f1, f2 and Q are nonzero, and so is G: by fact
+    F1 (``identities.check_edge_g_has_no_rational_zero``) G vanishes at a
     rational point only at the singular origin.  By the factorization above
     the discriminant is then a rational square exactly when b = 0 or S is a
     rational square, and S(0, c) = 4c^4 is one, so S alone decides.  With
-    b = p/q and c = r/s in lowest terms, t = q^8 s^8 S is an integer, and
-    as q^8 s^8 is a square, S is a rational square exactly when t is a
-    perfect square.  So each c costs Horner's rule on the row of b (cached
-    per row) and one isqrt.  Only a c that fails that test is checked for
-    singularity, on the integer curve forms: the third variety's one
-    rational point, the origin, lies on F2 = 0.
+    c = r/s in lowest terms, t = q^8 s^8 S is an integer, and as q^8 s^8 is
+    a square, S is a rational square exactly when t is a perfect square:
+    Horner's rule in r on row[k] * s^(8-k), built once per denominator, and
+    one isqrt.  The singular columns are matched against ``_s_row``'s.
     """
-    p, q = b.numerator, b.denominator
-    row = _s_row(p, q)
+    (c0, c1, c2, c3, c4, c5, c6, c7, c8), r1, s1, r2, s2 = _s_row(p, q)
+    sets = {}
     survivors = []
-    for j, c in enumerate(cs):
-        r, s = c.numerator, c.denominator
-        t = _homogeneous_horner(row, r, s)
-        if is_perfect_square(t) is not None or 0 in curve_forms(p, q, r, s):
+    singular = 0
+    for j in range(j0, j1):
+        r = rs[j]
+        s = ss[j]
+        if s == s1 and r == r1 or s == s2 and r == r2:
+            singular += 1
+            continue
+        coeffs = sets.get(s)
+        if coeffs is None:
+            w8, w7, w6, w5, w4, w3, w2, w1, _ = s_powers[s]
+            coeffs = sets[s] = (
+                c0 * w8, c1 * w7, c2 * w6, c3 * w5, c4 * w4, c5 * w3, c6 * w2, c7 * w1, c8
+            )
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = coeffs
+        t = ((((((((a8 * r + a7) * r + a6) * r + a5) * r + a4) * r + a3) * r + a2) * r + a1) * r
+             + a0)
+        if t >= 0 and isqrt(t) ** 2 == t:
             survivors.append(j)
-    return survivors
+    return survivors, singular
 
 
 @dataclass(frozen=True)

@@ -424,10 +424,11 @@ def test_stop_on_hit(monkeypatch, tmp_path):
 
     real_survivors = search_module.level0_survivors
 
-    def fake_survivors(b, cs):
+    def fake_survivors(p, q, rs, ss, j0, j1, s_powers):
         # the real level-0 test rejects the target, so let it through to grade
-        passed = set(real_survivors(b, cs))
-        return [j for j, c in enumerate(cs) if (b, c) == target or j in passed]
+        passed, singular = real_survivors(p, q, rs, ss, j0, j1, s_powers)
+        hit = [j for j in range(j0, j1) if (F(p, q), F(rs[j], ss[j])) == target]
+        return sorted(set(passed) | set(hit)), singular
 
     monkeypatch.setattr(search_module, "grade", fake_grade)
     monkeypatch.setattr(search_module, "level0_survivors", fake_survivors)

@@ -15,6 +15,7 @@ from cuboidsearch.singularity import (
     factor_values,
     first_curve_b,
     second_curve_b,
+    singular_columns,
     third_variety_points,
 )
 
@@ -118,3 +119,36 @@ def test_integer_classify_matches_factor_values_on_grid():
             flag for flag, value in ((FIRST, f1), (SECOND, f2), (THIRD, quart)) if value == 0
         }
         assert classify(b, c) == expected
+
+
+def _columns_match_classify(bs, cs):
+    # both directions: each named column is singular, and each singular
+    # point is named; the pairs are reduced with a positive denominator
+    for b in bs:
+        columns = singular_columns(b.numerator, b.denominator)
+        assert len(set(columns)) == len(columns) <= 2
+        for r, s in columns:
+            assert s > 0 and Fraction(r, s).denominator == s, (b, r, s)
+            assert classify(b, Fraction(r, s)), (b, r, s)
+        for c in cs:
+            if classify(b, c):
+                assert (c.numerator, c.denominator) in columns, (b, c)
+
+
+def test_singular_columns_match_classify_on_grid():
+    from cuboidsearch.search import fraction_values
+
+    values = fraction_values(8)
+    _columns_match_classify(values, values)
+
+
+def test_singular_columns_on_special_rows():
+    # p = 0 (only the origin, on the second curve), p = q (no second-curve
+    # point) and p = -q, each against classify on the H=20 c axis
+    from cuboidsearch.search import fraction_values
+
+    rows = (Fraction(0), Fraction(1), Fraction(-1))
+    _columns_match_classify(rows, fraction_values(20))
+    assert singular_columns(0, 1) == ((0, 1),)
+    assert singular_columns(1, 1) == ((2, 1),)
+    assert singular_columns(-1, 1) == ((0, 1), (1, 1))

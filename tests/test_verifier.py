@@ -228,14 +228,25 @@ def test_prefilter_matches_cleared_discriminant_height_6():
     # exhaustive: the integer level-0 test against the discriminant of the
     # edge cubic built from the cleared transcription, and grade's residual
     # at every rejected point against that discriminant (the common e21
-    # form never raises, and the edge cubic ignores e21)
+    # form never raises, and the edge cubic ignores e21).  The kernel takes
+    # each row with the whole H=6 c axis: its survivors must be exactly the
+    # nonsingular points with a square discriminant, and its singular count
+    # must be classify's
     values = fraction_values(6)
+    rs = tuple(c.numerator for c in values)
+    ss = tuple(c.denominator for c in values)
+    s_powers = {s: tuple(s**k for k in range(8, -1, -1)) for s in ss}
     checked = rejected = 0
     for b in values:
-        survivors = set(level0_survivors(b, values))
+        survivors, singular = level0_survivors(
+            b.numerator, b.denominator, rs, ss, 0, len(values), s_powers
+        )
+        survivors = set(survivors)
+        row_singular = 0
         for j, c in enumerate(values):
             if classify(b, c):
-                assert j in survivors, (b, c)
+                assert j not in survivors, (b, c)
+                row_singular += 1
                 continue
             disc = discriminant(edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)))
             passed = j in survivors
@@ -244,6 +255,7 @@ def test_prefilter_matches_cleared_discriminant_height_6():
                 assert grade(b, c) == Verdict(0, "disc-nonsquare", residuals=(disc,)), (b, c)
             checked += 1
             rejected += not passed
+        assert singular == row_singular, b
     assert checked == 2148
     assert rejected == 2089
 
@@ -260,7 +272,8 @@ def test_horner_s_row_matches_s_table_on_random_points():
     for _ in range(300):
         b, c = draw(), draw()
         p, q, r, s = b.numerator, b.denominator, c.numerator, c.denominator
-        t = _homogeneous_horner(_s_row(p, q), r, s)
+        row = _s_row(p, q)[0]
+        t = _homogeneous_horner(row, r, s)
         assert t == q**8 * s**8 * s_poly.eval(b, c), (b, c)
 
 
@@ -311,8 +324,8 @@ def test_staged_grade_matches_reference_height_4(monkeypatch):
     # search's shortcut on S
     import cuboidsearch.verifier as verifier
 
-    def shortcut_called(b, cs):
-        raise AssertionError(f"grade called level0_survivors at b = {b}")
+    def shortcut_called(p, q, *columns):
+        raise AssertionError(f"grade called level0_survivors at b = {p}/{q}")
 
     monkeypatch.setattr(verifier, "level0_survivors", shortcut_called)
     reasons = set()
