@@ -16,10 +16,13 @@ Determinism is the backbone of everything here:
     over the in-range b values and the in-range c values, so a narrow
     range walks no out-of-range position.  It defines block boundaries,
     which may cut a row anywhere; the level-0 test treats each point on
-    its own, so the cuts do not change results.  Workers (never more than
-    the blocks or the CPUs) grade disjoint blocks and results are flushed
-    strictly in block order, so the output is identical for any worker
-    count;
+    its own, so the cuts do not change results.  Blocks are streamed from
+    the range of block starts between the cursor and the end, so a run
+    keeps no per-block state beyond at most four blocks per worker in
+    flight.
+    Workers (never more than the blocks or the CPUs) grade disjoint blocks
+    and results are flushed strictly in block order, so the output is
+    identical for any worker count;
   * the checkpoint (version 2) stores the cursor and per-level counts and
     is only advanced after a block's records are flushed.  On resume, any
     records at or past the stored cursor (flushed but not yet checkpointed
@@ -37,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -45,8 +49,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterator, NamedTuple
 
-from .coefficients import E21_PRINTED, E21_FORMS, Params
-from .rationals import format_rational, parse_rational
+from .coefficients import E21_PRINTED, Params, check_e21_form
+from .rationals import format_rational, height as height_of, parse_rational
 from .verifier import LEVEL_PERFECT, grade, level0_survivors
 
 CHECKPOINT_VERSION = 2
@@ -74,8 +78,7 @@ class SearchSpace:
     def __post_init__(self):
         if self.height < 1:
             raise ValueError("height must be at least 1")
-        if self.e21_form not in E21_FORMS:
-            raise ValueError(f"e21_form must be one of {E21_FORMS}")
+        check_e21_form(self.e21_form)
 
 
 @lru_cache(maxsize=16)
@@ -86,23 +89,13 @@ def fraction_values(height: int) -> tuple[Fraction, ...]:
     then each later class contributes the fractions whose height is exactly
     that value, sorted ascending.
     """
-    ordered: list[Fraction] = []
-    for h in range(1, height + 1):
-        if h == 1:
-            block = [Fraction(-1), Fraction(0), Fraction(1)]
-        else:
-            cls = set()
-            for q in range(1, h + 1):
-                if gcd(h, q) == 1:
-                    cls.add(Fraction(h, q))
-                    cls.add(Fraction(-h, q))
-            for p in range(1, h):
-                if gcd(p, h) == 1:
-                    cls.add(Fraction(p, h))
-                    cls.add(Fraction(-p, h))
-            block = sorted(cls)
-        ordered.extend(block)
-    return tuple(ordered)
+    values = (
+        Fraction(p, q)
+        for q in range(1, height + 1)
+        for p in range(-height, height + 1)
+        if gcd(p, q) == 1
+    )
+    return tuple(sorted(values, key=lambda v: (height_of(v), v)))
 
 
 class _Axes(NamedTuple):
@@ -210,11 +203,9 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _save_checkpoint(path: str, space: SearchSpace, cursor: int, counts: dict, singular: int) -> None:
+def _save_checkpoint(path: str, header: dict, cursor: int, counts: dict, singular: int) -> None:
     payload = {
-        "version": CHECKPOINT_VERSION,
-        "config": space_config(space),
-        "config_digest": config_digest(space),
+        **header,
         "cursor": cursor,
         "counts": {str(level): counts[level] for level in LEVELS},
         "singular": singular,
@@ -364,7 +355,6 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
             if verdict.level >= 1:
                 records.append(make_record(b, c, verdict, space.e21_form))
     return {
-        "start": start,
         "end": end,
         "counts": counts,
         "singular": singular,
@@ -397,7 +387,6 @@ def run(
     cursor = 0
     counts = {level: 0 for level in LEVELS}
     singular = 0
-    visited = 0
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, counts, singular = _load_checkpoint(checkpoint_path, space)
@@ -405,15 +394,19 @@ def run(
             _truncate_records_beyond(output_path, space, cursor)
             _truncate_records_beyond(hits_path_for(output_path), space, cursor)
 
-    blocks = [(s, min(s + block_size, total)) for s in range(cursor, total, block_size)]
-    truncated_run = max_blocks is not None and max_blocks < len(blocks)
-    if max_blocks is not None:
-        blocks = blocks[:max_blocks]
+    resumed_at = cursor
+    starts = range(cursor, total, block_size)[:max_blocks]
+    # the checkpoint fields that depend only on the space
+    header = {
+        "version": CHECKPOINT_VERSION,
+        "config": space_config(space),
+        "config_digest": config_digest(space),
+    }
 
     out = open(output_path, "a", encoding="utf-8") if output_path else None
     hits_out = None
     stopped_on_hit = False
-    results = _block_results(space, blocks, jobs)
+    results = _block_results(space, starts, total, jobs)
     try:
         for done, result in enumerate(results, start=1):
             block_hit = False
@@ -436,10 +429,9 @@ def run(
             for level in LEVELS:
                 counts[level] += result["counts"][level]
             singular += result["singular"]
-            visited += result["end"] - result["start"]
             cursor = result["end"]
             if checkpoint_path:
-                _save_checkpoint(checkpoint_path, space, cursor, counts, singular)
+                _save_checkpoint(checkpoint_path, header, cursor, counts, singular)
             if log and (done % 32 == 0 or cursor >= total):
                 log(f"cursor {cursor}/{total} level-counts "
                     + " ".join(f"{lvl}:{counts[lvl]}" for lvl in LEVELS))
@@ -456,37 +448,37 @@ def run(
     return {
         "counts": counts,
         "singular": singular,
-        "visited": visited,
+        "visited": cursor - resumed_at,
         "cursor": cursor,
         "total": total,
         "completed": cursor >= total,
-        "interrupted": truncated_run and cursor < total and not stopped_on_hit,
+        "interrupted": cursor < total and not stopped_on_hit,
         "hits": counts[LEVEL_PERFECT],
         "stopped_on_hit": stopped_on_hit,
         "e21_form": space.e21_form,
     }
 
 
-def _block_results(space: SearchSpace, blocks: list, jobs: int):
-    """Yield block results strictly in block order, regardless of worker count."""
-    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+def _block_results(space: SearchSpace, starts: range, total: int, jobs: int):
+    """Yield the results of the blocks at ``starts`` in order, whatever the worker count.
+
+    Each block runs from its start to the next block's, or to ``total``.
+    At most 4 blocks per worker are submitted and not yet yielded.
+    """
+    blocks = ((start, min(start + starts.step, total)) for start in starts)
+    workers = min(jobs, len(starts), os.cpu_count() or 1)
     if workers <= 1:
         for start, end in blocks:
             yield _process_block(space, start, end)
         return
-    window = workers * 4
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {}
-        submitted = 0
-        emitted = 0
-        while emitted < len(blocks):
-            while submitted < len(blocks) and submitted - emitted < window:
-                start, end = blocks[submitted]
-                futures[submitted] = pool.submit(_process_block, space, start, end)
-                submitted += 1
-            result = futures.pop(emitted).result()
-            emitted += 1
-            yield result
+        pending = deque()
+        for start, end in blocks:
+            if len(pending) == 4 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_process_block, space, start, end))
+        while pending:
+            yield pending.popleft().result()
 
 
 # --- form audit --------------------------------------------------------------
@@ -502,6 +494,11 @@ def e21_form_discrepancies(records_left: list[dict], records_right: list[dict]) 
     def index(records):
         return {(r["b"], r["c"]): r for r in records}
 
+    def state(record):
+        if record is None:
+            return {"level": 0, "reason": None}
+        return {"level": record["level"], "reason": record["reason"]}
+
     left = index(records_left)
     right = index(records_right)
     differences = []
@@ -509,16 +506,8 @@ def e21_form_discrepancies(records_left: list[dict], records_right: list[dict]) 
         set(left) | set(right),
         key=lambda bc: (parse_rational(bc[0]), parse_rational(bc[1])),
     ):
-        rec_left = left.get(key)
-        rec_right = right.get(key)
-        left_state = {
-            "level": rec_left["level"] if rec_left else 0,
-            "reason": rec_left["reason"] if rec_left else None,
-        }
-        right_state = {
-            "level": rec_right["level"] if rec_right else 0,
-            "reason": rec_right["reason"] if rec_right else None,
-        }
+        left_state = state(left.get(key))
+        right_state = state(right.get(key))
         if left_state != right_state:
             differences.append(
                 {

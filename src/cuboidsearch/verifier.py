@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from .coefficients import (
@@ -85,6 +84,8 @@ EDGE_DISC_S = (
     (320, -1440, 2480, -1800, 0, 900, -620, 180, -20),
     (64, -384, 992, -1440, 1284, -720, 248, -48, 4),
 )
+# Column j holds the coefficients of c^j in S, as a polynomial in b.
+_EDGE_DISC_S_COLUMNS = tuple(zip(*EDGE_DISC_S))
 
 
 def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
@@ -97,14 +98,13 @@ def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=8)
 def _s_row(p: int, q: int) -> tuple[tuple[int, ...], int, int, int, int]:
     """q^8 S(p/q, c) as integer coefficients in c, and the row's singular columns.
 
-    The search walks b in its outer loop, so one row serves every c of a b.
+    One row serves every c of a row piece.
     The columns r1/s1, r2/s2 are ``singular_columns`` padded with 0/0.
     """
-    row = tuple(_homogeneous_horner(column, p, q) for column in zip(*EDGE_DISC_S))
+    row = tuple(_homogeneous_horner(column, p, q) for column in _EDGE_DISC_S_COLUMNS)
     (r1, s1), (r2, s2) = (singular_columns(p, q) + ((0, 0), (0, 0)))[:2]
     return row, r1, s1, r2, s2
 

@@ -56,6 +56,15 @@ def test_fraction_values_ordered_by_height_no_duplicates():
     assert all(h <= 8 for h in heights)
 
 
+def test_fraction_values_order_pinned_height_30():
+    # sha256 of the space-joined values: pins the whole cursor order, not
+    # only that the heights are sorted
+    values = fraction_values(30)
+    digest = hashlib.sha256(" ".join(map(str, values)).encode("utf-8")).hexdigest()
+    assert len(values) == 1111
+    assert digest == "b75766c0e4a4152279f1b631756d9e53d2740f6cf82911238f8ed649df06640e"
+
+
 def test_never_emits_unreduced_fraction():
     # 2/4 reduces to 1/2, which appears exactly once
     values = fraction_values(4)
@@ -149,14 +158,24 @@ def test_jobs_do_not_change_output(tmp_path):
 
 def test_pool_starts_no_more_workers_than_blocks(monkeypatch, tmp_path):
     # a stand-in executor records the worker count and runs each call
-    # inline, so no process is started
+    # inline, so no process is started; it also checks that no more than
+    # four blocks per worker are submitted and not yet read
     import cuboidsearch.search as search_module
 
     requested = []
+    most_outstanding = []
+    outstanding = set()
+
+    class ReadFuture(Future):
+        def result(self, timeout=None):
+            outstanding.discard(self)
+            return super().result(timeout)
 
     class InlineExecutor:
         def __init__(self, max_workers):
             requested.append(max_workers)
+            most_outstanding.append(0)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -165,8 +184,11 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch, tmp_path):
             return False
 
         def submit(self, fn, *args):
-            future = Future()
+            future = ReadFuture()
             future.set_result(fn(*args))
+            outstanding.add(future)
+            assert len(outstanding) <= 4 * self.max_workers
+            most_outstanding[-1] = max(most_outstanding[-1], len(outstanding))
             return future
 
     monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlineExecutor)
@@ -187,6 +209,28 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch, tmp_path):
         run(space, jobs=1000, checkpoint_path=None, output_path=path, block_size=1)
         assert requested == pool_sizes
         assert records_in_order(path) == records_in_order(paths[1])
+    # all 49 blocks fit the 49 workers' window; 2 workers fill theirs of 8
+    assert most_outstanding == [49, 8]
+    assert not outstanding
+
+
+def test_run_keeps_nothing_per_block(monkeypatch):
+    # a grid of 200,000 blocks, of which the run searches one: a run that
+    # listed every block before grading would allocate about 26 MB here
+    import tracemalloc
+
+    import cuboidsearch.search as search_module
+
+    monkeypatch.setattr(search_module, "grid_size", lambda space: 512 * 200_000)
+    tracemalloc.start()
+    try:
+        summary = run(SearchSpace(height=4), jobs=1, max_blocks=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary["cursor"] == summary["visited"] == 512
+    assert summary["interrupted"] and not summary["completed"]
+    assert peak < 2_000_000
 
 
 def test_interrupt_and_resume_match_uninterrupted(tmp_path):
