@@ -12,8 +12,10 @@ Every formula is implemented twice, from independent transcriptions:
     e03) and auxiliary (e21, e11, e12), and the verifier's `grade` calls
     each stage only for the points that reach it; `eval_coefficients`
     checks the point and evaluates all three.  The edge stage, the only
-    one most graded points reach, runs in integer coordinates and builds
-    one Fraction per coefficient; the other two run in Fractions;
+    one most graded points reach, is one integer core, from which
+    ``edge_coefficients`` builds one Fraction per coefficient and
+    ``edge_integer_cubic`` the integer edge cubic that ``grade`` solves;
+    the other two run in Fractions;
   * the cleared path (`eval_coefficients_cleared`) re-enters each formula
     as a single numerator/denominator pair of integer polynomials.
 
@@ -31,6 +33,7 @@ The extra term gives the printed variant zeros away from the singular set
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .bipoly import B, C, IntPoly2
@@ -159,36 +162,61 @@ def _denominators(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fractio
     return shared, f1 * f1 * f2 * f2, quart
 
 
-def edge_coefficients(b: Fraction, c: Fraction) -> EdgeCoefficients:
-    """Direct-path e10, e20, e30 at a nonsingular point (not checked).
+def _edge_core(p: int, q: int, r: int, s: int) -> tuple[int, int, int, int, int]:
+    """Integer numerators of e10, e20, e30 at b = p/q, c = r/s, with f1*f2 and quart.
 
-    Each factor is evaluated in homogeneous integer form: with b = p/q and
-    c = r/s, a factor of degree (i, j) in (b, c) is multiplied by q^i s^j,
-    and each coefficient is one Fraction of the products.  The shared
+    Each factor is evaluated in homogeneous integer form: a factor of
+    degree (i, j) in (b, c) is multiplied by q^i s^j.  The shared
     denominator equals f1*f2, and quart is written from its sum-of-squares
     form (c-1)^2 (c-2)^2 b^2 + c^2; here f1 and f2 stand for qs*f1 and qs*f2
-    (``singularity.curve_forms``), and quart for q^2 s^4 * quart.
+    (``singularity.curve_forms``), and quart for q^2 s^4 * quart.  Then
+    e10 = n10 / (f1 f2), e20 = n20 / (2 (f1 f2)^2) and
+    e30 = n30 / (quart (f1 f2)^2).
     """
-    p, q = b.numerator, b.denominator
-    r, s = c.numerator, c.denominator
     pp, rr, rs, ss = p * p, r * r, r * s, s * s
     f1, f2 = curve_forms(p, q, r, s)
-    curves_sq = (f1 * f2) ** 2
     quart = (p * (r - s) * (r - 2 * s)) ** 2 + (q * rs) ** 2
-    e10 = Fraction(-(pp * (rr + 2 * ss - 3 * rs) - q * q * rs), f1 * f2)
-    e20 = Fraction(
+    n10 = -(pp * (rr + 2 * ss - 3 * rs) - q * q * rs)
+    n20 = (
         p * q
         * (p * rr - 2 * q * rs - 2 * p * ss)
-        * (2 * p * rr - q * rr - 6 * p * rs + 2 * q * ss + 4 * p * ss),
-        2 * curves_sq,
+        * (2 * p * rr - q * rr - 6 * p * rs + 2 * q * ss + 4 * p * ss)
     )
-    e30 = Fraction(
+    n30 = (
         r * pp * (s - r) * (r - 2 * s) * q * q * s
         * (p * rr - 4 * p * rs + 2 * q * ss + 4 * p * ss)
-        * (2 * p * rr - q * rr - 4 * p * rs + 2 * p * ss),
-        quart * curves_sq,
+        * (2 * p * rr - q * rr - 4 * p * rs + 2 * p * ss)
     )
-    return EdgeCoefficients(e10, e20, e30)
+    return n10, n20, n30, f1 * f2, quart
+
+
+def edge_coefficients(b: Fraction, c: Fraction) -> EdgeCoefficients:
+    """Direct-path e10, e20, e30 at a nonsingular point (not checked)."""
+    n10, n20, n30, shared, quart = _edge_core(
+        b.numerator, b.denominator, c.numerator, c.denominator
+    )
+    curves_sq = shared * shared
+    return EdgeCoefficients(
+        Fraction(n10, shared), Fraction(n20, 2 * curves_sq), Fraction(n30, quart * curves_sq)
+    )
+
+
+def edge_integer_cubic(b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+    """x^3 - e10 x^2 + e20 x - e30 at a nonsingular point (not checked), in integers.
+
+    Returns the primitive (a3, a2, a1, a0): the coefficients times the
+    common denominator 2 quart (f1 f2)^2, over their content.  a3 > 0, as
+    quart is a sum of squares that vanishes only at the singular origin.
+    """
+    n10, n20, n30, shared, quart = _edge_core(
+        b.numerator, b.denominator, c.numerator, c.denominator
+    )
+    a3 = 2 * quart * shared * shared
+    a2 = -2 * quart * shared * n10
+    a1 = quart * n20
+    a0 = -2 * n30
+    content = gcd(a3, a2, a1, a0)
+    return a3 // content, a2 // content, a1 // content, a0 // content
 
 
 def diagonal_coefficients(b: Fraction, c: Fraction) -> DiagonalCoefficients:

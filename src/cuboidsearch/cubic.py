@@ -5,21 +5,20 @@ monic cubic with rational coefficients split completely over the rationals,
 and if so into which roots?  The answer is computed exactly:
 
   1. clear denominators once, to a primitive integer cubic
-     a3*x^3 + a2*x^2 + a1*x + a0, and substitute y = a3*x: the monic
-     integer cubic g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 has the roots
-     a3*x, so every rational root is y/a3 for an integer root y.
+     P = a3*x^3 + a2*x^2 + a1*x + a0 with a3 > 0, and hand it to the
+     integer core ``root_numerators`` (``grade`` calls the core directly).
+     The monic integer cubic g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 has
+     the roots a3*x, so every rational root is y/a3 for an integer root y.
   2. prefilter: the discriminant must be the square of a rational, since
      for a fully split cubic it equals the squared product of root
-     differences.  As disc(g) = a3^6 * disc, this is one integer
-     perfect-square test on disc(g), before any root search.  (The
-     search screens out most edge cubics first, from the discriminant's
-     factor S; ``grade`` passes every nonsingular edge cubic here.)
+     differences.  As disc(P) = a3^4 * disc, this is one integer
+     perfect-square test on disc(P), before any root search.
   3. find the largest root y of g by integer bisection on an interval
      where g is monotone, bounded below by the larger critical point and
      above by Samuelson's bound on the largest root.  No integer is
      factored.
   4. deflate g in integers and solve the remaining quadratic with isqrt;
-     the roots are built as Fractions only at the end.
+     the core returns the root numerators over 2*a3.
 
 No floating point is used anywhere.
 """
@@ -146,28 +145,26 @@ def _largest_integer_root(a2: int, b1: int, b0: int) -> Optional[int]:
     return lo if g(lo) == 0 else None
 
 
-def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
-    """All three roots if the cubic splits completely over the rationals.
+def integer_discriminant(a3: int, a2: int, a1: int, a0: int) -> int:
+    """Discriminant of a3*x^3 + a2*x^2 + a1*x + a0; a3^4 times that of its monic form."""
+    return (
+        18 * a3 * a2 * a1 * a0
+        - 4 * a2**3 * a0
+        + a2 * a2 * a1 * a1
+        - 4 * a3 * a1**3
+        - 27 * a3 * a3 * a0 * a0
+    )
 
-    Returns a sorted ascending triple (a multiset: repeated roots appear
-    with multiplicity), or None when the cubic does not fully split.
-    Deterministic: equal inputs give bit-identical outputs.
 
-    With the primitive integer form a3*x^3 + a2*x^2 + a1*x + a0, the
-    substitution y = a3*x gives the monic integer cubic
-    g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 = a3^2 * cubic(y / a3).  Its
-    roots are a3 times those of q, so disc(g) = a3^6 * disc(q), and disc(q)
-    is a rational square exactly when the integer disc(g) is a perfect
-    square.  The rational roots of g are integers; the largest is found by
-    bisection, g is deflated by it, and the quadratic left over is solved
-    with isqrt.  Only the three roots are built as Fractions.
+def root_numerators(a3: int, a2: int, a1: int, a0: int) -> Optional[tuple[int, int, int]]:
+    """Sorted integers y with the roots y / (2*a3) if the cubic splits over Q, else None.
+
+    a3 must be positive.  Steps 2 to 4 of the module docstring.
     """
-    a3, a2, a1, a0 = _clear_to_integer_cubic(q)
+    if is_perfect_square(integer_discriminant(a3, a2, a1, a0)) is None:
+        return None
     b1 = a1 * a3
     b0 = a0 * a3 * a3
-    disc = 18 * a2 * b1 * b0 - 4 * a2**3 * b0 + a2 * a2 * b1 * b1 - 4 * b1**3 - 27 * b0 * b0
-    if is_perfect_square(disc) is None:
-        return None
     top = _largest_integer_root(a2, b1, b0)
     if top is None:
         return None
@@ -178,4 +175,19 @@ def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
     if root is None:
         return None
     # the roots are y / (2 * a3) with a3 > 0, so sorting the numerators y sorts them
-    return tuple(Fraction(y, 2 * a3) for y in sorted((2 * top, -p + root, -p - root)))
+    return tuple(sorted((2 * top, -p + root, -p - root)))
+
+
+def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
+    """All three roots if the cubic splits completely over the rationals.
+
+    Returns a sorted ascending triple (a multiset: repeated roots appear
+    with multiplicity), or None when the cubic does not fully split.
+    Deterministic: equal inputs give bit-identical outputs.
+    """
+    cubic = _clear_to_integer_cubic(q)
+    ys = root_numerators(*cubic)
+    if ys is None:
+        return None
+    den = 2 * cubic[0]
+    return tuple(Fraction(y, den) for y in ys)

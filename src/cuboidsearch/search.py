@@ -30,7 +30,8 @@ Determinism is the backbone of everything here:
     interrupted run converges to exactly the uninterrupted output.  A
     version-1 checkpoint counted every grid position, in range or not; it
     is refused with CheckpointMismatch rather than misread, and so is a
-    file that is not JSON or lacks a field or gives one the wrong type.
+    file that is not JSON or lacks a field or gives one the wrong type,
+    or whose counts do not add up to its cursor within the grid.
 
 Rationals are serialized as exact "p/q" strings, never floats.
 """
@@ -218,7 +219,8 @@ def _load_checkpoint(path: str, space: SearchSpace) -> tuple[int, dict, int]:
     """The cursor, per-level counts and singular count stored for ``space``.
 
     Raises CheckpointMismatch for a file that is not a version-2 checkpoint
-    of this configuration, including one that is not JSON or lacks a field.
+    of this configuration, including one that is not JSON, lacks a field,
+    or has counts that do not add up to its cursor within the grid.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -245,7 +247,14 @@ def _load_checkpoint(path: str, space: SearchSpace) -> tuple[int, dict, int]:
         )
     if payload["config_digest"] != config_digest(space):
         raise CheckpointMismatch("checkpoint was written for a different search configuration")
-    return payload["cursor"], {level: counts[str(level)] for level in LEVELS}, payload["singular"]
+    cursor, singular = payload["cursor"], payload["singular"]
+    counts = {level: counts[str(level)] for level in LEVELS}
+    # every point before the cursor is counted at one level, singular ones at 0
+    if cursor > grid_size(space) or sum(counts.values()) != cursor or singular > counts[0]:
+        raise CheckpointMismatch(
+            "checkpoint counts do not fit its cursor, or its cursor lies past the grid"
+        )
+    return cursor, counts, singular
 
 
 def _now() -> str:

@@ -21,9 +21,10 @@ The stages of ``grade`` run in this order, and each computes only what its
 level needs:
 
   1. classify the point against the singular factors;
-  2. compute e10, e20, e30 and split the edge cubic; only when it does not
-     split is its discriminant computed, and that discriminant's square
-     test puts the point at level 0 or 1, with the discriminant as residual;
+  2. build the edge cubic as a primitive integer cubic and split it with
+     ``cubic.root_numerators``; only when it does not split is its
+     discriminant computed, and that discriminant's square test puts the
+     point at level 0 or 1, with the discriminant as residual;
   3. compute e01, e02, e03 and split the diagonal cubic;
   4. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
@@ -56,10 +57,9 @@ from .coefficients import (
     check_e21_form,
     diagonal_coefficients,
     diagonal_cubic,
-    edge_coefficients,
-    edge_cubic,
+    edge_integer_cubic,
 )
-from .cubic import discriminant, is_rational_square, rational_roots
+from .cubic import integer_discriminant, is_perfect_square, rational_roots, root_numerators
 from .singularity import SingularityClass, classify, singular_columns
 
 # All permutations of the three diagonal slots, in lexicographic order.
@@ -251,15 +251,19 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     if flags:
         return Verdict(0, "singular", flags=flags)
 
-    edge = edge_cubic(edge_coefficients(b, c))
-    edges = rational_roots(edge)
-    if edges is None:
-        disc = discriminant(edge)
-        if is_rational_square(disc) is None:
-            return Verdict(0, "disc-nonsquare", residuals=(disc,))
-        return Verdict(1, "edge-no-split", residuals=(disc,))
-    if edges[0] <= 0:
-        bad = tuple(r for r in edges if r <= 0)
+    edge = edge_integer_cubic(b, c)
+    ys = root_numerators(*edge)
+    if ys is None:
+        disc = integer_discriminant(*edge)
+        # the edge cubic's own discriminant is disc / a3^4, a3^4 a square
+        residuals = (Fraction(disc, edge[0] ** 4),)
+        if is_perfect_square(disc) is None:
+            return Verdict(0, "disc-nonsquare", residuals=residuals)
+        return Verdict(1, "edge-no-split", residuals=residuals)
+    den = 2 * edge[0]
+    edges = tuple(Fraction(y, den) for y in ys)
+    if ys[0] <= 0:
+        bad = tuple(x for x, y in zip(edges, ys) if y <= 0)
         return Verdict(2, "edge-root-nonpositive", residuals=bad, edges=edges)
 
     diagonals = rational_roots(diagonal_cubic(diagonal_coefficients(b, c)))

@@ -16,6 +16,7 @@ from cuboidsearch.coefficients import (
     e21_printed_extra_value,
     edge_coefficients,
     edge_cubic,
+    edge_integer_cubic,
     eval_coefficients,
     eval_coefficients_cleared,
 )
@@ -158,6 +159,28 @@ def test_integer_edge_coefficients_match_cleared_path_height_6():
             assert edge_coefficients(b, c) == (cs.e10, cs.e20, cs.e30)
             checked += 1
     assert checked == 2148
+
+
+def test_edge_integer_cubic_is_primitive_cleared_edge_cubic_height_8():
+    # grade solves this integer cubic in place of the Fraction edge cubic:
+    # primitive, a3 > 0, and the cleared path's monic edge cubic at every
+    # nonsingular point of the H=8 grid
+    from math import gcd
+
+    from cuboidsearch.search import fraction_values
+
+    values = fraction_values(8)
+    checked = 0
+    for b in values:
+        for c in values:
+            if classify(b, c):
+                continue
+            a3, a2, a1, a0 = edge_integer_cubic(b, c)
+            assert a3 > 0 and gcd(a3, a2, a1, a0) == 1, (b, c)
+            monic = CubicPoly(F(a2, a3), F(a1, a3), F(a0, a3))
+            assert monic == edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)), (b, c)
+            checked += 1
+    assert checked == 7454
 
 
 def test_edge_cubic_sign_convention():

@@ -408,6 +408,19 @@ def null_digest(payload):
     payload["config_digest"] = None
 
 
+def cursor_past_grid(payload):
+    # the digest stays valid: it covers the configuration, not the progress
+    payload["cursor"] = 10**9
+
+
+def counts_off_cursor(payload):
+    payload["counts"]["2"] += 1
+
+
+def singular_above_level_0(payload):
+    payload["singular"] = payload["counts"]["0"] + 1
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -424,7 +437,17 @@ def test_malformed_checkpoint_file_refused(tmp_path, text):
         run(SearchSpace(height=2), jobs=1, checkpoint_path=str(ck), output_path=None)
 
 
-@pytest.mark.parametrize("damage", [drop_level, string_cursor, null_digest])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        drop_level,
+        string_cursor,
+        null_digest,
+        cursor_past_grid,
+        counts_off_cursor,
+        singular_above_level_0,
+    ],
+)
 def test_checkpoint_with_bad_field_refused(tmp_path, damage):
     space, ck, payload = valid_checkpoint(tmp_path)
     damage(payload)

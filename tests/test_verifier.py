@@ -207,6 +207,8 @@ def test_grade_caps_at_level_four_on_printed_pole(monkeypatch):
     # to exercise the cap; the real grid reaches this state rarely if ever
     import cuboidsearch.verifier as verifier
 
+    # (3x - 1)(2x - 1)(3x - 2): the edge stage solves it to 1/3, 1/2, 2/3
+    monkeypatch.setattr(verifier, "edge_integer_cubic", lambda b, c: (18, -27, 13, -2))
     monkeypatch.setattr(
         verifier, "rational_roots", lambda q: (F(1, 3), F(1, 2), F(2, 3))
     )
@@ -334,3 +336,23 @@ def test_staged_grade_matches_reference_height_4(monkeypatch):
         assert verdict == reference_grade(b, c, E21_PRINTED), (b, c)
         reasons.add(verdict.reason)
     assert reasons == {"singular", "disc-nonsquare", "edge-root-nonpositive"}
+
+
+@pytest.mark.parametrize("e21_form", [E21_PRINTED, E21_COMMON])
+def test_grade_matches_reference_at_square_discriminants_height_6(e21_form):
+    # every H=6 point past level 0 by the cleared path: grade's integer edge
+    # stage must give the reference's whole Verdict, the edges included
+    values = fraction_values(6)
+    checked = 0
+    for b in values:
+        for c in values:
+            if classify(b, c):
+                continue
+            disc = discriminant(edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)))
+            if is_rational_square(disc) is None:
+                continue
+            expected = reference_grade(b, c, e21_form)
+            assert grade(b, c, e21_form) == expected, (b, c)
+            assert expected.edges is not None
+            checked += 1
+    assert checked == 59
