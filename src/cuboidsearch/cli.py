@@ -34,7 +34,7 @@ from .coefficients import (
 from .cubic import rational_roots
 from .identities import run_identity_checks
 from .rationals import RationalParseError, format_rational, parse_rational
-from .search import CheckpointMismatch, SearchSpace, run
+from .search import DEFAULT_BLOCK_SIZE, CheckpointMismatch, SearchSpace, run
 from .singularity import classify, factor_values
 from .verifier import grade
 
@@ -354,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--block-size",
         type=int,
-        default=512,
+        default=DEFAULT_BLOCK_SIZE,
         help="points per work block (affects scheduling only, not results)",
     )
     p.set_defaults(func=cmd_search)

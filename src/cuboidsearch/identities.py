@@ -19,6 +19,13 @@ argument.
 Two more checks, run on their own, back the verifier's level-0 test: the
 factored edge discriminant (``check_edge_discriminant_factorization``) and
 fact F1, that its factor G has no rational zero but the origin.
+
+Three more back the search's 2-adic sieve, fact F3: the cells of
+(v2(b), v2(c)) in which t = q^8 s^8 S is never a square.  Modulo 2^k,
+``check_s_two_adic_cells`` enumerates the cells outright;
+``check_s_sigma_rule`` proves the involution sigma(b, c) = (-b, 2/c) that
+mirrors two proven cells onto two more; and ``check_s_zero_column`` covers
+the point c = 0, which sigma misses.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .coefficients import (
     _E30_NUM,
 )
 from .singularity import FIRST_CURVE_POLY, QUARTIC_POLY, SECOND_CURVE_POLY
-from .verifier import EDGE_DISC_S
+from .verifier import EDGE_DISC_S, _homogeneous_horner
 
 # The factor G of the edge discriminant, laid out as verifier.EDGE_DISC_S.
 # By F1 it vanishes at no nonsingular rational point, so level 0 tests S alone.
@@ -162,3 +169,95 @@ def check_edge_g_has_no_rational_zero(g_table: tuple = EDGE_DISC_G) -> list[Iden
             8 * (C * (C - 1) * (C - 2) * (C**2 - 2 * C + 2)) ** 2,
         ),
     ]
+
+
+# The 2-adic cells.  A cell is (v, kappa): the points with v2(b) = v and
+# v2(c) in the class kappa, which is v2(c) clamped to -1..2: -1 holds every
+# c with v2(c) < 0, and 2 holds c = 0 and every c with v2(c) >= 2.
+TWO_ADIC_CELLS = frozenset((v, kappa) for v in range(-2, 3) for kappa in range(-1, 3))
+
+
+def _projective_points(v: int, m: int) -> list[tuple[int, int]]:
+    """The points (r, s) of P^1(Z/m), up to odd units, whose ratio has 2-adic valuation v.
+
+    m is a power of 2 above 2^|v|.  A pair of integers not both even is a
+    unit multiple of (x, 1) when its second entry is odd, and of (1, y), y
+    even, otherwise; v2(x) = v or v2(y) = -v picks the class.
+    """
+    step = 1 << abs(v)
+    residues = range(step, m, 2 * step)
+    return [(x, 1) for x in residues] if v >= 0 else [(1, y) for y in residues]
+
+
+def _c_class_points(kappa: int, m: int) -> list[tuple[int, int]]:
+    """The points of P^1(Z/m), up to odd units, whose ratio lies in c class kappa."""
+    if kappa == -1:
+        return [(1, y) for y in range(0, m, 2)]
+    if kappa == 2:
+        return [(x, 1) for x in range(0, m, 4)]
+    return _projective_points(kappa, m)
+
+
+def _never_square(m: int, b_points: list, c_points: list, s_table: tuple) -> bool:
+    """Whether t = q^8 s^8 S(p/q, r/s) is a non-square modulo m at every pair of points."""
+    squares = {y * y % m for y in range(m // 2 + 1)}
+    columns = tuple(zip(*s_table))
+    for p, q in b_points:
+        row = tuple(_homogeneous_horner(column, p, q) % m for column in columns)
+        if any(_homogeneous_horner(row, r, s) % m in squares for r, s in c_points):
+            return False
+    return True
+
+
+def check_s_two_adic_cells(
+    k: int, cells=TWO_ADIC_CELLS, s_table: tuple = EDGE_DISC_S
+) -> frozenset:
+    """The cells among ``cells`` in which t has no square residue modulo 2^k.
+
+    t = q^8 s^8 S(p/q, r/s) is a form of degree 8 in (p, q) and in (r, s),
+    so multiplying either pair by an odd unit multiplies t by an odd
+    eighth power, a square; each cell is therefore enumerated over
+    P^1(Z/2^k) up to odd units, for b and for c.  A perfect square reduces
+    to a square residue, so no rational point of a returned cell passes
+    level 0.  Tests pass altered tables as a negative control.
+
+    Modulo 2^6 the empty cells are v2(b) = 0 with every c class, (1, -1)
+    and (-1, 0).  Modulo 2^10 so are (1, 2), (-1, 1), (2, -1) and (-2, 0);
+    there an empty cell costs 2^16 to 2^18 evaluations, so a test names
+    the cells it checks at that modulus.
+    """
+    if k < 3:
+        raise ValueError("k must be at least 3 to tell the valuations -2..2 apart")
+    m = 1 << k
+    return frozenset(
+        (v, kappa) for v, kappa in cells
+        if _never_square(m, _projective_points(v, m), _c_class_points(kappa, m), s_table)
+    )
+
+
+def check_s_sigma_rule(s_table: tuple = EDGE_DISC_S) -> IdentityResult:
+    """Prove c^8 S(-b, 2/c) = 16 S(b, c) as a rule on the coefficients of S.
+
+    The left side's coefficient of b^i c^j is (-1)^i 2^(8-j) a[i][8-j].
+    So sigma(b, c) = (-b, 2/c) multiplies S by the square (c^4/4)^2, and
+    a point passes level 0 exactly when its image does.  Sigma keeps
+    v2(b) and sends v2(c) to 1 - v2(c), so it maps the cell (v, kappa) onto
+    (v, 1 - kappa), except that nothing maps to c = 0: the proven cells
+    (2, -1) and (-2, 0) give (2, 2) without c = 0, and (-2, 1).
+    """
+    mirrored = tuple(
+        tuple((-1) ** i * 2 ** (8 - j) * row[8 - j] for j in range(9))
+        for i, row in enumerate(s_table)
+    )
+    return _compare("s-sigma-rule", _table_poly(mirrored), 16 * _table_poly(s_table))
+
+
+def check_s_zero_column(v: int, k: int, s_table: tuple = EDGE_DISC_S) -> bool:
+    """Whether t has no square residue modulo 2^k at c = 0 for every b with v2(b) = v.
+
+    The point (0, 1) of P^1(Z/2^k) stands for c = 0 and every c with
+    v2(c) >= k.  At v = 2, t = q^8 S(b, 0) = 16 q^8 b^4 (2 + 12b + 25b^2 +
+    20b^3 + 4b^4) has valuation 13, which is odd, and k = 14 shows it.
+    """
+    m = 1 << k
+    return _never_square(m, _projective_points(v, m), [(0, 1)], s_table)

@@ -8,6 +8,13 @@ appends any point reaching level 1 or higher to a JSONL file.
 Singular points are counted but not graded or logged: along the two
 singular curves they are endless and carry no search information.
 
+Before the screen, a 2-adic sieve drops the columns of a row piece that
+lie in a cell of (v2(b), v2(c)) proven empty by the identities module
+(``SCREENED_C_CLASSES``).  55-59% of the grid lies in such cells from
+H=12 to H=100, and rows with p and q odd are skipped outright.  Their
+points are counted at level 0; the singular points among them are found
+by column index from ``singular_columns``.
+
 Determinism is the backbone of everything here:
 
   * values are ordered by (height, numeric value), so the point stream is
@@ -41,6 +48,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -52,11 +60,18 @@ from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import E21_PRINTED, Params, check_e21_form
 from .rationals import format_rational, height as height_of, parse_rational
+from .singularity import singular_columns
 from .verifier import LEVEL_PERFECT, grade, level0_survivors
 
 CHECKPOINT_VERSION = 2
 DEFAULT_BLOCK_SIZE = 512
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
+# The 2-adic sieve: by v2(b), the c classes (``_c_class``) that a row
+# screens.  Every other cell (v2(b), class) with |v2(b)| <= 2 is empty:
+# t = q^8 s^8 S is never a square there (identities.check_s_two_adic_cells
+# mod 2^6 and 2^10, and the sigma mirror), so its points are at level 0.
+# Rows with b = 0 or |v2(b)| >= 3 screen every column.
+SCREENED_C_CLASSES = {0: (), 1: (0, 1), 2: (0, 1), -1: (-1, 2), -2: (-1, 2)}
 # One encoder for every record line; json.dumps would build one per call.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -102,32 +117,57 @@ def fraction_values(height: int) -> tuple[Fraction, ...]:
 class _Axes(NamedTuple):
     bs: tuple[Fraction, ...]
     cs: tuple[Fraction, ...]
-    b_index: dict[Fraction, int]
-    c_index: dict[Fraction, int]
+    b_index: dict[tuple[int, int], int]
+    c_index: dict[tuple[int, int], int]
     c_nums: tuple[int, ...]
     c_dens: tuple[int, ...]
     s_powers: dict[int, tuple[int, ...]]
+    sieved: dict[int, tuple[int, ...]]
+
+
+def _v2(n: int) -> int:
+    """The exponent of 2 in a nonzero integer."""
+    return (n & -n).bit_length() - 1
+
+
+def _c_class(c: Fraction) -> int:
+    """The 2-adic class of a c column: v2(c) clamped to -1..2, and 2 for c = 0."""
+    if not c:
+        return 2
+    return min(max(_v2(c.numerator) - _v2(c.denominator), -1), 2)
 
 
 @lru_cache(maxsize=16)
 def _axes(space: SearchSpace) -> _Axes:
     """The in-range b and c values, in (height, value) order, with their indices.
 
-    For the level-0 kernel, also the c numerators and denominators, and
-    (s^8, ..., 1) for each denominator s.
+    The indices are keyed by (numerator, denominator).
+
+    For the level-0 kernel, also the c numerators and denominators,
+    (s^8, ..., 1) for each denominator s, and the column indices grouped
+    by 2-adic class: ``sieved`` maps each v2(b) of SCREENED_C_CLASSES to
+    the ascending indices of the columns that such a row screens.
     """
     values = fraction_values(space.height)
 
     def axis(lo, hi):
         return tuple(v for v in values if (lo is None or lo <= v) and (hi is None or v <= hi))
 
+    def index(axis):
+        return {(v.numerator, v.denominator): i for i, v in enumerate(axis)}
+
     bs = axis(space.b_min, space.b_max)
     cs = axis(space.c_min, space.c_max)
     dens = tuple(c.denominator for c in cs)
     powers = {s: tuple(s**k for k in range(8, -1, -1)) for s in set(dens)}
+    classes = [_c_class(c) for c in cs]
+    groups = {
+        kept: tuple(j for j, kappa in enumerate(classes) if kappa in kept)
+        for kept in set(SCREENED_C_CLASSES.values())
+    }
     return _Axes(
-        bs, cs, {v: i for i, v in enumerate(bs)}, {v: i for i, v in enumerate(cs)},
-        tuple(c.numerator for c in cs), dens, powers,
+        bs, cs, index(bs), index(cs), tuple(c.numerator for c in cs), dens, powers,
+        {v: groups[kept] for v, kept in SCREENED_C_CLASSES.items()},
     )
 
 
@@ -166,7 +206,10 @@ def point_at(space: SearchSpace, index: int) -> Params:
 def point_index(space: SearchSpace, b: Fraction, c: Fraction) -> int:
     """The cursor index of an in-range point; KeyError for any other point."""
     axes = _axes(space)
-    return axes.b_index[b] * len(axes.cs) + axes.c_index[c]
+    return (
+        axes.b_index[b.numerator, b.denominator] * len(axes.cs)
+        + axes.c_index[c.numerator, c.denominator]
+    )
 
 
 def enumerate_points(space: SearchSpace) -> Iterator[Params]:
@@ -338,13 +381,26 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
 # --- block grading ----------------------------------------------------------
 
 
+def _screened_columns(
+    axes: _Axes, p: int, q: int, j0: int, j1: int
+) -> range | tuple[int, ...]:
+    """The columns j0 <= j < j1 of the row b = p/q that the 2-adic sieve keeps."""
+    if p:
+        kept = axes.sieved.get(_v2(p) - _v2(q))
+        if kept is not None:
+            return kept[bisect_left(kept, j0):bisect_left(kept, j1)]
+    return range(j0, j1)
+
+
 def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     """Count one cursor block, grading only level-0 survivors. Pure; runs in workers.
 
-    Each row piece of the block goes through ``level0_survivors`` at once;
-    the singular points and the points it rejects are counted at level 0
-    and nothing more is built for them.  The survivors are graded in cursor
-    order.
+    Each row piece of the block sends the columns that the 2-adic sieve
+    keeps through ``level0_survivors`` at once, and a piece with none left
+    builds no row polynomial.  The singular columns are found by index
+    from ``singular_columns``.  The singular points, the sieved points and
+    the points the kernel rejects are counted at level 0, and nothing more
+    is built for them.  The survivors are graded in cursor order.
     """
     axes = _axes(space)
     counts = {level: 0 for level in LEVELS}
@@ -352,11 +408,19 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     records = []
     for i, j0, j1 in _row_segments(len(axes.cs), start, end):
         b = axes.bs[i]
-        survivors, piece_singular = level0_survivors(
-            b.numerator, b.denominator, axes.c_nums, axes.c_dens, j0, j1, axes.s_powers
+        p, q = b.numerator, b.denominator
+        columns = _screened_columns(axes, p, q, j0, j1)
+        survivors = (
+            level0_survivors(p, q, axes.c_nums, axes.c_dens, columns, axes.s_powers)
+            if columns else []
         )
+        singular_js = [
+            j for j in map(axes.c_index.get, singular_columns(p, q))
+            if j is not None and j0 <= j < j1
+        ]
+        survivors = [j for j in survivors if j not in singular_js]
+        singular += len(singular_js)
         counts[0] += j1 - j0 - len(survivors)
-        singular += piece_singular
         for j in survivors:
             c = axes.cs[j]
             verdict = grade(b, c, space.e21_form)

@@ -30,10 +30,13 @@ level needs:
      Pythagorean relations.
 
 The search decides level 0 first, one b row piece at a time, in integers
-and from S alone (``level0_survivors``), counts the singular points from
-their closed form, and grades only the nonsingular points that pass.
-``grade`` never calls that shortcut, so grading every point checks it
-against the definition.
+and from S alone (``level0_survivors``).  It screens only the columns
+that its 2-adic sieve keeps: in the (v2(b), v2(c)) cells that the
+identities module proves empty, t = q^8 s^8 S is never a square, so their
+points are counted at level 0 without a Horner step.  It counts the
+singular points from their closed form and grades only the nonsingular
+points that pass.  ``grade`` never calls that shortcut or consults the
+cells, so grading every point checks both against the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -45,9 +48,9 @@ assignment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import Iterable, NamedTuple
 
 from .coefficients import (
     AuxiliaryCoefficients,
@@ -60,7 +63,7 @@ from .coefficients import (
     edge_integer_cubic,
 )
 from .cubic import integer_discriminant, is_perfect_square, rational_roots, root_numerators
-from .singularity import SingularityClass, classify, singular_columns
+from .singularity import SingularityClass, classify
 
 # All permutations of the three diagonal slots, in lexicographic order.
 PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
@@ -98,15 +101,9 @@ def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
     return acc
 
 
-def _s_row(p: int, q: int) -> tuple[tuple[int, ...], int, int, int, int]:
-    """q^8 S(p/q, c) as integer coefficients in c, and the row's singular columns.
-
-    One row serves every c of a row piece.
-    The columns r1/s1, r2/s2 are ``singular_columns`` padded with 0/0.
-    """
-    row = tuple(_homogeneous_horner(column, p, q) for column in _EDGE_DISC_S_COLUMNS)
-    (r1, s1), (r2, s2) = (singular_columns(p, q) + ((0, 0), (0, 0)))[:2]
-    return row, r1, s1, r2, s2
+def _s_row(p: int, q: int) -> tuple[int, ...]:
+    """q^8 S(p/q, c) as integer coefficients in c; one row serves every c of a row piece."""
+    return tuple(_homogeneous_horner(column, p, q) for column in _EDGE_DISC_S_COLUMNS)
 
 
 def level0_survivors(
@@ -114,36 +111,35 @@ def level0_survivors(
     q: int,
     rs: tuple[int, ...],
     ss: tuple[int, ...],
-    j0: int,
-    j1: int,
+    columns: Iterable[int],
     s_powers: dict[int, tuple[int, ...]],
-) -> tuple[list[int], int]:
-    """Level 0 of the row b = p/q at the columns c = rs[j]/ss[j], j0 <= j < j1.
+) -> list[int]:
+    """Level 0 of the row b = p/q at the columns c = rs[j]/ss[j], j in ``columns``.
 
-    Returns the indices j, in order, of the nonsingular points that
-    ``grade`` does not stop at "disc-nonsquare", and the number of singular
-    points.  ``s_powers`` maps each denominator s to (s^8, s^7, ..., 1).
+    Returns the indices j, in the order of ``columns``, at which
+    t = q^8 s^8 S(b, c) is a perfect square.  At a nonsingular point these
+    are exactly the points that ``grade`` does not stop at
+    "disc-nonsquare"; the caller drops the singular points, which it
+    counts from ``singular_columns``.  ``s_powers`` maps each denominator s
+    to (s^8, s^7, ..., 1).  With ``range(j0, j1)`` the whole row piece is
+    screened; the search passes only the columns its 2-adic sieve keeps.
 
     At a nonsingular point f1, f2 and Q are nonzero, and so is G: by fact
     F1 (``identities.check_edge_g_has_no_rational_zero``) G vanishes at a
     rational point only at the singular origin.  By the factorization above
     the discriminant is then a rational square exactly when b = 0 or S is a
     rational square, and S(0, c) = 4c^4 is one, so S alone decides.  With
-    c = r/s in lowest terms, t = q^8 s^8 S is an integer, and as q^8 s^8 is
-    a square, S is a rational square exactly when t is a perfect square:
-    Horner's rule in r on row[k] * s^(8-k), built once per denominator, and
-    one isqrt.  The singular columns are matched against ``_s_row``'s.
+    c = r/s in lowest terms, t is an integer, and as q^8 s^8 is a square,
+    S is a rational square exactly when t is a perfect square: Horner's
+    rule in r on row[k] * s^(8-k), built once per denominator, and one
+    isqrt.
     """
-    (c0, c1, c2, c3, c4, c5, c6, c7, c8), r1, s1, r2, s2 = _s_row(p, q)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _s_row(p, q)
     sets = {}
     survivors = []
-    singular = 0
-    for j in range(j0, j1):
+    for j in columns:
         r = rs[j]
         s = ss[j]
-        if s == s1 and r == r1 or s == s2 and r == r2:
-            singular += 1
-            continue
         coeffs = sets.get(s)
         if coeffs is None:
             w8, w7, w6, w5, w4, w3, w2, w1, _ = s_powers[s]
@@ -155,16 +151,16 @@ def level0_survivors(
              + a0)
         if t >= 0 and isqrt(t) ** 2 == t:
             survivors.append(j)
-    return survivors, singular
+    return survivors
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of grading one candidate point.
 
     For verdicts deep enough to have them, the fully assembled candidate
     data rides along: the edge and diagonal root triples and the accepted
-    diagonal pairing.
+    diagonal pairing.  Every graded survivor builds one, and a NamedTuple
+    is the cheapest immutable record with this repr and equality.
     """
 
     level: int

@@ -1,11 +1,20 @@
+import pytest
+
 from cuboidsearch.bipoly import B, C, IntPoly2
 from cuboidsearch.identities import (
     EDGE_DISC_G,
+    TWO_ADIC_CELLS,
+    _c_class_points,
+    _projective_points,
     all_identities_hold,
     check_edge_discriminant_factorization,
     check_edge_g_has_no_rational_zero,
+    check_s_sigma_rule,
+    check_s_two_adic_cells,
+    check_s_zero_column,
     run_identity_checks,
 )
+from cuboidsearch.search import SCREENED_C_CLASSES
 from cuboidsearch.singularity import QUARTIC_POLY
 from cuboidsearch.verifier import EDGE_DISC_S
 
@@ -101,3 +110,77 @@ def test_edge_g_has_no_rational_zero_detects_altered_coefficient():
     assert not by_name["edge-g-discriminant"].passed
     assert by_name["edge-g-b1-coefficient"].passed
     assert by_name["edge-g-b0-coefficient"].passed
+
+
+# the cells proven empty modulo 2^6 (all of v2(b) = 0) and the four more
+# that 2^10 proves; sigma mirrors the last two onto (2, 2) and (-2, 1)
+MOD_64_CELLS = {(0, -1), (0, 0), (0, 1), (0, 2), (1, -1), (-1, 0)}
+MOD_1024_CELLS = {(1, 2), (-1, 1), (2, -1), (-2, 0)}
+
+
+def test_two_adic_cells_modulo_64():
+    assert len(TWO_ADIC_CELLS) == 20
+    assert check_s_two_adic_cells(6) == MOD_64_CELLS
+    # a smaller modulus proves less, never more
+    assert check_s_two_adic_cells(4) <= MOD_64_CELLS
+    with pytest.raises(ValueError):
+        check_s_two_adic_cells(2)
+
+
+def test_two_adic_points_cover_the_projective_line():
+    # the proof is sound only if the classes enumerate all of P^1(Z/2^k),
+    # up to odd units, each point once: (x, 1) for every x, (1, y) for even y
+    m = 64
+    c_points = [point for kappa in range(-1, 3) for point in _c_class_points(kappa, m)]
+    assert len(c_points) == len(set(c_points)) == m + m // 2
+    b_points = [point for v in range(-5, 6) for point in _projective_points(v, m)]
+    assert sorted(b_points + [(0, 1), (1, 0)]) == sorted(c_points)
+
+
+def test_two_adic_cells_modulo_1024():
+    assert check_s_two_adic_cells(10, MOD_1024_CELLS) == MOD_1024_CELLS
+    # the same cells are not all empty modulo 2^6
+    assert check_s_two_adic_cells(6, MOD_1024_CELLS) != MOD_1024_CELLS
+
+
+def test_sigma_rule_and_zero_column():
+    result = check_s_sigma_rule()
+    assert result.name == "s-sigma-rule"
+    assert result.passed, f"difference = {result.detail}"
+    # c = 0 at v2(b) = 2: t has valuation 13, so 2^14 is the first modulus
+    # that shows it is not a square
+    assert check_s_zero_column(2, 14)
+    assert not check_s_zero_column(2, 13)
+
+
+def test_search_sieve_is_the_proven_table():
+    # the cells the search skips are exactly those the checks prove empty
+    sieved = {
+        (v, kappa)
+        for v, kept in SCREENED_C_CLASSES.items()
+        for kappa in range(-1, 3)
+        if kappa not in kept
+    }
+    mod_64 = check_s_two_adic_cells(6)
+    mod_1024 = check_s_two_adic_cells(10, MOD_1024_CELLS)
+    assert check_s_sigma_rule().passed
+    # sigma keeps v2(b) and sends the c class kappa to 1 - kappa; its image
+    # of class -1 misses c = 0, which check_s_zero_column covers
+    mirrored = {(v, 1 - kappa) for v, kappa in mod_1024 if abs(v) == 2}
+    assert all(check_s_zero_column(v, 14) for v, kappa in mirrored if kappa == 2)
+    assert mirrored == {(2, 2), (-2, 1)}
+    assert sieved == mod_64 | mod_1024 | mirrored
+    assert len(sieved) == 12
+
+
+def test_two_adic_checks_detect_altered_coefficient():
+    # negative control: the b^4 coefficient of S off by one
+    altered = [list(row) for row in EDGE_DISC_S]
+    altered[4][0] += 1
+    altered = tuple(map(tuple, altered))
+    assert check_s_two_adic_cells(6, s_table=altered) == {(0, -1), (1, -1)}
+    assert check_s_two_adic_cells(10, MOD_1024_CELLS, altered) == {(2, -1)}
+    result = check_s_sigma_rule(altered)
+    assert not result.passed
+    assert result.detail == "b^4*c^8 - 16*b^4"
+    assert not check_s_zero_column(2, 14, altered)

@@ -9,8 +9,13 @@ import pytest
 from cuboidsearch.coefficients import Params
 from cuboidsearch.rationals import height, parse_rational
 from cuboidsearch.search import (
+    SCREENED_C_CLASSES,
     CheckpointMismatch,
     SearchSpace,
+    _axes,
+    _c_class,
+    _screened_columns,
+    _v2,
     canonical_records,
     config_digest,
     e21_form_discrepancies,
@@ -24,7 +29,8 @@ from cuboidsearch.search import (
     point_index,
     run,
 )
-from cuboidsearch.verifier import Verdict, grade
+from cuboidsearch.singularity import classify
+from cuboidsearch.verifier import Verdict, grade, level0_survivors
 
 F = Fraction
 
@@ -481,7 +487,8 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     # no real hit is known; inject one to exercise the halt and the hit file
     import cuboidsearch.search as search_module
 
-    target = (F(1), F(1))
+    # the target lies in a cell the 2-adic sieve screens: v2(b) = 1, v2(c) = 0
+    target = (F(2), F(1))
     real_grade = grade
 
     def fake_grade(b, c, form="printed"):
@@ -491,11 +498,11 @@ def test_stop_on_hit(monkeypatch, tmp_path):
 
     real_survivors = search_module.level0_survivors
 
-    def fake_survivors(p, q, rs, ss, j0, j1, s_powers):
+    def fake_survivors(p, q, rs, ss, columns, *args):
         # the real level-0 test rejects the target, so let it through to grade
-        passed, singular = real_survivors(p, q, rs, ss, j0, j1, s_powers)
-        hit = [j for j in range(j0, j1) if (F(p, q), F(rs[j], ss[j])) == target]
-        return sorted(set(passed) | set(hit)), singular
+        passed = real_survivors(p, q, rs, ss, columns, *args)
+        hit = [j for j in columns if (F(p, q), F(rs[j], ss[j])) == target]
+        return sorted(set(passed) | set(hit))
 
     monkeypatch.setattr(search_module, "grade", fake_grade)
     monkeypatch.setattr(search_module, "level0_survivors", fake_survivors)
@@ -605,3 +612,79 @@ def test_record_stream_pinned_height_6(tmp_path):
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
     assert summary["counts"] == {0: 2150, 1: 0, 2: 59, 3: 0, 4: 0, 5: 0, 6: 0}
     assert digest == "24300ae4ff43f5ec0c3defa3b3b4f543c97fe769a8e85fffe95699864a416f78"
+
+
+# --- the 2-adic sieve ---------------------------------------------------------
+
+
+def test_unsieved_kernel_rejects_every_sieved_point_height_16():
+    # exhaustive: the kernel on each whole row of the H=16 grid, unsieved,
+    # rejects every point that the search's sieve skips
+    axes = _axes(SearchSpace(height=16))
+    width = len(axes.cs)
+    skipped = 0
+    for b in axes.bs:
+        p, q = b.numerator, b.denominator
+        screened = set(_screened_columns(axes, p, q, 0, width))
+        survivors = level0_survivors(p, q, axes.c_nums, axes.c_dens, range(width), axes.s_powers)
+        assert set(survivors) <= screened, b
+        skipped += width - len(screened)
+    assert width == 319
+    assert skipped == 56144  # 55% of the grid
+
+
+def test_sieve_screens_the_kept_classes():
+    # every row piece gets exactly its kept classes, in column order
+    axes = _axes(SearchSpace(height=8))
+    width = len(axes.cs)
+    for b in axes.bs:
+        p, q = b.numerator, b.denominator
+        kept = SCREENED_C_CLASSES.get(_v2(p) - _v2(q)) if p else None
+        for j0, j1 in ((0, width), (3, 40), (17, 18)):
+            columns = _screened_columns(axes, p, q, j0, j1)
+            if kept is None:
+                assert columns == range(j0, j1), b
+            else:
+                expected = [j for j in range(j0, j1) if _c_class(axes.cs[j]) in kept]
+                assert list(columns) == expected, b
+    assert _c_class(F(0)) == 2
+    assert [_c_class(c) for c in (F(1, 8), F(-1, 2), F(3), F(-6, 5), F(12), F(16, 3))] == [
+        -1, -1, 0, 1, 2, 2,
+    ]
+
+
+def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
+    # b = 1 has v2(b) = 0: the sieve skips the whole row, so the kernel and
+    # grade never run, and every point is counted at level 0.  c = 2 is the
+    # row's singular column
+    import cuboidsearch.search as search_module
+
+    def never(*args):
+        raise AssertionError(f"called on a sieved row: {args[:2]}")
+
+    monkeypatch.setattr(search_module, "level0_survivors", never)
+    monkeypatch.setattr(search_module, "grade", never)
+    space = SearchSpace(height=12, b_min=F(1), b_max=F(1), c_min=F(1, 2), c_max=F(3))
+    out = str(tmp_path / "records.jsonl")
+    summary = run(space, jobs=1, checkpoint_path=None, output_path=out, block_size=7)
+    points = list(enumerate_points(space))
+    assert summary["completed"]
+    assert summary["counts"] == {0: len(points), 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
+    assert summary["singular"] == sum(1 for b, c in points if classify(b, c)) == 1
+    assert load_records(out) == []
+
+
+def test_grade_never_sees_a_singular_point(monkeypatch):
+    # the search drops the singular columns by index before grading, even
+    # where t is a square there (the origin has t = 0)
+    import cuboidsearch.search as search_module
+
+    def checked_grade(b, c, form="printed"):
+        assert not classify(b, c), (b, c)
+        return grade(b, c, form)
+
+    monkeypatch.setattr(search_module, "grade", checked_grade)
+    summary = run(SearchSpace(height=8), jobs=1, checkpoint_path=None, output_path=None)
+    assert summary["singular"] == sum(
+        1 for b, c in enumerate_points(SearchSpace(height=8)) if classify(b, c)
+    )

@@ -231,24 +231,23 @@ def test_prefilter_matches_cleared_discriminant_height_6():
     # edge cubic built from the cleared transcription, and grade's residual
     # at every rejected point against that discriminant (the common e21
     # form never raises, and the edge cubic ignores e21).  The kernel takes
-    # each row with the whole H=6 c axis: its survivors must be exactly the
-    # nonsingular points with a square discriminant, and its singular count
-    # must be classify's
+    # each row with the whole H=6 c axis, unsieved: at the nonsingular
+    # points its survivors must be exactly those with a square
+    # discriminant, in column order.  The search drops the singular points
+    # by index (test_search covers their count)
     values = fraction_values(6)
     rs = tuple(c.numerator for c in values)
     ss = tuple(c.denominator for c in values)
     s_powers = {s: tuple(s**k for k in range(8, -1, -1)) for s in ss}
     checked = rejected = 0
     for b in values:
-        survivors, singular = level0_survivors(
-            b.numerator, b.denominator, rs, ss, 0, len(values), s_powers
+        survivors = level0_survivors(
+            b.numerator, b.denominator, rs, ss, range(len(values)), s_powers
         )
+        assert survivors == sorted(set(survivors)), b
         survivors = set(survivors)
-        row_singular = 0
         for j, c in enumerate(values):
             if classify(b, c):
-                assert j not in survivors, (b, c)
-                row_singular += 1
                 continue
             disc = discriminant(edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)))
             passed = j in survivors
@@ -257,13 +256,12 @@ def test_prefilter_matches_cleared_discriminant_height_6():
                 assert grade(b, c) == Verdict(0, "disc-nonsquare", residuals=(disc,)), (b, c)
             checked += 1
             rejected += not passed
-        assert singular == row_singular, b
     assert checked == 2148
     assert rejected == 2089
 
 
 def test_horner_s_row_matches_s_table_on_random_points():
-    # q^8 s^8 S(p/q, r/s) from the cached row and Horner's rule, against
+    # q^8 s^8 S(p/q, r/s) from the row polynomial and Horner's rule, against
     # IntPoly2.eval of the whole S table
     s_poly = _table_poly(EDGE_DISC_S)
     rng = random.Random(7)
@@ -274,7 +272,7 @@ def test_horner_s_row_matches_s_table_on_random_points():
     for _ in range(300):
         b, c = draw(), draw()
         p, q, r, s = b.numerator, b.denominator, c.numerator, c.denominator
-        row = _s_row(p, q)[0]
+        row = _s_row(p, q)
         t = _homogeneous_horner(row, r, s)
         assert t == q**8 * s**8 * s_poly.eval(b, c), (b, c)
 
@@ -356,3 +354,17 @@ def test_grade_matches_reference_at_square_discriminants_height_6(e21_form):
             assert expected.edges is not None
             checked += 1
     assert checked == 59
+
+
+def test_verdict_is_an_immutable_record():
+    verdict = Verdict(2, "edge-root-nonpositive", residuals=(F(0),), edges=(F(0), F(0), F(1)))
+    assert verdict == Verdict(
+        2, "edge-root-nonpositive", residuals=(F(0),), edges=(F(0), F(0), F(1))
+    )
+    assert verdict != Verdict(2, "edge-root-nonpositive")
+    assert repr(Verdict(0, "singular")) == (
+        "Verdict(level=0, reason='singular', flags=frozenset(), residuals=(), "
+        "edges=None, diagonals=None, pairing=None)"
+    )
+    with pytest.raises(AttributeError):
+        verdict.level = 3
