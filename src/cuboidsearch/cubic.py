@@ -13,10 +13,13 @@ and if so into which roots?  The answer is computed exactly:
      for a fully split cubic it equals the squared product of root
      differences.  As disc(P) = a3^4 * disc, this is one integer
      perfect-square test on disc(P), before any root search.
-  3. find the largest root y of g by integer bisection on an interval
-     where g is monotone, bounded below by the larger critical point and
-     above by Samuelson's bound on the largest root.  No integer is
-     factored.
+  3. find the largest root y of g by integer Newton steps from above,
+     starting at Samuelson's bound on the largest root.  Above the larger
+     critical point g is increasing and convex, so the floored Newton
+     points never pass the floor of the root, and each step removes at
+     least a third of the distance to it: an integer root is met exactly,
+     and an irrational one is passed within a logarithmic number of
+     steps.  No integer is factored.
   4. deflate g in integers and solve the remaining quadratic with isqrt;
      the core returns the root numerators over 2*a3.
 
@@ -80,16 +83,16 @@ def is_rational_square(r: Fraction) -> Optional[Fraction]:
 
 
 def _clear_to_integer_cubic(q: CubicPoly) -> tuple[int, int, int, int]:
-    """Primitive integer form a3*x^3 + a2*x^2 + a1*x + a0 with a3 > 0."""
-    lcm = 1
-    for coeff in q:
-        lcm = lcm * coeff.denominator // math.gcd(lcm, coeff.denominator)
-    a3 = lcm
-    a2 = q.c2.numerator * (lcm // q.c2.denominator)
-    a1 = q.c1.numerator * (lcm // q.c1.denominator)
-    a0 = q.c0.numerator * (lcm // q.c0.denominator)
-    content = math.gcd(math.gcd(a3, a2), math.gcd(a1, a0))
-    return a3 // content, a2 // content, a1 // content, a0 // content
+    """Primitive integer form a3*x^3 + a2*x^2 + a1*x + a0 with a3 > 0.
+
+    a3 is the lcm of the reduced denominators, so the form is primitive
+    without dividing out a content: a prime p dividing a3 divides some
+    denominator d to the full power p^e of a3, and that coefficient's
+    numerator, prime to d, times a3 / d, prime to p, is not divisible by p.
+    """
+    (n2, d2), (n1, d1), (n0, d0) = (coeff.as_integer_ratio() for coeff in q)
+    a3 = math.lcm(d2, d1, d0)
+    return a3, n2 * (a3 // d2), n1 * (a3 // d1), n0 * (a3 // d0)
 
 
 def _largest_integer_root(a2: int, b1: int, b0: int) -> Optional[int]:
@@ -105,44 +108,55 @@ def _largest_integer_root(a2: int, b1: int, b0: int) -> Optional[int]:
     largest root Y satisfies Y >= c = (-a2 + sqrt(D)) / 3.  This holds with
     equality when the largest root is a double root (it is then the larger
     critical point) or a triple root (D = 0).  An integer Y is therefore at
-    least ceil(c), which is computed exactly: with s = ceil(sqrt(D)) from
-    isqrt, ceil((s - a2) / 3) = ceil(c).  For square D the two are equal;
-    for nonsquare D, c lies strictly between (s - 1 - a2) / 3 and
+    least lo = ceil(c), which is computed exactly: with s = ceil(sqrt(D))
+    from isqrt, ceil((s - a2) / 3) = ceil(c).  For square D the two are
+    equal; for nonsquare D, c lies strictly between (s - 1 - a2) / 3 and
     (s - a2) / 3, and no integer k has c <= k < (s - a2) / 3, since 3k
     would lie strictly between the consecutive integers s - 1 - a2 and
-    s - a2.
+    s - a2.  g' > 0 on (c, oo), so Y is the only root of g in [c, oo).
 
     Above, Samuelson's inequality bounds the largest of n real numbers by
     their mean plus sqrt(n - 1) standard deviations.  The roots have mean
     -a2/3 and, as their squares sum to a2^2 - 2*b1, variance 2D/9, so
     Y <= (-a2 + 2*sqrt(D)) / 3 <= (2s - a2) / 3, with equality in the
     first step when the two smaller roots coincide (as for x^2 (x - 3)).
-    Every root is thus below hi = floor((2s - a2) / 3) + 1, and g(hi) > 0.
+    So floor(Y) <= hi = floor((2s - a2) / 3).
 
-    Bisection.  g is nondecreasing on [ceil(c), hi], so g(y) <= 0 holds on
-    a prefix of its integers.  Every y above the largest root of g has
-    g(y) > 0, so when Y is an integer the last integer of that prefix is Y,
-    and g is zero there.  Otherwise g is nonzero there (or the prefix is
-    empty), Y is irrational, and None is returned.
+    Newton from above.  Starting at y = hi, step to the floor of the
+    Newton point, y <- y - ceil(g(y) / g'(y)), while y >= lo and g(y) > 0.
+    On [c, oo) g is increasing and convex, as the inflection point -a2/3
+    is at most c.  So g(y) > 0 means y > Y, where g'(y) > 0, and the
+    tangent at y meets the axis in [Y, y): the Newton point is at least Y,
+    and every iterate is at least floor(Y).  When Y is an integer, the
+    iterates thus stay >= Y and stop where g vanishes, at Y itself.  When
+    it is not, they stop at floor(Y), where g < 0 if floor(Y) >= lo, or
+    fall below lo, where no integer is the largest root; None is returned.
+
+    Bounded work.  With the roots r3 <= r2 <= Y and u = y - Y > 0,
+    g(y) / g'(y) = 1 / (1/u + 1/(y - r2) + 1/(y - r3)) >= u/3, since
+    y - r2 and y - r3 are at least u.  So each step takes at least a
+    third of u, and the next u' <= 2u/3: from u0 = hi - Y < hi - lo + 1,
+    u_k <= (2/3)^k u0.  Every iterate but the last two is at least
+    floor(Y) + 2 > Y + 1, so u_k > 1 there, and g is evaluated fewer than
+    log_{3/2}(hi - lo + 1) + 3 times (never when hi < lo).  No integer is
+    factored.
     """
-
-    def g(y: int) -> int:
-        return ((y + a2) * y + b1) * y + b0
-
     d = a2 * a2 - 3 * b1
     s = math.isqrt(d)
     if s * s < d:
         s += 1
     lo = -((a2 - s) // 3)
-    hi = (2 * s - a2) // 3 + 1
-    # g(hi) > 0; the last integer with g <= 0, if any, is in [lo, hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if g(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo if g(lo) == 0 else None
+    y = (2 * s - a2) // 3
+    while y >= lo:
+        # Horner's rule for g, and its derivative g' = q + (p + y)*y alongside
+        p = y + a2
+        q = p * y + b1
+        v = q * y + b0
+        if v <= 0:
+            return y if v == 0 else None
+        # to the floor of the Newton point, y - v / g'(y)
+        y += -v // (q + (p + y) * y)
+    return None
 
 
 def integer_discriminant(a3: int, a2: int, a1: int, a0: int) -> int:

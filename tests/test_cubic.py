@@ -5,12 +5,17 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from cuboidsearch.coefficients import edge_integer_cubic
 from cuboidsearch.cubic import (
     CubicPoly,
+    _clear_to_integer_cubic,
+    _largest_integer_root,
     discriminant,
+    integer_discriminant,
     is_perfect_square,
     is_rational_square,
     rational_roots,
+    root_numerators,
 )
 
 F = Fraction
@@ -207,3 +212,118 @@ def test_determinism():
 def test_roots_sorted_ascending():
     found = rational_roots(cubic_from_roots(F(9), F(-2, 3), F(1, 5)))
     assert found == (F(-2, 3), F(1, 5), F(9))
+
+
+def test_cleared_integer_cubic_is_primitive():
+    rng = random.Random(9)
+    for _ in range(300):
+        q = CubicPoly(*(F(rng.randint(-60, 60), rng.randint(1, 60)) for _ in range(3)))
+        a3, a2, a1, a0 = _clear_to_integer_cubic(q)
+        assert a3 > 0
+        assert math.gcd(a3, a2, a1, a0) == 1
+        assert (F(a2, a3), F(a1, a3), F(a0, a3)) == tuple(q)
+
+
+# --- root_numerators, the integer core ------------------------------------------
+
+
+def test_root_numerators_over_twice_the_leading_coefficient():
+    # 24x^3 - 26x^2 + 9x - 1 = (4x - 1)(3x - 1)(2x - 1)
+    ys = root_numerators(24, -26, 9, -1)
+    assert ys == (12, 16, 24)
+    assert [F(y, 48) for y in ys] == [F(1, 4), F(1, 3), F(1, 2)]
+    # 6x^3 - x^2 - 11x + 6 = (3x - 2)(2x + 3)(x - 1): sorted, signs mixed
+    ys = root_numerators(6, -1, -11, 6)
+    assert ys == (-18, 8, 12)
+    assert [F(y, 12) for y in ys] == [F(-3, 2), F(2, 3), F(1)]
+
+
+def test_root_numerators_double_root_at_zero():
+    # the edge cubic of `solve 0 -1`, x^2 (x - 1)
+    edge = edge_integer_cubic(F(0), F(-1))
+    assert edge == (1, -1, 0, 0)
+    assert root_numerators(*edge) == (0, 0, 2)
+    # x^2 (5x - 3), with a3 = 5
+    assert root_numerators(5, -3, 0, 0) == (0, 0, 6)
+
+
+def test_root_numerators_square_discriminant_irrational_roots():
+    # 8x^3 - 6x - 1: the cyclic cubic with the roots cos(pi/9 + 2 pi k/3),
+    # whose discriminant 5184 = 72^2 is a square
+    assert is_perfect_square(integer_discriminant(8, 0, -6, -1)) == 72
+    assert root_numerators(8, 0, -6, -1) is None
+
+
+# --- the largest-root search against the bisection it replaced ------------------------
+
+
+def bisection_largest_root(a2, b1, b0):
+    """Largest root of y^3 + a2*y^2 + b1*y + b0 if it is an integer, by bisection.
+
+    The search the Newton iteration replaced, kept as a reference: the last
+    integer with g <= 0 on [ceil(c), hi), where g is increasing; c is the
+    larger critical point and hi lies above Samuelson's bound.
+    """
+
+    def g(y):
+        return ((y + a2) * y + b1) * y + b0
+
+    d = a2 * a2 - 3 * b1
+    s = math.isqrt(d)
+    if s * s < d:
+        s += 1
+    lo = -((a2 - s) // 3)
+    hi = (2 * s - a2) // 3 + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if g(lo) == 0 else None
+
+
+def test_largest_root_matches_bisection_on_a_full_box():
+    k = 50
+    checked = 0
+    for a2 in range(-k, k + 1):
+        for b1 in range(-k, k + 1):
+            for b0 in range(-k, k + 1):
+                # three real roots, the function's precondition
+                if integer_discriminant(1, a2, b1, b0) < 0:
+                    continue
+                assert _largest_integer_root(a2, b1, b0) == bisection_largest_root(a2, b1, b0)
+                checked += 1
+    assert checked == 549989
+
+
+def test_largest_root_of_every_integer_root_multiset():
+    r = 60
+    for roots in combinations_with_replacement(range(-r, r + 1), 3):
+        coeffs = cubic_from_roots(*roots)
+        assert _largest_integer_root(*coeffs) == roots[2] == bisection_largest_root(*coeffs)
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_largest_root_near_double_and_triple_roots(digits):
+    # roots r <= r + g1 <= r + g1 + g2 with gaps 0, 1, 2 or random: near-
+    # triple roots when both gaps are small, near-double when one is.
+    # Moving the constant term by 1 moves the roots off the integers, or
+    # turns two of them complex, which the test skips.
+    size = 10**digits
+    rng = random.Random(digits)
+    small = [0, 1, 2]
+    for _ in range(40):
+        r = rng.randint(-size, size)
+        big = rng.randint(3, size)
+        mid = rng.randint(3, 10**6)
+        gaps = [(g1, g2) for g1 in small + [mid, big] for g2 in small + [mid, big]]
+        for g1, g2 in gaps:
+            roots = (r, r + g1, r + g1 + g2)
+            a2, b1, b0 = cubic_from_roots(*roots)
+            assert _largest_integer_root(a2, b1, b0) == roots[2]
+            for shift in (-1, 1):
+                if integer_discriminant(1, a2, b1, b0 + shift) < 0:
+                    continue
+                expected = bisection_largest_root(a2, b1, b0 + shift)
+                assert _largest_integer_root(a2, b1, b0 + shift) == expected
