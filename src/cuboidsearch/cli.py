@@ -355,7 +355,8 @@ def build_parser() -> _Parser:
         "--block-size",
         type=int,
         default=DEFAULT_BLOCK_SIZE,
-        help="points per work block (affects scheduling only, not results)",
+        help="points per work block (default %(default)s); affects scheduling "
+        "and checkpoint cadence only, not results",
     )
     p.set_defaults(func=cmd_search)
 

@@ -64,7 +64,9 @@ from .singularity import singular_columns
 from .verifier import LEVEL_PERFECT, grade, level0_survivors
 
 CHECKPOINT_VERSION = 2
-DEFAULT_BLOCK_SIZE = 512
+# Large enough that a block's work (about 8 ms at H=20 and H=30) outweighs
+# the checkpoint write after it and its pool future.
+DEFAULT_BLOCK_SIZE = 16384
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
 # The 2-adic sieve: by v2(b), the c classes (``_c_class``) that a row
 # screens.  Every other cell (v2(b), class) with |v2(b)| <= 2 is empty:

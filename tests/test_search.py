@@ -9,6 +9,7 @@ import pytest
 from cuboidsearch.coefficients import Params
 from cuboidsearch.rationals import height, parse_rational
 from cuboidsearch.search import (
+    DEFAULT_BLOCK_SIZE,
     SCREENED_C_CLASSES,
     CheckpointMismatch,
     SearchSpace,
@@ -230,7 +231,7 @@ def test_run_keeps_nothing_per_block(monkeypatch):
     monkeypatch.setattr(search_module, "grid_size", lambda space: 512 * 200_000)
     tracemalloc.start()
     try:
-        summary = run(SearchSpace(height=4), jobs=1, max_blocks=1)
+        summary = run(SearchSpace(height=4), jobs=1, block_size=512, max_blocks=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -579,21 +580,51 @@ def test_search_matches_grading_every_point(tmp_path, height, e21_form):
     assert canonical_records(out) == expected
 
 
-@pytest.mark.parametrize("block_size, jobs", [(1, 1), (7, 1), (48, 1), (7, 2)])
+@pytest.mark.parametrize("block_size, jobs", [(1, 1), (7, 1), (48, 1), (512, 1), (7, 2)])
 def test_block_cuts_do_not_change_output(tmp_path, block_size, jobs):
     # height-6 rows hold 47 points: blocks of 1 and 7 cut rows into pieces,
-    # blocks of 48 straddle two rows, and the default 512 spans many rows
+    # blocks of 48 straddle two rows, 512 spans many rows, and the default
+    # block holds the whole 2,209-point grid
     space = SearchSpace(height=6)
     summaries, paths = {}, {}
-    for size, workers in ((512, 1), (block_size, jobs)):
-        paths[size] = str(tmp_path / f"records{size}.jsonl")
-        summaries[size] = run(
-            space, jobs=workers, checkpoint_path=None, output_path=paths[size], block_size=size
+    for key, size, workers in (("default", DEFAULT_BLOCK_SIZE, 1), ("cut", block_size, jobs)):
+        paths[key] = str(tmp_path / f"records-{key}.jsonl")
+        summaries[key] = run(
+            space, jobs=workers, checkpoint_path=None, output_path=paths[key], block_size=size
         )
     assert len(fraction_values(6)) == 47
-    assert summaries[block_size]["counts"] == summaries[512]["counts"]
-    assert summaries[block_size]["singular"] == summaries[512]["singular"]
-    assert canonical_records(paths[block_size]) == canonical_records(paths[512])
+    assert summaries["cut"]["counts"] == summaries["default"]["counts"]
+    assert summaries["cut"]["singular"] == summaries["default"]["singular"]
+    assert canonical_records(paths["cut"]) == canonical_records(paths["default"])
+
+
+def test_checkpoint_written_once_per_default_block(monkeypatch, tmp_path):
+    import cuboidsearch.search as search_module
+
+    writes = []
+    save = search_module._save_checkpoint
+
+    def counting_save(*args):
+        writes.append(args[2])
+        save(*args)
+
+    monkeypatch.setattr(search_module, "_save_checkpoint", counting_save)
+    space = SearchSpace(height=12)
+    straight = str(tmp_path / "straight.jsonl")
+    whole = run(space, jobs=1, checkpoint_path=str(tmp_path / "straight.ck"), output_path=straight)
+    assert whole["total"] == 33_489
+    assert len(writes) == -(-33_489 // DEFAULT_BLOCK_SIZE)
+    assert writes == sorted(set(writes)) and writes[-1] == 33_489
+
+    # one default block, then a resume at the default size, is the straight run
+    out, ck = str(tmp_path / "resumed.jsonl"), str(tmp_path / "resumed.ck")
+    first = run(space, jobs=1, checkpoint_path=ck, output_path=out, max_blocks=1)
+    assert first["interrupted"] and first["cursor"] == DEFAULT_BLOCK_SIZE
+    second = run(space, jobs=1, checkpoint_path=ck, output_path=out)
+    assert second["completed"]
+    assert second["counts"] == whole["counts"]
+    assert second["singular"] == whole["singular"]
+    assert canonical_records(out) == canonical_records(straight)
 
 
 def test_prefilter_rejects_most_nonsingular_points(tmp_path):
