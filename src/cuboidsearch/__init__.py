@@ -4,49 +4,3 @@ Everything computes over arbitrary-precision rationals; no floating point
 is used anywhere.  See the README for the CLI and the module docstrings
 for the pipeline structure.
 """
-
-from .bipoly import B, C, DegreeError, IntPoly2, discriminant_in_b
-from .coefficients import (
-    CoefficientSet,
-    E21_COMMON,
-    E21_FORMS,
-    E21_PRINTED,
-    E21DenominatorPole,
-    Params,
-    SingularPoint,
-    diagonal_cubic,
-    edge_cubic,
-    eval_coefficients,
-    eval_coefficients_cleared,
-)
-from .cubic import CubicPoly, discriminant, is_rational_square, rational_roots
-from .identities import IdentityResult, all_identities_hold, run_identity_checks
-from .rationals import RationalParseError, format_rational, height, parse_rational
-from .search import (
-    CheckpointMismatch,
-    SearchSpace,
-    canonical_records,
-    e21_form_discrepancies,
-    enumerate_points,
-    fraction_values,
-    load_records,
-    run,
-)
-from .singularity import (
-    PoleError,
-    SingularFlag,
-    classify,
-    factor_values,
-    first_curve_b,
-    second_curve_b,
-    third_variety_points,
-)
-from .verifier import (
-    Verdict,
-    auxiliary_residuals,
-    check_pairings,
-    grade,
-    pythagorean_check,
-)
-
-__version__ = "0.1.0"

@@ -12,10 +12,11 @@ Every formula is implemented twice, from independent transcriptions:
     e03) and auxiliary (e21, e11, e12), and the verifier's `grade` calls
     each stage only for the points that reach it; `eval_coefficients`
     checks the point and evaluates all three.  The edge stage, the only
-    one most graded points reach, is one integer core, from which
-    ``edge_coefficients`` builds one Fraction per coefficient and
-    ``edge_integer_cubic`` the integer edge cubic that ``grade`` solves;
-    the other two run in Fractions;
+    one most graded points reach, runs in integers:
+    ``edge_integer_cubic`` gives the primitive integer edge cubic that
+    ``grade`` solves, and ``edge_coefficients`` reads e10, e20, e30 off
+    it as ratios of its coefficients; the other two stages run in
+    Fractions;
   * the cleared path (`eval_coefficients_cleared`) re-enters each formula
     as a single numerator/denominator pair of integer polynomials.
 
@@ -127,14 +128,6 @@ def check_e21_form(e21_form: str) -> None:
         raise ValueError(f"e21_form must be one of {E21_FORMS}, got {e21_form!r}")
 
 
-def e21_printed_extra_value(b: Fraction, c: Fraction) -> Fraction:
-    """The printed e21 quartic factor: vanishing marks the printed form's poles."""
-    b2 = b * b
-    c2 = c * c
-    c3 = c2 * c
-    return b2 * c3 * c - 6 * b2 * c3 + 13 * b2 * c2 - 12 * b2 * c - 4 * c3 + 4 * b2 + c2
-
-
 def eval_coefficients(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> CoefficientSet:
     """All nine coefficients at (b, c), each an exact reduced Fraction.
 
@@ -162,19 +155,31 @@ def _denominators(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fractio
     return shared, f1 * f1 * f2 * f2, quart
 
 
-def _edge_core(p: int, q: int, r: int, s: int) -> tuple[int, int, int, int, int]:
-    """Integer numerators of e10, e20, e30 at b = p/q, c = r/s, with f1*f2 and quart.
+def edge_coefficients(b: Fraction, c: Fraction) -> EdgeCoefficients:
+    """Direct-path e10, e20, e30 at a nonsingular point (not checked)."""
+    a3, a2, a1, a0 = edge_integer_cubic(b, c)
+    return EdgeCoefficients(Fraction(-a2, a3), Fraction(a1, a3), Fraction(-a0, a3))
 
-    Each factor is evaluated in homogeneous integer form: a factor of
-    degree (i, j) in (b, c) is multiplied by q^i s^j.  The shared
-    denominator equals f1*f2, and quart is written from its sum-of-squares
-    form (c-1)^2 (c-2)^2 b^2 + c^2; here f1 and f2 stand for qs*f1 and qs*f2
-    (``singularity.curve_forms``), and quart for q^2 s^4 * quart.  Then
-    e10 = n10 / (f1 f2), e20 = n20 / (2 (f1 f2)^2) and
-    e30 = n30 / (quart (f1 f2)^2).
+
+def edge_integer_cubic(b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+    """x^3 - e10 x^2 + e20 x - e30 at a nonsingular point (not checked), in integers.
+
+    Each factor is evaluated in homogeneous integer form at b = p/q,
+    c = r/s: a factor of degree (i, j) in (b, c) is multiplied by q^i s^j.
+    The shared denominator equals f1*f2, and quart is written from its
+    sum-of-squares form (c-1)^2 (c-2)^2 b^2 + c^2; here f1 and f2 stand for
+    qs*f1 and qs*f2 (``singularity.curve_forms``), and quart for
+    q^2 s^4 * quart.  Then e10 = n10 / (f1 f2), e20 = n20 / (2 (f1 f2)^2)
+    and e30 = n30 / (quart (f1 f2)^2).
+
+    Returns the primitive (a3, a2, a1, a0): the coefficients times the
+    common denominator 2 quart (f1 f2)^2, over their content.  a3 > 0, as
+    quart is a sum of squares that vanishes only at the singular origin.
     """
+    p, q, r, s = b.numerator, b.denominator, c.numerator, c.denominator
     pp, rr, rs, ss = p * p, r * r, r * s, s * s
     f1, f2 = curve_forms(p, q, r, s)
+    shared = f1 * f2
     quart = (p * (r - s) * (r - 2 * s)) ** 2 + (q * rs) ** 2
     n10 = -(pp * (rr + 2 * ss - 3 * rs) - q * q * rs)
     n20 = (
@@ -186,30 +191,6 @@ def _edge_core(p: int, q: int, r: int, s: int) -> tuple[int, int, int, int, int]
         r * pp * (s - r) * (r - 2 * s) * q * q * s
         * (p * rr - 4 * p * rs + 2 * q * ss + 4 * p * ss)
         * (2 * p * rr - q * rr - 4 * p * rs + 2 * p * ss)
-    )
-    return n10, n20, n30, f1 * f2, quart
-
-
-def edge_coefficients(b: Fraction, c: Fraction) -> EdgeCoefficients:
-    """Direct-path e10, e20, e30 at a nonsingular point (not checked)."""
-    n10, n20, n30, shared, quart = _edge_core(
-        b.numerator, b.denominator, c.numerator, c.denominator
-    )
-    curves_sq = shared * shared
-    return EdgeCoefficients(
-        Fraction(n10, shared), Fraction(n20, 2 * curves_sq), Fraction(n30, quart * curves_sq)
-    )
-
-
-def edge_integer_cubic(b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
-    """x^3 - e10 x^2 + e20 x - e30 at a nonsingular point (not checked), in integers.
-
-    Returns the primitive (a3, a2, a1, a0): the coefficients times the
-    common denominator 2 quart (f1 f2)^2, over their content.  a3 > 0, as
-    quart is a sum of squares that vanishes only at the singular origin.
-    """
-    n10, n20, n30, shared, quart = _edge_core(
-        b.numerator, b.denominator, c.numerator, c.denominator
     )
     a3 = 2 * quart * shared * shared
     a2 = -2 * quart * shared * n10

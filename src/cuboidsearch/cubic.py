@@ -41,10 +41,6 @@ class CubicPoly(NamedTuple):
     c0: Fraction
 
 
-# A fully split cubic's roots, as a sorted ascending triple (multiset).
-RootTriple = tuple
-
-
 def discriminant(q: CubicPoly) -> Fraction:
     """Discriminant of the monic cubic; equals prod (r_i - r_j)^2 over roots."""
     c2, c1, c0 = q
@@ -192,7 +188,7 @@ def root_numerators(a3: int, a2: int, a1: int, a0: int) -> Optional[tuple[int, i
     return tuple(sorted((2 * top, -p + root, -p - root)))
 
 
-def rational_roots(q: CubicPoly) -> Optional[RootTriple]:
+def rational_roots(q: CubicPoly) -> Optional[tuple[Fraction, Fraction, Fraction]]:
     """All three roots if the cubic splits completely over the rationals.
 
     Returns a sorted ascending triple (a multiset: repeated roots appear

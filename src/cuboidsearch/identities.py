@@ -96,10 +96,6 @@ def run_identity_checks(
     ]
 
 
-def all_identities_hold() -> bool:
-    return all(result.passed for result in run_identity_checks())
-
-
 def _table_poly(rows: tuple) -> IntPoly2:
     """The polynomial whose coefficient of b^i c^j is rows[i][j]."""
     return IntPoly2(

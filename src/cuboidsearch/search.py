@@ -200,11 +200,6 @@ def _walk(space: SearchSpace, start: int, end: int) -> Iterator[Params]:
             yield Params(axes.bs[i], c)
 
 
-def point_at(space: SearchSpace, index: int) -> Params:
-    """The parameter point at a flat cursor index (row-major: b outer, c inner)."""
-    return next(_walk(space, index, index + 1))
-
-
 def point_index(space: SearchSpace, b: Fraction, c: Fraction) -> int:
     """The cursor index of an in-range point; KeyError for any other point."""
     axes = _axes(space)

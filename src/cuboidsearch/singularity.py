@@ -80,8 +80,9 @@ def classify(b: Fraction, c: Fraction) -> SingularityClass:
 
     The two curve tests are decided on the integers of ``curve_forms``, so
     no Fraction is built; a nonsingular point returns NONSINGULAR itself.
-    The third-variety test uses its closed-form rational point list (the
-    origin only) instead of evaluating the quartic factor.
+    The third-variety test checks for the origin, the quartic factor's
+    only rational zero by its sum-of-squares form, instead of evaluating
+    the factor.
     """
     p, r = b.numerator, c.numerator
     f1, f2 = curve_forms(p, b.denominator, r, c.denominator)
@@ -104,11 +105,3 @@ def second_curve_b(c: Fraction) -> Fraction:
         raise PoleError("the second curve has no point over c = 2")
     return c / (c - 2)
 
-
-def third_variety_points() -> list[tuple[Fraction, Fraction]]:
-    """All rational points of the quartic factor: just the origin.
-
-    Complete because the factor equals (c-1)^2 (c-2)^2 b^2 + c^2, which is a
-    sum of squares vanishing over the rationals only at b = c = 0.
-    """
-    return [(Fraction(0), Fraction(0))]

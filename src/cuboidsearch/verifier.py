@@ -29,14 +29,10 @@ level needs:
   4. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
-The search decides level 0 first, one b row piece at a time, in integers
-and from S alone (``level0_survivors``).  It screens only the columns
-that its 2-adic sieve keeps: in the (v2(b), v2(c)) cells that the
-identities module proves empty, t = q^8 s^8 S is never a square, so their
-points are counted at level 0 without a Horner step.  It counts the
-singular points from their closed form and grades only the nonsingular
-points that pass.  ``grade`` never calls that shortcut or consults the
-cells, so grading every point checks both against the definition.
+The search decides level 0 by its own shortcut, ``level0_survivors`` and
+a 2-adic sieve (see the search module).  ``grade`` never calls that
+shortcut or consults the sieve's cells, so grading every point checks
+both against the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant

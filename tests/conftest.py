@@ -9,11 +9,11 @@ def random_fraction(rng: random.Random, height: int) -> Fraction:
 
 def random_nonsingular(rng: random.Random, height: int = 60):
     """A random point avoiding all denominator zeros, both e21 forms included."""
-    from cuboidsearch.coefficients import e21_printed_extra_value
+    from cuboidsearch.coefficients import _E21_QUART_PRINTED
     from cuboidsearch.singularity import classify
 
     while True:
         b = random_fraction(rng, height)
         c = random_fraction(rng, height)
-        if not classify(b, c) and e21_printed_extra_value(b, c) != 0:
+        if not classify(b, c) and _E21_QUART_PRINTED.eval(b, c) != 0:
             return b, c

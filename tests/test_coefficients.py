@@ -7,13 +7,13 @@ from conftest import random_nonsingular
 from cuboidsearch.bipoly import B, C
 from cuboidsearch.coefficients import (
     SHARED_DENOMINATOR_POLY,
+    _E21_QUART_PRINTED,
     CoefficientSet,
     E21_COMMON,
     E21_PRINTED,
     E21DenominatorPole,
     SingularPoint,
     diagonal_cubic,
-    e21_printed_extra_value,
     edge_coefficients,
     edge_cubic,
     edge_integer_cubic,
@@ -90,7 +90,7 @@ def test_printed_form_poles_off_the_singular_set(b, c):
     # the printed e21 denominator's extra -4c^3 term vanishes at these
     # nonsingular points; the common form stays well defined
     assert classify(b, c) == frozenset()
-    assert e21_printed_extra_value(b, c) == 0
+    assert _E21_QUART_PRINTED.eval(b, c) == 0
     with pytest.raises(E21DenominatorPole):
         eval_coefficients(b, c, E21_PRINTED)
     with pytest.raises(E21DenominatorPole):

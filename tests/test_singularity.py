@@ -16,7 +16,6 @@ from cuboidsearch.singularity import (
     first_curve_b,
     second_curve_b,
     singular_columns,
-    third_variety_points,
 )
 
 FIRST = SingularFlag.FIRST_CURVE
@@ -41,6 +40,9 @@ def test_classify_second_curve_point():
 
 def test_classify_origin():
     assert classify(Fraction(0), Fraction(0)) == {SECOND, THIRD}
+    # the quartic factor vanishes at the origin, and not at (1, 1)
+    assert QUARTIC_POLY.eval(Fraction(0), Fraction(0)) == 0
+    assert QUARTIC_POLY.eval(Fraction(1), Fraction(1)) == 1
 
 
 def test_classify_nonsingular():
@@ -60,14 +62,6 @@ def test_second_curve_parametrization():
     assert second_curve_b(Fraction(0)) == Fraction(0)
     with pytest.raises(PoleError):
         second_curve_b(Fraction(2))
-
-
-def test_third_variety_points():
-    points = third_variety_points()
-    assert points == [(Fraction(0), Fraction(0))]
-    b, c = points[0]
-    assert QUARTIC_POLY.eval(b, c) == 0
-    assert QUARTIC_POLY.eval(Fraction(1), Fraction(1)) == 1
 
 
 def test_factor_values_at_nonsingular_point():
