@@ -26,11 +26,17 @@ Three more back the search's 2-adic sieve, fact F3: the cells of
 ``check_s_sigma_rule`` proves the involution sigma(b, c) = (-b, 2/c) that
 mirrors two proven cells onto two more; and ``check_s_zero_column`` covers
 the point c = 0, which sigma misses.
+
+One more backs the search's residue sieve, fact F4: for an odd prime
+power m, ``check_s_residue_classes`` builds the table of the class pairs
+of P^1(Z/m) x P^1(Z/m) at which t has a square residue, and checks it
+against t evaluated at every pair (p, q) mod m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bipoly import B, C, IntPoly2, discriminant_in_b
 from .coefficients import (
@@ -257,3 +263,87 @@ def check_s_zero_column(v: int, k: int, s_table: tuple = EDGE_DISC_S) -> bool:
     """
     m = 1 << k
     return _never_square(m, _projective_points(v, m), [(0, 1)], s_table)
+
+
+class ResidueClassCheck(NamedTuple):
+    """The class table of t modulo m, and the evaluations that disagree with it.
+
+    ``table[k][kappa]`` says whether t has a square residue at the
+    representatives of row class k and column class kappa, indexed as in
+    ``p1_points``.  A failure is (p, q, kappa): a pair that is not a unit
+    multiple of its class representative, with kappa None, or one whose t
+    at column class kappa is a square residue where the table says not, or
+    the reverse.
+    """
+
+    table: tuple[tuple[bool, ...], ...]
+    failures: tuple[tuple[int, int, int | None], ...]
+
+
+def _prime_of(m: int) -> int:
+    return next(d for d in range(2, m + 1) if m % d == 0)
+
+
+def p1_points(m: int) -> list[tuple[int, int]]:
+    """Representatives of P^1(Z/m), m = l^k: (x, 1) for every x, then (1, y) for y in lZ/m."""
+    ell = _prime_of(m)
+    return [(x, 1) for x in range(m)] + [(1, y) for y in range(0, m, ell)]
+
+
+def p1_class(p: int, q: int, m: int) -> tuple[int, int]:
+    """The index in ``p1_points(m)`` of the class of (p, q), l not dividing both, and a unit.
+
+    The unit u gives (p, q) = u * representative mod m: u = q when l does
+    not divide q, and u = p otherwise.
+    """
+    ell = _prime_of(m)
+    if q % ell:
+        return p * pow(q, -1, m) % m, q % m
+    return m + q * pow(p, -1, m) % m // ell, p % m
+
+
+def check_s_residue_classes(m: int, s_table: tuple = EDGE_DISC_S) -> ResidueClassCheck:
+    """Check fact F4 modulo the prime power m: t's square residues depend only on classes.
+
+    t = q^8 s^8 S(p/q, r/s) is a form of degree 8 in (p, q) and in (r, s).
+    So t(u p, u q, w r, w s) = u^8 w^8 t for units u, w mod m, and u^8 w^8
+    is a unit square, which maps square residues to square residues and
+    the others to the others.  Whether t has a square residue therefore
+    depends only on the classes of (p : q) and (r : s) in P^1(Z/m), and
+    the table at the class representatives decides it.
+
+    The check is by machine.  Every pair (p, q) mod m that l does not
+    divide twice must be a unit multiple of its class representative, and
+    for each, t at every column representative must agree with the table
+    of its class.  By the degree in (r, s), that covers every (p, q, r, s).
+    The degrees are read off the table's shape, so a table of another
+    degree is checked as such; tests pass one as a negative control.
+    """
+    ell = _prime_of(m)
+    points = p1_points(m)
+    squares = {y * y % m for y in range(m)}
+    columns = tuple(zip(*s_table))
+
+    def row(p, q):
+        return tuple(_homogeneous_horner(column, p, q) % m for column in columns)
+
+    def square_at(values):
+        return tuple(_homogeneous_horner(values, r, s) % m in squares for r, s in points)
+
+    table = tuple(square_at(row(p, q)) for p, q in points)
+    failures = []
+    for p in range(m):
+        for q in range(m):
+            if p % ell == 0 and q % ell == 0:
+                continue
+            k, unit = p1_class(p, q, m)
+            x, y = points[k]
+            if unit % ell == 0 or (unit * x - p) % m or (unit * y - q) % m:
+                failures.append((p, q, None))
+                continue
+            failures += [
+                (p, q, kappa)
+                for kappa, square in enumerate(square_at(row(p, q)))
+                if square != table[k][kappa]
+            ]
+    return ResidueClassCheck(table, tuple(failures))

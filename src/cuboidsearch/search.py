@@ -8,12 +8,17 @@ appends any point reaching level 1 or higher to a JSONL file.
 Singular points are counted but not graded or logged: along the two
 singular curves they are endless and carry no search information.
 
-Before the screen, a 2-adic sieve drops the columns of a row piece that
-lie in a cell of (v2(b), v2(c)) proven empty by the identities module
-(``SCREENED_C_CLASSES``).  55-59% of the grid lies in such cells from
-H=12 to H=100, and rows with p and q odd are skipped outright.  Their
-points are counted at level 0; the singular points among them are found
-by column index from ``singular_columns``.
+Before the screen, a residue sieve drops the columns at which t =
+q^8 s^8 S has no square residue for some modulus, as the bit arrays of
+M. Stoll's ratpoints do.  Each row holds one column bitset per modulus:
+the 2-adic cells of (v2(b), v2(c)) proven empty by the identities module
+(``SCREENED_C_CLASSES``, 55-59% of the grid; a row with p and q odd keeps
+no column), and for each odd modulus m of ``RESIDUE_MODULI`` the columns
+whose class pair in P^1(Z/m) has a square residue (fact F4).  A row piece
+ANDs its row's masks and hands only the set bits to the kernel, 0.21% of
+the grid at H=30.  The points dropped are counted at level 0; the
+singular points among them are found by column index from
+``singular_columns``.
 
 Determinism is the backbone of everything here:
 
@@ -48,20 +53,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import and_, mul, or_
 from typing import Callable, Iterator, NamedTuple
 
 from .coefficients import E21_PRINTED, Params, check_e21_form
 from .rationals import format_rational, height as height_of, parse_rational
 from .singularity import singular_columns
-from .verifier import LEVEL_PERFECT, grade, level0_survivors
+from .verifier import _EDGE_DISC_S_COLUMNS, LEVEL_PERFECT, grade, level0_survivors
 
 CHECKPOINT_VERSION = 2
 # Large enough that a block's work (about 8 ms at H=20 and H=30) outweighs
@@ -74,6 +79,16 @@ LEVELS = tuple(range(LEVEL_PERFECT + 1))
 # mod 2^6 and 2^10, and the sigma mirror), so its points are at level 0.
 # Rows with b = 0 or |v2(b)| >= 3 screen every column.
 SCREENED_C_CLASSES = {0: (), 1: (0, 1), 2: (0, 1), -1: (-1, 2), -2: (-1, 2)}
+# The odd moduli m = l^k of the residue sieve.  t is a form of bidegree
+# (8, 8) in (p, q) and (r, s), so scaling either pair by a unit mod m
+# multiplies t by a unit eighth power, a square: whether t has a square
+# residue mod m depends only on the classes of (p : q) and (r : s) in
+# P^1(Z/m) (fact F4, identities.check_s_residue_classes).  A perfect
+# square has a square residue, so a point whose class pair has none is at
+# level 0.  A modulus is kept only if it pays for its tables at H=30: the
+# kernel work it saves a full jobs=1 run exceeds the time to build its
+# masks.  41 and 43 break even there; 47, 53, 25, 27 and 49 do not pay.
+RESIDUE_MODULI = (9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # One encoder for every record line; json.dumps would build one per call.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -124,7 +139,7 @@ class _Axes(NamedTuple):
     c_nums: tuple[int, ...]
     c_dens: tuple[int, ...]
     s_powers: dict[int, tuple[int, ...]]
-    sieved: dict[int, tuple[int, ...]]
+    row_masks: tuple[tuple[int, ...], ...]
 
 
 def _v2(n: int) -> int:
@@ -139,6 +154,88 @@ def _c_class(c: Fraction) -> int:
     return min(max(_v2(c.numerator) - _v2(c.denominator), -1), 2)
 
 
+def _prime_of(m: int) -> int:
+    """The prime l of a prime power m = l^k."""
+    return next(d for d in range(2, m + 1) if m % d == 0)
+
+
+def _p1_classes(m: int, pairs) -> list[int]:
+    """The class in P^1(Z/m) of each coprime pair (a, b), m = l^k.
+
+    Class x < m is the point (x : 1), for b prime to l; class m + y/l is
+    the point (1 : y), y a multiple of l, for l dividing b.
+    """
+    ell = _prime_of(m)
+    inverse = [pow(a, -1, m) if a % ell else 0 for a in range(m)]
+    return [
+        a * inverse[b % m] % m if b % ell else m + b * inverse[a % m] % m // ell
+        for a, b in pairs
+    ]
+
+
+def _square_classes(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
+    """For each row class given, whether t has a square residue mod m at each column class.
+
+    t is evaluated at the class representatives (x : 1) and (1 : y) of
+    ``_p1_classes``: at (p : q) and (r : s) it is the sum of
+    S[i][j] p^i q^(8-i) r^j s^(8-j), so each representative's vector of
+    a^k b^(8-k) mod m is built once and serves as row and as column.
+    """
+    ell = _prime_of(m)
+    points = [(x, 1) for x in range(m)] + [(1, y) for y in range(0, m, ell)]
+    powers = [tuple(a**k * b ** (8 - k) % m for k in range(9)) for a, b in points]
+    squares = {y * y % m for y in range(m)}
+    table = {}
+    for kappa in row_classes:
+        row = [sum(map(mul, column, powers[kappa])) for column in _EDGE_DISC_S_COLUMNS]
+        table[kappa] = tuple(sum(map(mul, row, power)) % m in squares for power in powers)
+    return table
+
+
+def _column_bits(classes: bytes) -> dict[int, int]:
+    """For each class that occurs, the bitset of the columns j with classes[j] in it.
+
+    The classes, last column first, are read as a base-2 numeral with a 1
+    where the class is the one wanted, so no loop runs per column.
+    """
+    last_first = classes[::-1]
+    return {
+        kappa: int(last_first.translate(b"0" * kappa + b"1" + b"0" * (255 - kappa)), 2)
+        for kappa in set(classes)
+    }
+
+
+def _cell_masks(bs: tuple[Fraction, ...], cs: tuple[Fraction, ...]) -> list[int]:
+    """Each row's column mask of the 2-adic cells: the columns it screens.
+
+    The mask of a row with b = 0 or |v2(b)| >= 3 is -1, every column.
+    """
+    # the classes -1..2, shifted to 0..3 to fit a byte
+    cells = _column_bits(bytes(_c_class(c) + 1 for c in cs))
+    by_v2 = {
+        v: reduce(or_, (cells.get(kappa + 1, 0) for kappa in kept), 0)
+        for v, kept in SCREENED_C_CLASSES.items()
+    }
+    return [
+        by_v2.get(_v2(b.numerator) - _v2(b.denominator), -1) if b else -1 for b in bs
+    ]
+
+
+def _residue_masks(m: int, b_pairs: list, c_pairs: list) -> list[int]:
+    """Each row's column mask modulo m: the columns whose class pair has a square residue.
+
+    A mask is built once per row class that occurs, by OR-ing the bitsets
+    of the column classes it keeps, and the rows of a class share it.
+    """
+    columns = _column_bits(bytes(_p1_classes(m, c_pairs)))
+    rows = _p1_classes(m, b_pairs)
+    masks = {
+        kappa: reduce(or_, (bits for k, bits in columns.items() if square[k]), 0)
+        for kappa, square in _square_classes(m, set(rows)).items()
+    }
+    return [masks[kappa] for kappa in rows]
+
+
 @lru_cache(maxsize=16)
 def _axes(space: SearchSpace) -> _Axes:
     """The in-range b and c values, in (height, value) order, with their indices.
@@ -146,9 +243,11 @@ def _axes(space: SearchSpace) -> _Axes:
     The indices are keyed by (numerator, denominator).
 
     For the level-0 kernel, also the c numerators and denominators,
-    (s^8, ..., 1) for each denominator s, and the column indices grouped
-    by 2-adic class: ``sieved`` maps each v2(b) of SCREENED_C_CLASSES to
-    the ascending indices of the columns that such a row screens.
+    (s^8, ..., 1) for each denominator s, and for each row the column
+    masks of the residue sieve, as bitsets with bit j for column j: its
+    2-adic cell mask first, then one mask per modulus of RESIDUE_MODULI.
+    A row holds references to masks shared by its class, so the masks take
+    O(classes x width) memory; the AND of a row is formed per row piece.
     """
     values = fraction_values(space.height)
 
@@ -162,14 +261,13 @@ def _axes(space: SearchSpace) -> _Axes:
     cs = axis(space.c_min, space.c_max)
     dens = tuple(c.denominator for c in cs)
     powers = {s: tuple(s**k for k in range(8, -1, -1)) for s in set(dens)}
-    classes = [_c_class(c) for c in cs]
-    groups = {
-        kept: tuple(j for j, kappa in enumerate(classes) if kappa in kept)
-        for kept in set(SCREENED_C_CLASSES.values())
-    }
+    b_pairs = [(b.numerator, b.denominator) for b in bs]
+    c_pairs = [(c.numerator, c.denominator) for c in cs]
+    masks = [_cell_masks(bs, cs)]
+    masks += [_residue_masks(m, b_pairs, c_pairs) for m in RESIDUE_MODULI]
     return _Axes(
         bs, cs, index(bs), index(cs), tuple(c.numerator for c in cs), dens, powers,
-        {v: groups[kept] for v, kept in SCREENED_C_CLASSES.items()},
+        tuple(zip(*masks)),
     )
 
 
@@ -378,21 +476,21 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
 # --- block grading ----------------------------------------------------------
 
 
-def _screened_columns(
-    axes: _Axes, p: int, q: int, j0: int, j1: int
-) -> range | tuple[int, ...]:
-    """The columns j0 <= j < j1 of the row b = p/q that the 2-adic sieve keeps."""
-    if p:
-        kept = axes.sieved.get(_v2(p) - _v2(q))
-        if kept is not None:
-            return kept[bisect_left(kept, j0):bisect_left(kept, j1)]
-    return range(j0, j1)
+def _piece_columns(masks: tuple[int, ...], j0: int, j1: int) -> list[int]:
+    """The columns j0 <= j < j1, ascending, whose bit is set in every mask."""
+    bits = (reduce(and_, masks, -1) >> j0) & ((1 << (j1 - j0)) - 1)
+    columns = []
+    while bits:
+        low = bits & -bits
+        columns.append(j0 + low.bit_length() - 1)
+        bits ^= low
+    return columns
 
 
 def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     """Count one cursor block, grading only level-0 survivors. Pure; runs in workers.
 
-    Each row piece of the block sends the columns that the 2-adic sieve
+    Each row piece of the block sends the columns that the residue sieve
     keeps through ``level0_survivors`` at once, and a piece with none left
     builds no row polynomial.  The singular columns are found by index
     from ``singular_columns``.  The singular points, the sieved points and
@@ -406,7 +504,7 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     for i, j0, j1 in _row_segments(len(axes.cs), start, end):
         b = axes.bs[i]
         p, q = b.numerator, b.denominator
-        columns = _screened_columns(axes, p, q, j0, j1)
+        columns = _piece_columns(axes.row_masks[i], j0, j1)
         survivors = (
             level0_survivors(p, q, axes.c_nums, axes.c_dens, columns, axes.s_powers)
             if columns else []

@@ -29,10 +29,11 @@ level needs:
   4. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
-The search decides level 0 by its own shortcut, ``level0_survivors`` and
-a 2-adic sieve (see the search module).  ``grade`` never calls that
-shortcut or consults the sieve's cells, so grading every point checks
-both against the definition.
+The search decides level 0 by its own shortcut, ``level0_survivors``
+behind a residue sieve: the 2-adic cells and the odd moduli of fact F4
+(see the search module).  ``grade`` never calls that shortcut or consults
+the sieve's masks, so grading every point checks both against the
+definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -118,7 +119,8 @@ def level0_survivors(
     "disc-nonsquare"; the caller drops the singular points, which it
     counts from ``singular_columns``.  ``s_powers`` maps each denominator s
     to (s^8, s^7, ..., 1).  With ``range(j0, j1)`` the whole row piece is
-    screened; the search passes only the columns its 2-adic sieve keeps.
+    screened; the search passes only the columns its residue sieve keeps,
+    in ascending order.
 
     At a nonsingular point f1, f2 and Q are nonzero, and so is G: by fact
     F1 (``identities.check_edge_g_has_no_rational_zero``) G vanishes at a

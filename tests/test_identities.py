@@ -8,12 +8,22 @@ from cuboidsearch.identities import (
     _projective_points,
     check_edge_discriminant_factorization,
     check_edge_g_has_no_rational_zero,
+    check_s_residue_classes,
     check_s_sigma_rule,
     check_s_two_adic_cells,
     check_s_zero_column,
+    p1_class,
+    p1_points,
     run_identity_checks,
 )
-from cuboidsearch.search import SCREENED_C_CLASSES
+from cuboidsearch.search import (
+    RESIDUE_MODULI,
+    SCREENED_C_CLASSES,
+    SearchSpace,
+    _axes,
+    _piece_columns,
+    _square_classes,
+)
 from cuboidsearch.singularity import QUARTIC_POLY
 from cuboidsearch.verifier import EDGE_DISC_S
 
@@ -182,3 +192,85 @@ def test_two_adic_checks_detect_altered_coefficient():
     assert not result.passed
     assert result.detail == "b^4*c^8 - 16*b^4"
     assert not check_s_zero_column(2, 14, altered)
+
+
+# --- fact F4: the residue classes of P^1(Z/m) ---------------------------------
+
+
+def primitive_pairs(m, ell):
+    return [(p, q) for p in range(m) for q in range(m) if p % ell or q % ell]
+
+
+@pytest.mark.parametrize("m, ell", [(5, 5), (9, 3), (25, 5), (27, 3), (37, 37)])
+def test_every_pair_is_a_unit_multiple_of_its_representative(m, ell):
+    # the representatives are a complete system: each pair mod m that l
+    # does not divide twice is a unit multiple of its class's
+    # representative, and every class holds exactly phi(m) pairs, so no
+    # two representatives are unit multiples of each other
+    points = p1_points(m)
+    assert len(points) == m + m // ell
+    sizes = [0] * len(points)
+    for p, q in primitive_pairs(m, ell):
+        k, unit = p1_class(p, q, m)
+        x, y = points[k]
+        assert unit % ell and (unit * x - p) % m == 0 and (unit * y - q) % m == 0, (p, q)
+        sizes[k] += 1
+    assert sizes == [m - m // ell] * len(points)
+
+
+@pytest.mark.parametrize("m", RESIDUE_MODULI)
+def test_residue_class_tables_hold_and_are_the_search_tables(m):
+    # t at every (p, q) and column representative agrees with the table of
+    # its class, and the search's table and masks are this table
+    check = check_s_residue_classes(m)
+    assert check.failures == ()
+    n = len(check.table)
+    search_table = _square_classes(m, range(n))
+    assert tuple(search_table[k] for k in range(n)) == check.table
+    # some class pair has no square residue, or the modulus would sieve nothing
+    assert not all(all(row) for row in check.table)
+    axes = _axes(SearchSpace(height=8))
+    position = 1 + RESIDUE_MODULI.index(m)
+    for b, masks in zip(axes.bs, axes.row_masks):
+        row = check.table[p1_class(b.numerator, b.denominator, m)[0]]
+        expected = [
+            j for j, c in enumerate(axes.cs) if row[p1_class(c.numerator, c.denominator, m)[0]]
+        ]
+        assert _piece_columns(masks[position:position + 1], 0, len(axes.cs)) == expected, b
+
+
+@pytest.mark.parametrize("m", [m for m in RESIDUE_MODULI if m <= 13])
+def test_residue_class_table_on_every_four_tuple(m):
+    # direct evaluation of t = sum a[i][j] p^i q^(8-i) r^j s^(8-j) mod m at
+    # every (p, q, r, s) with neither pair divisible by l, against the table
+    ell = min(d for d in range(2, m + 1) if m % d == 0)
+    table = check_s_residue_classes(m).table
+    squares = {y * y % m for y in range(m)}
+    pairs = primitive_pairs(m, ell)
+    powers = {(a, b): [a**k * b ** (8 - k) for k in range(9)] for a, b in pairs}
+    for p, q in pairs:
+        row = [
+            sum(EDGE_DISC_S[i][j] * powers[p, q][i] for i in range(9)) % m for j in range(9)
+        ]
+        classes = table[p1_class(p, q, m)[0]]
+        for r, s in pairs:
+            t = sum(a * w for a, w in zip(row, powers[r, s])) % m
+            assert (t in squares) == classes[p1_class(r, s, m)[0]], (p, q, r, s)
+
+
+def test_residue_class_check_detects_altered_table():
+    # negative control.  The b^4 coefficient of S off by one keeps t a form
+    # of bidegree (8, 8), so the lemma still holds, but the table changes
+    # and no longer equals the search's
+    altered = [list(row) for row in EDGE_DISC_S]
+    altered[4][0] += 1
+    altered = tuple(map(tuple, altered))
+    for m in (5, 37):
+        check = check_s_residue_classes(m, altered)
+        assert check.failures == ()
+        assert check.table != check_s_residue_classes(m).table
+    # a term b^9 makes t a form of degree 9 in (p, q): the unit 2 mod 5
+    # scales it by 2^9, a non-square, and the check names where it fails
+    check = check_s_residue_classes(5, EDGE_DISC_S + ((1,) + (0,) * 8,))
+    assert len(check.failures) == 52
+    assert check.failures[0] == (0, 2, 1)

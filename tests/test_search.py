@@ -10,12 +10,13 @@ from cuboidsearch.coefficients import Params
 from cuboidsearch.rationals import height, parse_rational
 from cuboidsearch.search import (
     DEFAULT_BLOCK_SIZE,
+    RESIDUE_MODULI,
     SCREENED_C_CLASSES,
     CheckpointMismatch,
     SearchSpace,
     _axes,
     _c_class,
-    _screened_columns,
+    _piece_columns,
     _v2,
     canonical_records,
     config_digest,
@@ -487,8 +488,10 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     # no real hit is known; inject one to exercise the halt and the hit file
     import cuboidsearch.search as search_module
 
-    # the target lies in a cell the 2-adic sieve screens: v2(b) = 1, v2(c) = 0
-    target = (F(2), F(1))
+    # the target is a real level-2 point, so it passes the sieve and the
+    # level-0 test and reaches grade
+    target = (F(1, 2), F(1, 2))
+    assert grade(*target).level == 2
     real_grade = grade
 
     def fake_grade(b, c, form="printed"):
@@ -496,16 +499,7 @@ def test_stop_on_hit(monkeypatch, tmp_path):
             return Verdict(6, "perfect-cuboid", edges=(F(1), F(1), F(1)))
         return real_grade(b, c, form)
 
-    real_survivors = search_module.level0_survivors
-
-    def fake_survivors(p, q, rs, ss, columns, *args):
-        # the real level-0 test rejects the target, so let it through to grade
-        passed = real_survivors(p, q, rs, ss, columns, *args)
-        hit = [j for j in columns if (F(p, q), F(rs[j], ss[j])) == target]
-        return sorted(set(passed) | set(hit))
-
     monkeypatch.setattr(search_module, "grade", fake_grade)
-    monkeypatch.setattr(search_module, "level0_survivors", fake_survivors)
     out = str(tmp_path / "records.jsonl")
     summary = run(
         SearchSpace(height=2),
@@ -644,47 +638,73 @@ def test_record_stream_pinned_height_6(tmp_path):
     assert digest == "24300ae4ff43f5ec0c3defa3b3b4f543c97fe769a8e85fffe95699864a416f78"
 
 
-# --- the 2-adic sieve ---------------------------------------------------------
+# --- the residue sieve -------------------------------------------------------
 
 
 def test_unsieved_kernel_rejects_every_sieved_point_height_16():
     # exhaustive: the kernel on each whole row of the H=16 grid, unsieved,
-    # rejects every point that the search's sieve skips
+    # rejects every point that the search's masks remove, both the 2-adic
+    # cells alone (the first mask of a row) and all the masks together
+    # (fact F4); on the columns the masks keep it finds the same survivors
     axes = _axes(SearchSpace(height=16))
     width = len(axes.cs)
-    skipped = 0
-    for b in axes.bs:
+    skipped = seen = 0
+    for b, masks in zip(axes.bs, axes.row_masks):
         p, q = b.numerator, b.denominator
-        screened = set(_screened_columns(axes, p, q, 0, width))
+        screened = set(_piece_columns(masks[:1], 0, width))
+        kept = _piece_columns(masks, 0, width)
         survivors = level0_survivors(p, q, axes.c_nums, axes.c_dens, range(width), axes.s_powers)
-        assert set(survivors) <= screened, b
+        assert set(survivors) <= set(kept) <= screened, b
+        assert level0_survivors(p, q, axes.c_nums, axes.c_dens, kept, axes.s_powers) == survivors
         skipped += width - len(screened)
+        seen += len(kept)
     assert width == 319
+    assert all(len(masks) == 1 + len(RESIDUE_MODULI) for masks in axes.row_masks)
     assert skipped == 56144  # 55% of the grid
+    assert seen == 457  # the points the kernel sees: 0.45% of the grid
 
 
 def test_sieve_screens_the_kept_classes():
-    # every row piece gets exactly its kept classes, in column order
+    # every row piece gets exactly its kept classes from its 2-adic mask, in
+    # column order, and the AND of all its masks, cut to the piece
     axes = _axes(SearchSpace(height=8))
     width = len(axes.cs)
-    for b in axes.bs:
+    for b, masks in zip(axes.bs, axes.row_masks):
         p, q = b.numerator, b.denominator
         kept = SCREENED_C_CLASSES.get(_v2(p) - _v2(q)) if p else None
         for j0, j1 in ((0, width), (3, 40), (17, 18)):
-            columns = _screened_columns(axes, p, q, j0, j1)
+            columns = _piece_columns(masks[:1], j0, j1)
             if kept is None:
-                assert columns == range(j0, j1), b
+                assert columns == list(range(j0, j1)), b
             else:
                 expected = [j for j in range(j0, j1) if _c_class(axes.cs[j]) in kept]
-                assert list(columns) == expected, b
+                assert columns == expected, b
+            common = set(range(j0, j1)).intersection(
+                *(_piece_columns((mask,), j0, j1) for mask in masks)
+            )
+            assert _piece_columns(masks, j0, j1) == sorted(common), b
     assert _c_class(F(0)) == 2
     assert [_c_class(c) for c in (F(1, 8), F(-1, 2), F(3), F(-6, 5), F(12), F(16, 3))] == [
         -1, -1, 0, 1, 2, 2,
     ]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_full_grid_pinned_height_30(tmp_path, jobs):
+    # the 1,234,321 points of H=30, counts and records digest taken before
+    # the residue sieve existed, with jobs=1
+    out = str(tmp_path / "records.jsonl")
+    summary = run(SearchSpace(height=30), jobs=jobs, checkpoint_path=None, output_path=out)
+    records = canonical_records(out)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode("utf-8")).hexdigest()
+    assert summary["completed"] and summary["visited"] == 1_234_321
+    assert summary["counts"] == {0: 1233095, 1: 8, 2: 1218, 3: 0, 4: 0, 5: 0, 6: 0}
+    assert summary["singular"] == 1522
+    assert digest == "875d78c7a2ddf1f924c3a0fd1b465a877b1070c4cd41d99bcc9d224273e95d0c"
+
+
 def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
-    # b = 1 has v2(b) = 0: the sieve skips the whole row, so the kernel and
+    # b = 1 has v2(b) = 0: its 2-adic mask is empty, so the kernel and
     # grade never run, and every point is counted at level 0.  c = 2 is the
     # row's singular column
     import cuboidsearch.search as search_module
