@@ -32,10 +32,10 @@ from .coefficients import (
     eval_coefficients,
 )
 from .cubic import rational_roots
-from .identities import run_identity_checks
+from .identities import factor_values, run_identity_checks
 from .rationals import RationalParseError, format_rational, parse_rational
 from .search import DEFAULT_BLOCK_SIZE, CheckpointMismatch, SearchSpace, run
-from .singularity import classify, factor_values
+from .singularity import classify
 from .verifier import grade
 
 EXIT_OK = 0

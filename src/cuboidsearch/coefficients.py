@@ -5,23 +5,20 @@ auxiliary equations are rational functions of the parameters (b, c).  This
 module evaluates all nine of them with exact rational arithmetic, refusing
 points where a denominator vanishes.
 
-Every formula is implemented twice, from independent transcriptions:
+Each formula is evaluated in its nested-product shape, in three stages:
+edge (e10, e20, e30), diagonal (e01, e02, e03) and auxiliary (e21, e11,
+e12).  The verifier's `grade` calls each stage only for the points that
+reach it; `eval_coefficients` checks the point and evaluates all three.
+The edge stage, the only one most graded points reach, runs in integers:
+``edge_integer_cubic`` gives the primitive integer edge cubic that
+``grade`` solves, and ``edge_coefficients`` reads e10, e20, e30 off it as
+ratios of its coefficients; the other two stages run in Fractions.
 
-  * the direct path evaluates each formula in its nested-product shape.
-    It comes in three stages, edge (e10, e20, e30), diagonal (e01, e02,
-    e03) and auxiliary (e21, e11, e12), and the verifier's `grade` calls
-    each stage only for the points that reach it; `eval_coefficients`
-    checks the point and evaluates all three.  The edge stage, the only
-    one most graded points reach, runs in integers:
-    ``edge_integer_cubic`` gives the primitive integer edge cubic that
-    ``grade`` solves, and ``edge_coefficients`` reads e10, e20, e30 off
-    it as ratios of its coefficients; the other two stages run in
-    Fractions;
-  * the cleared path (`eval_coefficients_cleared`) re-enters each formula
-    as a single numerator/denominator pair of integer polynomials.
-
-Agreement of the two paths on random nonsingular points is a standing test
-guarding against transcription typos.
+A second, independent transcription of every formula, as one cleared
+fraction of integer polynomials, lives with the identity checks
+(``identities.eval_coefficients_cleared``); agreement of the two on random
+nonsingular points is a standing test guarding against transcription
+typos.
 
 One ambiguity is kept configurable rather than resolved: the e21 formula
 exists in two denominator variants, selected by ``e21_form``.  The
@@ -37,20 +34,12 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .bipoly import B, C, IntPoly2
 from .cubic import CubicPoly
 from .singularity import SingularityClass, classify, curve_forms
 
 E21_PRINTED = "printed"
 E21_COMMON = "common"
 E21_FORMS = (E21_PRINTED, E21_COMMON)
-
-
-class Params(NamedTuple):
-    """A rational parameter point of the inverse problems."""
-
-    b: Fraction
-    c: Fraction
 
 
 class EdgeCoefficients(NamedTuple):
@@ -270,108 +259,6 @@ def auxiliary_coefficients(b: Fraction, c: Fraction, e21_form: str) -> Auxiliary
         + 36 * b4 * c3 - 12 * b2 * c3 - 48 * b4 * c - c4
     ) / (quart * curves_sq)
     return AuxiliaryCoefficients(e21, e11, e12)
-
-
-# --- cleared-fraction path: each formula as one polynomial fraction -------
-#
-# Re-entered independently of the direct path above.  Factors below are
-# deliberately retranscribed rather than imported from the singularity
-# module, so a typo in either location is caught by the identity checks
-# and the path-agreement tests.
-
-SHARED_DENOMINATOR_POLY: IntPoly2 = (
-    B**2 * C**2 + 2 * B**2 - 3 * B**2 * C + C - B * C**2 + 2 * B
-)
-
-_F1 = B * C - 1 - B
-_F2 = B * C - C - 2 * B
-_F2_ALT = -C + B * C - 2 * B  # spelling used by two of the formulas; same polynomial
-_QUART = B**2 * C**4 - 6 * B**2 * C**3 + 13 * B**2 * C**2 - 12 * B**2 * C + 4 * B**2 + C**2
-_E21_QUART_PRINTED = (
-    B**2 * C**4 - 6 * B**2 * C**3 + 13 * B**2 * C**2 - 12 * B**2 * C
-    - 4 * C**3 + 4 * B**2 + C**2
-)
-_CURVES_SQ = _F1**2 * _F2**2
-
-_E11_NUM = -(B * (C**2 + 2 - 4 * C))
-_E10_NUM = -(B**2 * C**2 + 2 * B**2 - 3 * B**2 * C - C)
-_E01_NUM = -(B * (C**2 + 2 - 2 * C))
-_E20_NUM = B * (B * C**2 - 2 * C - 2 * B) * (2 * B * C**2 - C**2 - 6 * B * C + 2 + 4 * B)
-_E20_DEN = 2 * _CURVES_SQ
-_E02_NUM = (
-    28 * B**2 * C**2 - 16 * B**2 * C - 2 * C**2 - 4 * B**2 - B**2 * C**4
-    + 4 * B**3 * C**4 - 12 * B**3 * C**3 + 4 * B * C**3 + 24 * B**3 * C
-    - 8 * B * C - 2 * B**4 * C**4 + 12 * B**4 * C**3 - 26 * B**4 * C**2
-    - 8 * B**2 * C**3 + 24 * B**4 * C - 16 * B**3 - 8 * B**4
-)
-_E02_DEN = 2 * _CURVES_SQ
-_E30_NUM = (
-    C * B**2 * (1 - C) * (C - 2)
-    * (B * C**2 - 4 * B * C + 2 + 4 * B)
-    * (2 * B * C**2 - C**2 - 4 * B * C + 2 * B)
-)
-_E30_DEN = _QUART * _F1**2 * _F2_ALT**2
-_E03_NUM = B * (
-    B**2 * C**4 - 5 * B**2 * C**3 + 10 * B**2 * C**2 - 10 * B**2 * C + 4 * B**2
-    + 2 * B * C + 2 * C**2 - B * C**3
-) * (
-    2 * B**2 * C**4 - 12 * B**2 * C**3 + 26 * B**2 * C**2 - 24 * B**2 * C + 8 * B**2
-    - C**4 * B + 3 * B * C**3 - 6 * B * C + 4 * B + C**3 - 2 * C**2 + 2 * C
-)
-_E03_DEN = 2 * _QUART * _F1**2 * _F2_ALT**2
-_E21_NUM = B * (
-    5 * C**6 * B - 2 * C**6 * B**2 + 52 * C**5 * B**2 - 16 * C**5 * B
-    - 2 * C**7 * B**2 + 2 * B**4 * C**8 - 26 * B**4 * C**7 - 426 * B**4 * C**5
-    - 61 * B**3 * C**6 + 100 * B**3 * C**5 + 14 * C**7 * B**3 - C**8 * B**3
-    - 20 * B * C**2 - 8 * B**2 * C**2 - 16 * B**2 * C - 128 * B**2 * C**4
-    - 200 * B**3 * C**3 + 244 * B**3 * C**2 + 32 * B * C**3 + 768 * B**4 * C**4
-    - 852 * B**4 * C**3 + 568 * B**4 * C**2 + 104 * B**2 * C**3 - 208 * B**4 * C
-    + 8 * C**4 + 16 * B**3 - 112 * B**3 * C + 142 * B**4 * C**6 + 32 * B**4 - 2 * C**5
-)
-_E21_DEN_PRINTED = 2 * _E21_QUART_PRINTED * _F1**2 * _F2**2
-_E21_DEN_COMMON = 2 * _QUART * _F1**2 * _F2**2
-_E12_NUM = (
-    16 * B**6 + 32 * B**5 - 6 * C**5 * B**2 + 2 * C**5 * B - 62 * B**5 * C**6
-    + 62 * B**6 * C**6 + 16 * B**4 - 180 * B**6 * C**5 - C**7 * B**3
-    + 18 * B**5 * C**7 - 12 * B**6 * C**7 - 2 * B**5 * C**8 + B**6 * C**8
-    + 248 * B**5 * C**2 + 248 * B**6 * C**2 - 96 * B**6 * C + 321 * B**6 * C**4
-    - 180 * B**5 * C**3 - 144 * B**5 * C - 360 * B**6 * C**3 + B**4 * C**8
-    + 8 * B**4 * C**6 - 6 * B**4 * C**7 + 18 * B**4 * C**5 + 7 * B**3 * C**6
-    + 90 * B**5 * C**5 - 14 * B**3 * C**5 + 17 * B**2 * C**4 + 32 * B**4 * C**2
-    + 28 * B**3 * C**3 - 28 * B**3 * C**2 - 4 * B * C**3 + 8 * B**3 * C
-    - 57 * B**4 * C**4 + 36 * B**4 * C**3 - 12 * B**2 * C**3 - 48 * B**4 * C - C**4
-)
-_E12_DEN = _QUART * _F1**2 * _F2**2
-
-_CLEARED = {
-    "e10": (_E10_NUM, SHARED_DENOMINATOR_POLY),
-    "e20": (_E20_NUM, _E20_DEN),
-    "e30": (_E30_NUM, _E30_DEN),
-    "e01": (_E01_NUM, SHARED_DENOMINATOR_POLY),
-    "e02": (_E02_NUM, _E02_DEN),
-    "e03": (_E03_NUM, _E03_DEN),
-    "e11": (_E11_NUM, SHARED_DENOMINATOR_POLY),
-    "e12": (_E12_NUM, _E12_DEN),
-}
-
-
-def eval_coefficients_cleared(
-    b: Fraction, c: Fraction, e21_form: str = E21_PRINTED
-) -> CoefficientSet:
-    """Second, independently transcribed path: one cleared fraction per formula."""
-    check_e21_form(e21_form)
-    flags = classify(b, c)
-    if flags:
-        raise SingularPoint(b, c, flags)
-    values = {}
-    for name, (num, den) in _CLEARED.items():
-        values[name] = num.eval(b, c) / den.eval(b, c)
-    e21_den = _E21_DEN_PRINTED if e21_form == E21_PRINTED else _E21_DEN_COMMON
-    e21_den_value = e21_den.eval(b, c)
-    if e21_den_value == 0:
-        raise E21DenominatorPole(b, c)
-    values["e21"] = _E21_NUM.eval(b, c) / e21_den_value
-    return CoefficientSet(**values)
 
 
 def edge_cubic(cs: EdgeCoefficients | CoefficientSet) -> CubicPoly:

@@ -1,5 +1,13 @@
 """Machine verification of the symbolic identities behind the denominators.
 
+The module holds the symbolic reference side of the package, as IntPoly2
+transcriptions: the three denominator factors (``FIRST_CURVE_POLY``,
+``SECOND_CURVE_POLY``, ``QUARTIC_POLY``, and ``factor_values``, which the
+``classify`` command prints), and every coefficient formula as one cleared
+fraction (``eval_coefficients_cleared``), entered independently of the
+coefficients module's direct path; the tests compare the two.  The search
+pipeline imports none of this, so it never loads ``bipoly``.
+
 Four exact polynomial identities justify how the singularity classifier and
 the coefficient formulas fit together:
 
@@ -36,19 +44,137 @@ against t evaluated at every pair (p, q) mod m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .bipoly import B, C, IntPoly2, discriminant_in_b
 from .coefficients import (
-    SHARED_DENOMINATOR_POLY,
-    _E10_NUM,
-    _E20_DEN,
-    _E20_NUM,
-    _E30_DEN,
-    _E30_NUM,
+    E21_PRINTED,
+    CoefficientSet,
+    E21DenominatorPole,
+    SingularPoint,
+    check_e21_form,
 )
-from .singularity import FIRST_CURVE_POLY, QUARTIC_POLY, SECOND_CURVE_POLY
+from .singularity import classify
 from .verifier import EDGE_DISC_S, _homogeneous_horner
+
+
+# Symbolic forms of the three factors, used by the identity checks, by
+# factor_values and by test oracles.
+FIRST_CURVE_POLY = B * C - 1 - B
+SECOND_CURVE_POLY = B * C - C - 2 * B
+QUARTIC_POLY: IntPoly2 = (
+    B**2 * C**4 - 6 * B**2 * C**3 + 13 * B**2 * C**2 - 12 * B**2 * C + 4 * B**2 + C**2
+)
+
+
+def factor_values(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """Values of the three reduced denominator factors at (b, c)."""
+    return tuple(poly.eval(b, c) for poly in (FIRST_CURVE_POLY, SECOND_CURVE_POLY, QUARTIC_POLY))
+
+
+# --- cleared-fraction path: each formula as one polynomial fraction -------
+#
+# Re-entered independently of the direct path of the coefficients module.
+# Factors below are deliberately retranscribed rather than reused from
+# FIRST_CURVE_POLY, SECOND_CURVE_POLY and QUARTIC_POLY above, so a typo in
+# either place is caught by the identity checks and the path-agreement
+# tests.
+
+SHARED_DENOMINATOR_POLY: IntPoly2 = (
+    B**2 * C**2 + 2 * B**2 - 3 * B**2 * C + C - B * C**2 + 2 * B
+)
+
+_F1 = B * C - 1 - B
+_F2 = B * C - C - 2 * B
+_F2_ALT = -C + B * C - 2 * B  # spelling used by two of the formulas; same polynomial
+_QUART = B**2 * C**4 - 6 * B**2 * C**3 + 13 * B**2 * C**2 - 12 * B**2 * C + 4 * B**2 + C**2
+_E21_QUART_PRINTED = (
+    B**2 * C**4 - 6 * B**2 * C**3 + 13 * B**2 * C**2 - 12 * B**2 * C
+    - 4 * C**3 + 4 * B**2 + C**2
+)
+_CURVES_SQ = _F1**2 * _F2**2
+
+_E11_NUM = -(B * (C**2 + 2 - 4 * C))
+_E10_NUM = -(B**2 * C**2 + 2 * B**2 - 3 * B**2 * C - C)
+_E01_NUM = -(B * (C**2 + 2 - 2 * C))
+_E20_NUM = B * (B * C**2 - 2 * C - 2 * B) * (2 * B * C**2 - C**2 - 6 * B * C + 2 + 4 * B)
+_E20_DEN = 2 * _CURVES_SQ
+_E02_NUM = (
+    28 * B**2 * C**2 - 16 * B**2 * C - 2 * C**2 - 4 * B**2 - B**2 * C**4
+    + 4 * B**3 * C**4 - 12 * B**3 * C**3 + 4 * B * C**3 + 24 * B**3 * C
+    - 8 * B * C - 2 * B**4 * C**4 + 12 * B**4 * C**3 - 26 * B**4 * C**2
+    - 8 * B**2 * C**3 + 24 * B**4 * C - 16 * B**3 - 8 * B**4
+)
+_E02_DEN = 2 * _CURVES_SQ
+_E30_NUM = (
+    C * B**2 * (1 - C) * (C - 2)
+    * (B * C**2 - 4 * B * C + 2 + 4 * B)
+    * (2 * B * C**2 - C**2 - 4 * B * C + 2 * B)
+)
+_E30_DEN = _QUART * _F1**2 * _F2_ALT**2
+_E03_NUM = B * (
+    B**2 * C**4 - 5 * B**2 * C**3 + 10 * B**2 * C**2 - 10 * B**2 * C + 4 * B**2
+    + 2 * B * C + 2 * C**2 - B * C**3
+) * (
+    2 * B**2 * C**4 - 12 * B**2 * C**3 + 26 * B**2 * C**2 - 24 * B**2 * C + 8 * B**2
+    - C**4 * B + 3 * B * C**3 - 6 * B * C + 4 * B + C**3 - 2 * C**2 + 2 * C
+)
+_E03_DEN = 2 * _QUART * _F1**2 * _F2_ALT**2
+_E21_NUM = B * (
+    5 * C**6 * B - 2 * C**6 * B**2 + 52 * C**5 * B**2 - 16 * C**5 * B
+    - 2 * C**7 * B**2 + 2 * B**4 * C**8 - 26 * B**4 * C**7 - 426 * B**4 * C**5
+    - 61 * B**3 * C**6 + 100 * B**3 * C**5 + 14 * C**7 * B**3 - C**8 * B**3
+    - 20 * B * C**2 - 8 * B**2 * C**2 - 16 * B**2 * C - 128 * B**2 * C**4
+    - 200 * B**3 * C**3 + 244 * B**3 * C**2 + 32 * B * C**3 + 768 * B**4 * C**4
+    - 852 * B**4 * C**3 + 568 * B**4 * C**2 + 104 * B**2 * C**3 - 208 * B**4 * C
+    + 8 * C**4 + 16 * B**3 - 112 * B**3 * C + 142 * B**4 * C**6 + 32 * B**4 - 2 * C**5
+)
+_E21_DEN_PRINTED = 2 * _E21_QUART_PRINTED * _F1**2 * _F2**2
+_E21_DEN_COMMON = 2 * _QUART * _F1**2 * _F2**2
+_E12_NUM = (
+    16 * B**6 + 32 * B**5 - 6 * C**5 * B**2 + 2 * C**5 * B - 62 * B**5 * C**6
+    + 62 * B**6 * C**6 + 16 * B**4 - 180 * B**6 * C**5 - C**7 * B**3
+    + 18 * B**5 * C**7 - 12 * B**6 * C**7 - 2 * B**5 * C**8 + B**6 * C**8
+    + 248 * B**5 * C**2 + 248 * B**6 * C**2 - 96 * B**6 * C + 321 * B**6 * C**4
+    - 180 * B**5 * C**3 - 144 * B**5 * C - 360 * B**6 * C**3 + B**4 * C**8
+    + 8 * B**4 * C**6 - 6 * B**4 * C**7 + 18 * B**4 * C**5 + 7 * B**3 * C**6
+    + 90 * B**5 * C**5 - 14 * B**3 * C**5 + 17 * B**2 * C**4 + 32 * B**4 * C**2
+    + 28 * B**3 * C**3 - 28 * B**3 * C**2 - 4 * B * C**3 + 8 * B**3 * C
+    - 57 * B**4 * C**4 + 36 * B**4 * C**3 - 12 * B**2 * C**3 - 48 * B**4 * C - C**4
+)
+_E12_DEN = _QUART * _F1**2 * _F2**2
+
+_CLEARED = {
+    "e10": (_E10_NUM, SHARED_DENOMINATOR_POLY),
+    "e20": (_E20_NUM, _E20_DEN),
+    "e30": (_E30_NUM, _E30_DEN),
+    "e01": (_E01_NUM, SHARED_DENOMINATOR_POLY),
+    "e02": (_E02_NUM, _E02_DEN),
+    "e03": (_E03_NUM, _E03_DEN),
+    "e11": (_E11_NUM, SHARED_DENOMINATOR_POLY),
+    "e12": (_E12_NUM, _E12_DEN),
+}
+
+
+def eval_coefficients_cleared(
+    b: Fraction, c: Fraction, e21_form: str = E21_PRINTED
+) -> CoefficientSet:
+    """Second, independently transcribed path: one cleared fraction per formula."""
+    check_e21_form(e21_form)
+    flags = classify(b, c)
+    if flags:
+        raise SingularPoint(b, c, flags)
+    values = {}
+    for name, (num, den) in _CLEARED.items():
+        values[name] = num.eval(b, c) / den.eval(b, c)
+    e21_den = _E21_DEN_PRINTED if e21_form == E21_PRINTED else _E21_DEN_COMMON
+    e21_den_value = e21_den.eval(b, c)
+    if e21_den_value == 0:
+        raise E21DenominatorPole(b, c)
+    values["e21"] = _E21_NUM.eval(b, c) / e21_den_value
+    return CoefficientSet(**values)
+
 
 # The factor G of the edge discriminant, laid out as verifier.EDGE_DISC_S.
 # By F1 it vanishes at no nonsingular rational point, so level 0 tests S alone.

@@ -39,11 +39,12 @@ Determinism is the backbone of everything here:
     is only advanced after a block's records are flushed.  On resume, any
     records at or past the stored cursor (flushed but not yet checkpointed
     when the process died) are dropped before continuing, so an
-    interrupted run converges to exactly the uninterrupted output.  A
-    version-1 checkpoint counted every grid position, in range or not; it
-    is refused with CheckpointMismatch rather than misread, and so is a
-    file that is not JSON or lacks a field or gives one the wrong type,
-    or whose counts do not add up to its cursor within the grid.
+    interrupted run converges to exactly the uninterrupted output; a run
+    with no checkpoint starts its output empty.  A version-1 checkpoint
+    counted every grid position, in range or not; it is refused with
+    CheckpointMismatch rather than misread, and so is a file that is not
+    JSON or lacks a field or gives one the wrong type, or whose counts do
+    not add up to its cursor within the grid.
 
 Rationals are serialized as exact "p/q" strings, never floats.
 """
@@ -51,6 +52,7 @@ Rationals are serialized as exact "p/q" strings, never floats.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from collections import deque
@@ -63,14 +65,15 @@ from math import gcd
 from operator import and_, mul, or_
 from typing import Callable, Iterator, NamedTuple
 
-from .coefficients import E21_PRINTED, Params, check_e21_form
+from .coefficients import E21_PRINTED, check_e21_form
 from .rationals import format_rational, height as height_of, parse_rational
 from .singularity import singular_columns
 from .verifier import _EDGE_DISC_S_COLUMNS, LEVEL_PERFECT, grade, level0_survivors
 
 CHECKPOINT_VERSION = 2
-# Large enough that a block's work (about 8 ms at H=20 and H=30) outweighs
-# the checkpoint write after it and its pool future.
+# Meant to make a block's work outweigh the checkpoint write after it and
+# its pool future, which the residue sieve undid: a block is now about
+# 0.54 ms of work at H=30, against a 0.58 ms checkpoint write.
 DEFAULT_BLOCK_SIZE = 16384
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
 # The 2-adic sieve: by v2(b), the c classes (``_c_class``) that a row
@@ -290,14 +293,6 @@ def _row_segments(width: int, start: int, end: int) -> Iterator[tuple[int, int, 
         start += j1 - j0
 
 
-def _walk(space: SearchSpace, start: int, end: int) -> Iterator[Params]:
-    """The points at cursor indices start..end-1, in cursor order."""
-    axes = _axes(space)
-    for i, j0, j1 in _row_segments(len(axes.cs), start, end):
-        for c in axes.cs[j0:j1]:
-            yield Params(axes.bs[i], c)
-
-
 def point_index(space: SearchSpace, b: Fraction, c: Fraction) -> int:
     """The cursor index of an in-range point; KeyError for any other point."""
     axes = _axes(space)
@@ -307,9 +302,10 @@ def point_index(space: SearchSpace, b: Fraction, c: Fraction) -> int:
     )
 
 
-def enumerate_points(space: SearchSpace) -> Iterator[Params]:
-    """Deterministic stream of all in-range points, in cursor order."""
-    return _walk(space, 0, grid_size(space))
+def enumerate_points(space: SearchSpace) -> Iterator[tuple[Fraction, Fraction]]:
+    """Deterministic stream of all in-range points (b, c), in cursor order."""
+    axes = _axes(space)
+    return itertools.product(axes.bs, axes.cs)
 
 
 # --- configuration digest and checkpoint file ------------------------------
@@ -445,14 +441,15 @@ def hits_path_for(output_path: str) -> str:
     return output_path + ".hits"
 
 
-def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
-    """Drop records at or past the cursor, torn lines and non-records; return kept count.
+def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None:
+    """Drop records at or past the cursor, torn lines and non-records.
 
-    Used on resume: such records were flushed after the last checkpoint
-    write and will be regenerated.
+    Used at the start of every run with output: on resume, such records
+    were flushed after the last checkpoint write and will be regenerated;
+    with no checkpoint the cursor is 0, and every record goes.
     """
     if not os.path.exists(path):
-        return 0
+        return
     kept = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -470,7 +467,6 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> int:
             if index < cursor:
                 kept.append(_RECORD_ENCODER.encode(record))
     _atomic_write(path, "".join(line + "\n" for line in kept))
-    return len(kept)
 
 
 # --- block grading ----------------------------------------------------------
@@ -558,9 +554,10 @@ def run(
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, counts, singular = _load_checkpoint(checkpoint_path, space)
-        if output_path:
-            _truncate_records_beyond(output_path, space, cursor)
-            _truncate_records_beyond(hits_path_for(output_path), space, cursor)
+    # a resumed run keeps the records before its cursor; a fresh one starts empty
+    if output_path:
+        _truncate_records_beyond(output_path, space, cursor)
+        _truncate_records_beyond(hits_path_for(output_path), space, cursor)
 
     resumed_at = cursor
     starts = range(cursor, total, block_size)[:max_blocks]
@@ -579,17 +576,17 @@ def run(
         for done, result in enumerate(results, start=1):
             block_hit = False
             for record in result["records"]:
-                line = _RECORD_ENCODER.encode(record)
+                hit = record["level"] == LEVEL_PERFECT
+                block_hit = block_hit or hit
                 if out:
-                    out.write(line + "\n")
-                if record["level"] == LEVEL_PERFECT:
-                    block_hit = True
-                    if output_path:
+                    line = _RECORD_ENCODER.encode(record) + "\n"
+                    out.write(line)
+                    if hit:
                         if hits_out is None:
                             hits_out = open(
                                 hits_path_for(output_path), "a", encoding="utf-8"
                             )
-                        hits_out.write(line + "\n")
+                        hits_out.write(line)
             if out:
                 out.flush()
             if hits_out:

@@ -9,6 +9,11 @@ factor vanishes only at the origin, because it can be rewritten as
 machine-checked identities (see the identities module).  The curves are
 linear in c too, so a row b has at most two singular columns
 (``singular_columns``).
+
+The classifier works on the integers of a point's numerators and
+denominators.  The three factors as polynomials, and ``factor_values``,
+which evaluates them, live in the identities module with the checks that
+use them.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import gcd
-
-from .bipoly import B, C, IntPoly2
 
 
 class SingularFlag(enum.Enum):
@@ -40,20 +43,6 @@ class PoleError(ZeroDivisionError):
     Distinct from singularity of the inverse problems: the pole is an
     artifact of solving the curve equation for b.
     """
-
-
-# Symbolic forms of the three factors, used by the identity checks, by
-# factor_values and by test oracles.
-FIRST_CURVE_POLY = B * C - 1 - B
-SECOND_CURVE_POLY = B * C - C - 2 * B
-QUARTIC_POLY: IntPoly2 = (
-    B**2 * C**4 - 6 * B**2 * C**3 + 13 * B**2 * C**2 - 12 * B**2 * C + 4 * B**2 + C**2
-)
-
-
-def factor_values(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Values of the three reduced denominator factors at (b, c)."""
-    return tuple(poly.eval(b, c) for poly in (FIRST_CURVE_POLY, SECOND_CURVE_POLY, QUARTIC_POLY))
 
 
 def curve_forms(p: int, q: int, r: int, s: int) -> tuple[int, int]:

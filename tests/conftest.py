@@ -9,7 +9,7 @@ def random_fraction(rng: random.Random, height: int) -> Fraction:
 
 def random_nonsingular(rng: random.Random, height: int = 60):
     """A random point avoiding all denominator zeros, both e21 forms included."""
-    from cuboidsearch.coefficients import _E21_QUART_PRINTED
+    from cuboidsearch.identities import _E21_QUART_PRINTED
     from cuboidsearch.singularity import classify
 
     while True:

@@ -19,10 +19,9 @@ from cuboidsearch.coefficients import (
     E21_COMMON,
     E21_PRINTED,
     eval_coefficients,
-    eval_coefficients_cleared,
 )
 from cuboidsearch.cubic import CubicPoly, rational_roots
-from cuboidsearch.identities import run_identity_checks
+from cuboidsearch.identities import eval_coefficients_cleared, run_identity_checks
 from cuboidsearch.search import (
     SearchSpace,
     canonical_records,

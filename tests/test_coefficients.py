@@ -6,8 +6,6 @@ import pytest
 from conftest import random_nonsingular
 from cuboidsearch.bipoly import B, C
 from cuboidsearch.coefficients import (
-    SHARED_DENOMINATOR_POLY,
-    _E21_QUART_PRINTED,
     CoefficientSet,
     E21_COMMON,
     E21_PRINTED,
@@ -18,9 +16,13 @@ from cuboidsearch.coefficients import (
     edge_cubic,
     edge_integer_cubic,
     eval_coefficients,
-    eval_coefficients_cleared,
 )
 from cuboidsearch.cubic import CubicPoly, rational_roots
+from cuboidsearch.identities import (
+    SHARED_DENOMINATOR_POLY,
+    _E21_QUART_PRINTED,
+    eval_coefficients_cleared,
+)
 from cuboidsearch.singularity import SingularFlag, classify
 
 F = Fraction

@@ -3,6 +3,7 @@ import pytest
 from cuboidsearch.bipoly import B, C, IntPoly2
 from cuboidsearch.identities import (
     EDGE_DISC_G,
+    QUARTIC_POLY,
     TWO_ADIC_CELLS,
     _c_class_points,
     _projective_points,
@@ -24,7 +25,6 @@ from cuboidsearch.search import (
     _piece_columns,
     _square_classes,
 )
-from cuboidsearch.singularity import QUARTIC_POLY
 from cuboidsearch.verifier import EDGE_DISC_S
 
 

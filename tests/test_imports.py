@@ -23,7 +23,6 @@ def test_search_import_loads_only_the_pipeline():
     ).stdout
     assert out.split() == [
         "cuboidsearch",
-        "cuboidsearch.bipoly",
         "cuboidsearch.coefficients",
         "cuboidsearch.cubic",
         "cuboidsearch.rationals",

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from cuboidsearch.coefficients import Params
 from cuboidsearch.rationals import height, parse_rational
 from cuboidsearch.search import (
     DEFAULT_BLOCK_SIZE,
@@ -94,8 +93,7 @@ def test_enumerate_respects_ranges():
     space = SearchSpace(height=2, b_min=F(0), c_min=F(1, 2), c_max=F(1))
     points = list(enumerate_points(space))
     assert all(b >= 0 and F(1, 2) <= c <= 1 for b, c in points)
-    assert Params(F(0), F(1, 2)) in points
-    assert all(isinstance(p, Params) for p in points)
+    assert (F(0), F(1, 2)) in points
 
 
 def assert_round_trip(space):
@@ -363,6 +361,46 @@ def test_resume_after_completion_is_idempotent(tmp_path):
     assert again["counts"] == first["counts"]
     assert again["visited"] == 0  # nothing left to do
     assert records_in_order(out) == records_after_first
+
+
+def test_fresh_start_replaces_earlier_output(tmp_path):
+    # a run whose first checkpoint write fails leaves its block's records
+    # behind; the next run, with no checkpoint to resume, starts the output
+    # and hit files empty instead of appending to them
+    space = SearchSpace(height=4)
+    out = str(tmp_path / "records.jsonl")
+    ck = str(tmp_path / "sub" / "ck.json")
+    with pytest.raises(FileNotFoundError):
+        run(space, jobs=1, checkpoint_path=ck, output_path=out)
+    assert len(load_records(out)) == 32
+    with open(hits_path_for(out), "w", encoding="utf-8") as handle:
+        handle.write('{"b": "1", "c": "1", "level": 6}\n')
+
+    (tmp_path / "sub").mkdir()
+    summary = run(space, jobs=1, checkpoint_path=ck, output_path=out)
+    points = [(record["b"], record["c"]) for record in load_records(out)]
+    assert len(points) == len(set(points)) == 32
+    assert sum(summary["counts"].values()) - summary["counts"][0] == 32
+    assert load_records(hits_path_for(out)) == []
+
+
+def test_records_encoded_only_for_output(monkeypatch, tmp_path):
+    import cuboidsearch.search as search_module
+
+    encoded = []
+    encoder = search_module._RECORD_ENCODER
+
+    class CountingEncoder:
+        def encode(self, record):
+            encoded.append(record)
+            return encoder.encode(record)
+
+    monkeypatch.setattr(search_module, "_RECORD_ENCODER", CountingEncoder())
+    space = SearchSpace(height=4)
+    run(space, jobs=1, checkpoint_path=None, output_path=None)
+    assert encoded == []
+    run(space, jobs=1, checkpoint_path=None, output_path=str(tmp_path / "records.jsonl"))
+    assert len(encoded) == 32
 
 
 def test_checkpoint_mismatch_detected(tmp_path):

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from cuboidsearch.coefficients import SHARED_DENOMINATOR_POLY
-from cuboidsearch.singularity import (
+from cuboidsearch.identities import (
     FIRST_CURVE_POLY,
-    NONSINGULAR,
     QUARTIC_POLY,
     SECOND_CURVE_POLY,
+    SHARED_DENOMINATOR_POLY,
+    factor_values,
+)
+from cuboidsearch.singularity import (
+    NONSINGULAR,
     PoleError,
     SingularFlag,
     classify,
-    factor_values,
     first_curve_b,
     second_curve_b,
     singular_columns,

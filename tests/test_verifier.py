@@ -11,10 +11,9 @@ from cuboidsearch.coefficients import (
     diagonal_cubic,
     edge_cubic,
     eval_coefficients,
-    eval_coefficients_cleared,
 )
 from cuboidsearch.cubic import discriminant, is_rational_square, rational_roots
-from cuboidsearch.identities import _table_poly
+from cuboidsearch.identities import _table_poly, eval_coefficients_cleared
 from cuboidsearch.search import SearchSpace, enumerate_points, fraction_values
 from cuboidsearch.singularity import SingularFlag, classify
 from cuboidsearch.verifier import (
