@@ -34,7 +34,7 @@ from .coefficients import (
 from .cubic import rational_roots
 from .identities import factor_values, run_identity_checks
 from .rationals import RationalParseError, format_rational, parse_rational
-from .search import DEFAULT_BLOCK_SIZE, CheckpointMismatch, SearchSpace, run
+from .search import CheckpointMismatch, SearchSpace, run
 from .singularity import classify
 from .verifier import grade
 
@@ -235,7 +235,6 @@ def cmd_search(args) -> int:
             checkpoint_path=args.checkpoint,
             output_path=args.output,
             stop_on_hit=args.stop_on_hit,
-            block_size=args.block_size,
             log=log,
         )
     except ValueError as exc:
@@ -350,13 +349,6 @@ def build_parser() -> _Parser:
         "--stop-on-hit",
         action="store_true",
         help="halt as soon as a level-6 record (perfect cuboid) is written",
-    )
-    p.add_argument(
-        "--block-size",
-        type=int,
-        default=DEFAULT_BLOCK_SIZE,
-        help="points per work block (default %(default)s); affects scheduling "
-        "and checkpoint cadence only, not results",
     )
     p.set_defaults(func=cmd_search)
 

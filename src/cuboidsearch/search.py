@@ -71,10 +71,15 @@ from .singularity import singular_columns
 from .verifier import _EDGE_DISC_S_COLUMNS, LEVEL_PERFECT, grade, level0_survivors
 
 CHECKPOINT_VERSION = 2
-# Meant to make a block's work outweigh the checkpoint write after it and
-# its pool future, which the residue sieve undid: a block is now about
-# 0.54 ms of work at H=30, against a 0.58 ms checkpoint write.
-DEFAULT_BLOCK_SIZE = 16384
+# The smallest block, of 2^18..2^21 points, whose work outweighs the
+# checkpoint write after it and its pool future: with the checkpoint, a
+# jobs=1 run at H=30 and H=60 is within 10% of the same run without it;
+# jobs=2 beats jobs=1 at H=60 and H=100; and at H=12 jobs=2 is no slower,
+# since any grid of one block (up to H=20) starts no pool.  At 2^18, on
+# 2 vCPUs, the checkpoint's median cost was 5% at H=30 and 9.7% at H=60
+# (45 fresh-process pairs each), and jobs=2 took 0.87 of jobs=1's time
+# at H=60 and H=100.  The larger candidates pass too.
+DEFAULT_BLOCK_SIZE = 1 << 18
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
 # The 2-adic sieve: by v2(b), the c classes (``_c_class``) that a row
 # screens.  Every other cell (v2(b), class) with |v2(b)| <= 2 is empty:
@@ -539,6 +544,8 @@ def run(
 ) -> dict:
     """Run (or resume) the search; returns a summary of cumulative counts.
 
+    ``block_size`` is the points per block, after each of which the
+    checkpoint is written; the output does not depend on it.
     ``max_blocks`` bounds how many blocks this call processes before
     returning with completed=False; it exists so interruption and resume
     can be exercised deterministically.
@@ -547,6 +554,10 @@ def run(
         raise ValueError("jobs must be at least 1")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
+    if checkpoint_path:
+        # a missing directory fails here, before any block is graded or the
+        # output is touched, rather than at the first checkpoint write
+        os.stat(os.path.dirname(checkpoint_path) or ".")
     total = grid_size(space)
     cursor = 0
     counts = {level: 0 for level in LEVELS}

@@ -250,7 +250,7 @@ def test_search_end_to_end(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--height", "0"), ("--jobs", "0"), ("--block-size", "0"), ("--block-size", "-5")],
+    [("--height", "0"), ("--jobs", "0")],
 )
 def test_search_invalid_number_exit_code(tmp_path, capsys, flag, value):
     # argparse keeps the last value given, so the flag under test overrides --height 2
@@ -263,6 +263,19 @@ def test_search_invalid_number_exit_code(tmp_path, capsys, flag, value):
     assert out == ""
     assert err.count("\n") == 1 and "invalid input" in err
     assert not (tmp_path / "ck.json").exists()
+
+
+def test_search_missing_checkpoint_directory_exit_code(tmp_path, capsys):
+    # the run fails before it grades a block, so the output is never opened
+    out_path = tmp_path / "o.jsonl"
+    code, out, err = run_cli(
+        capsys, "search", "--height", "4", "--quiet",
+        "--checkpoint", str(tmp_path / "sub" / "ck.json"), "--output", str(out_path),
+    )
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1 and "i/o error" in err
+    assert not out_path.exists()
 
 
 def test_search_checkpoint_mismatch_exit_code(tmp_path, capsys):

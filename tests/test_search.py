@@ -219,6 +219,51 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch, tmp_path):
     assert not outstanding
 
 
+def test_one_block_grid_starts_no_pool(monkeypatch, tmp_path):
+    # the whole H=12 grid is one default block, so two workers would have
+    # nothing to share: the run stays in-process
+    import cuboidsearch.search as search_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
+    space = SearchSpace(height=12)
+    assert grid_size(space) <= DEFAULT_BLOCK_SIZE
+    out = str(tmp_path / "records.jsonl")
+    summary = run(space, jobs=2, checkpoint_path=str(tmp_path / "ck.json"), output_path=out)
+    assert summary["completed"] and summary["visited"] == 33_489
+    assert len(load_records(out)) == 234
+
+
+@pytest.mark.parametrize("block_size", [0, -5])
+def test_run_rejects_block_size_below_one(block_size):
+    with pytest.raises(ValueError, match="block_size"):
+        run(SearchSpace(height=2), block_size=block_size)
+
+
+def test_missing_checkpoint_directory_fails_before_any_block(monkeypatch, tmp_path):
+    # a checkpoint in a missing directory used to fail only at the first
+    # write, after a block was graded and its records appended
+    import cuboidsearch.search as search_module
+
+    def no_block(*args):
+        raise AssertionError("a block was graded")
+
+    monkeypatch.setattr(search_module, "_process_block", no_block)
+    out = tmp_path / "out.jsonl"
+    out.write_text("earlier output\n")
+    with pytest.raises(FileNotFoundError):
+        run(
+            SearchSpace(height=4),
+            checkpoint_path=str(tmp_path / "missing" / "ck.json"),
+            output_path=str(out),
+        )
+    assert out.read_text() == "earlier output\n"
+    assert not (tmp_path / "missing").exists()
+
+
 def test_run_keeps_nothing_per_block(monkeypatch):
     # a grid of 200,000 blocks, of which the run searches one: a run that
     # listed every block before grading would allocate about 26 MB here
@@ -364,20 +409,16 @@ def test_resume_after_completion_is_idempotent(tmp_path):
 
 
 def test_fresh_start_replaces_earlier_output(tmp_path):
-    # a run whose first checkpoint write fails leaves its block's records
-    # behind; the next run, with no checkpoint to resume, starts the output
-    # and hit files empty instead of appending to them
+    # a run with no checkpoint to resume starts the output and hit files
+    # empty instead of appending to an earlier run's
     space = SearchSpace(height=4)
     out = str(tmp_path / "records.jsonl")
-    ck = str(tmp_path / "sub" / "ck.json")
-    with pytest.raises(FileNotFoundError):
-        run(space, jobs=1, checkpoint_path=ck, output_path=out)
+    run(space, jobs=1, checkpoint_path=None, output_path=out)
     assert len(load_records(out)) == 32
     with open(hits_path_for(out), "w", encoding="utf-8") as handle:
         handle.write('{"b": "1", "c": "1", "level": 6}\n')
 
-    (tmp_path / "sub").mkdir()
-    summary = run(space, jobs=1, checkpoint_path=ck, output_path=out)
+    summary = run(space, jobs=1, checkpoint_path=str(tmp_path / "ck.json"), output_path=out)
     points = [(record["b"], record["c"]) for record in load_records(out)]
     assert len(points) == len(set(points)) == 32
     assert sum(summary["counts"].values()) - summary["counts"][0] == 32
@@ -640,12 +681,13 @@ def test_checkpoint_written_once_per_default_block(monkeypatch, tmp_path):
         save(*args)
 
     monkeypatch.setattr(search_module, "_save_checkpoint", counting_save)
-    space = SearchSpace(height=12)
+    # several default blocks, so one block stops the run mid-grid
+    space = SearchSpace(height=30)
     straight = str(tmp_path / "straight.jsonl")
     whole = run(space, jobs=1, checkpoint_path=str(tmp_path / "straight.ck"), output_path=straight)
-    assert whole["total"] == 33_489
-    assert len(writes) == -(-33_489 // DEFAULT_BLOCK_SIZE)
-    assert writes == sorted(set(writes)) and writes[-1] == 33_489
+    assert whole["total"] == 1_234_321
+    assert len(writes) == -(-1_234_321 // DEFAULT_BLOCK_SIZE)
+    assert writes == sorted(set(writes)) and writes[-1] == 1_234_321
 
     # one default block, then a resume at the default size, is the straight run
     out, ck = str(tmp_path / "resumed.jsonl"), str(tmp_path / "resumed.ck")
