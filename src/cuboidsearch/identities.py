@@ -30,10 +30,11 @@ fact F1, that its factor G has no rational zero but the origin.
 
 Three more back the search's 2-adic sieve, fact F3: the cells of
 (v2(b), v2(c)) in which t = q^8 s^8 S is never a square.  Modulo 2^k,
-``check_s_two_adic_cells`` enumerates the cells outright;
+``check_s_two_adic_cells`` enumerates the cells outright, over the
+representatives of P^1 that F4 below uses too (``p1_points``);
 ``check_s_sigma_rule`` proves the involution sigma(b, c) = (-b, 2/c) that
-mirrors two proven cells onto two more; and ``check_s_zero_column`` covers
-the point c = 0, which sigma misses.
+mirrors two proven cells onto two more; and ``check_s_zero_column``
+covers the point c = 0, which sigma misses.
 
 One more backs the search's residue sieve, fact F4: for an odd prime
 power m, ``check_s_residue_classes`` builds the table of the class pairs
@@ -305,25 +306,12 @@ def check_edge_g_has_no_rational_zero(g_table: tuple = EDGE_DISC_G) -> list[Iden
 TWO_ADIC_CELLS = frozenset((v, kappa) for v in range(-2, 3) for kappa in range(-1, 3))
 
 
-def _projective_points(v: int, m: int) -> list[tuple[int, int]]:
-    """The points (r, s) of P^1(Z/m), up to odd units, whose ratio has 2-adic valuation v.
+def _two_adic_points(m: int, v: int, low: int, high: int) -> list[tuple[int, int]]:
+    """The points of ``p1_points(m)``, m = 2^k, whose ratio's v2, clamped to low..high, is v."""
+    def v2(n):  # an entry 0 counts as divisible by m, so odd unit multiples share v2
+        return ((n | m) & -(n | m)).bit_length() - 1
 
-    m is a power of 2 above 2^|v|.  A pair of integers not both even is a
-    unit multiple of (x, 1) when its second entry is odd, and of (1, y), y
-    even, otherwise; v2(x) = v or v2(y) = -v picks the class.
-    """
-    step = 1 << abs(v)
-    residues = range(step, m, 2 * step)
-    return [(x, 1) for x in residues] if v >= 0 else [(1, y) for y in residues]
-
-
-def _c_class_points(kappa: int, m: int) -> list[tuple[int, int]]:
-    """The points of P^1(Z/m), up to odd units, whose ratio lies in c class kappa."""
-    if kappa == -1:
-        return [(1, y) for y in range(0, m, 2)]
-    if kappa == 2:
-        return [(x, 1) for x in range(0, m, 4)]
-    return _projective_points(kappa, m)
+    return [(r, s) for r, s in p1_points(m) if min(max(v2(r) - v2(s), low), high) == v]
 
 
 def _never_square(m: int, b_points: list, c_points: list, s_table: tuple) -> bool:
@@ -344,10 +332,11 @@ def check_s_two_adic_cells(
 
     t = q^8 s^8 S(p/q, r/s) is a form of degree 8 in (p, q) and in (r, s),
     so multiplying either pair by an odd unit multiplies t by an odd
-    eighth power, a square; each cell is therefore enumerated over
-    P^1(Z/2^k) up to odd units, for b and for c.  A perfect square reduces
-    to a square residue, so no rational point of a returned cell passes
-    level 0.  Tests pass altered tables as a negative control.
+    eighth power, a square; each cell is therefore enumerated over the
+    representatives ``p1_points(2^k)`` of its valuations, for b and for c.
+    A perfect square reduces to a square residue, so no rational point of
+    a returned cell passes level 0.  Tests pass altered tables as a
+    negative control.
 
     Modulo 2^6 the empty cells are v2(b) = 0 with every c class, (1, -1)
     and (-1, 0).  Modulo 2^10 so are (1, 2), (-1, 1), (2, -1) and (-2, 0);
@@ -359,7 +348,9 @@ def check_s_two_adic_cells(
     m = 1 << k
     return frozenset(
         (v, kappa) for v, kappa in cells
-        if _never_square(m, _projective_points(v, m), _c_class_points(kappa, m), s_table)
+        if _never_square(
+            m, _two_adic_points(m, v, -k, k), _two_adic_points(m, kappa, -1, 2), s_table
+        )
     )
 
 
@@ -388,7 +379,7 @@ def check_s_zero_column(v: int, k: int, s_table: tuple = EDGE_DISC_S) -> bool:
     20b^3 + 4b^4) has valuation 13, which is odd, and k = 14 shows it.
     """
     m = 1 << k
-    return _never_square(m, _projective_points(v, m), [(0, 1)], s_table)
+    return _never_square(m, _two_adic_points(m, v, -k, k), [(0, 1)], s_table)
 
 
 class ResidueClassCheck(NamedTuple):

@@ -10,14 +10,16 @@ singular curves they are endless and carry no search information.
 
 Before the screen, a residue sieve drops the columns at which t =
 q^8 s^8 S has no square residue for some modulus, as the bit arrays of
-M. Stoll's ratpoints do.  Each row holds one column bitset per modulus:
-the 2-adic cells of (v2(b), v2(c)) proven empty by the identities module
-(``SCREENED_C_CLASSES``, 55-59% of the grid; a row with p and q odd keeps
-no column), and for each odd modulus m of ``RESIDUE_MODULI`` the columns
-whose class pair in P^1(Z/m) has a square residue (fact F4).  A row piece
-ANDs its row's masks and hands only the set bits to the kernel, 0.21% of
-the grid at H=30.  The points dropped are counted at level 0; the
-singular points among them are found by column index from
+M. Stoll's ratpoints do.  Each row holds one column bitset per modulus,
+each built by ``_class_masks`` from a table of the kept pairs of a row's
+and a column's class in P^1: the cells of (v2(b), v2(c)) outside those
+the identities module proves empty (``SCREENED_C_CLASSES``, 55-59% of
+the grid; a row with p and q odd keeps no column), read off the classes
+in P^1(Z/8) x P^1(Z/4), and for each odd modulus m of ``RESIDUE_MODULI``
+the pairs in P^1(Z/m) at which t has a square residue (fact F4).  A row
+piece ANDs its row's masks and hands only the set bits to the kernel,
+0.21% of the grid at H=30.  The points dropped are counted at level 0;
+the singular points among them are found by column index from
 ``singular_columns``.
 
 Determinism is the backbone of everything here:
@@ -81,11 +83,11 @@ CHECKPOINT_VERSION = 2
 # at H=60 and H=100.  The larger candidates pass too.
 DEFAULT_BLOCK_SIZE = 1 << 18
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
-# The 2-adic sieve: by v2(b), the c classes (``_c_class``) that a row
-# screens.  Every other cell (v2(b), class) with |v2(b)| <= 2 is empty:
-# t = q^8 s^8 S is never a square there (identities.check_s_two_adic_cells
-# mod 2^6 and 2^10, and the sigma mirror), so its points are at level 0.
-# Rows with b = 0 or |v2(b)| >= 3 screen every column.
+# The 2-adic sieve: by v2(b), the c classes (v2(c) clamped to -1..2, c = 0
+# in 2) that a row screens.  Every other cell (v2(b), class) with
+# |v2(b)| <= 2 is empty: t = q^8 s^8 S is never a square there
+# (identities.check_s_two_adic_cells mod 2^6 and 2^10, and the sigma
+# mirror), so its points are at level 0.  Other rows screen every column.
 SCREENED_C_CLASSES = {0: (), 1: (0, 1), 2: (0, 1), -1: (-1, 2), -2: (-1, 2)}
 # The odd moduli m = l^k of the residue sieve.  t is a form of bidegree
 # (8, 8) in (p, q) and (r, s), so scaling either pair by a unit mod m
@@ -150,18 +152,6 @@ class _Axes(NamedTuple):
     row_masks: tuple[tuple[int, ...], ...]
 
 
-def _v2(n: int) -> int:
-    """The exponent of 2 in a nonzero integer."""
-    return (n & -n).bit_length() - 1
-
-
-def _c_class(c: Fraction) -> int:
-    """The 2-adic class of a c column: v2(c) clamped to -1..2, and 2 for c = 0."""
-    if not c:
-        return 2
-    return min(max(_v2(c.numerator) - _v2(c.denominator), -1), 2)
-
-
 def _prime_of(m: int) -> int:
     """The prime l of a prime power m = l^k."""
     return next(d for d in range(2, m + 1) if m % d == 0)
@@ -181,17 +171,21 @@ def _p1_classes(m: int, pairs) -> list[int]:
     ]
 
 
+def _p1_points(m: int) -> list[tuple[int, int]]:
+    """The representatives of the classes of ``_p1_classes``, in class order."""
+    ell = _prime_of(m)
+    return [(x, 1) for x in range(m)] + [(1, y) for y in range(0, m, ell)]
+
+
 def _square_classes(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
     """For each row class given, whether t has a square residue mod m at each column class.
 
-    t is evaluated at the class representatives (x : 1) and (1 : y) of
-    ``_p1_classes``: at (p : q) and (r : s) it is the sum of
-    S[i][j] p^i q^(8-i) r^j s^(8-j), so each representative's vector of
-    a^k b^(8-k) mod m is built once and serves as row and as column.
+    t is evaluated at the class representatives ``_p1_points``: at (p : q)
+    and (r : s) it is the sum of S[i][j] p^i q^(8-i) r^j s^(8-j), so each
+    representative's vector of a^k b^(8-k) mod m is built once and serves
+    as row and as column.
     """
-    ell = _prime_of(m)
-    points = [(x, 1) for x in range(m)] + [(1, y) for y in range(0, m, ell)]
-    powers = [tuple(a**k * b ** (8 - k) % m for k in range(9)) for a, b in points]
+    powers = [tuple(a**k * b ** (8 - k) % m for k in range(9)) for a, b in _p1_points(m)]
     squares = {y * y % m for y in range(m)}
     table = {}
     for kappa in row_classes:
@@ -213,33 +207,37 @@ def _column_bits(classes: bytes) -> dict[int, int]:
     }
 
 
-def _cell_masks(bs: tuple[Fraction, ...], cs: tuple[Fraction, ...]) -> list[int]:
-    """Each row's column mask of the 2-adic cells: the columns it screens.
+def _two_adic_cells(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
+    """For each row class given, whether ``SCREENED_C_CLASSES`` keeps each column class.
 
-    The mask of a row with b = 0 or |v2(b)| >= 3 is -1, every column.
+    Rows are classed in P^1(Z/m), m = 2^k >= 8, columns in P^1(Z/4), by the
+    v2 of the representative's ratio, a 0 entry read as divisible by m or 4;
+    v2(c) is clamped to -1..2, and |v2(b)| >= 3, as at b = 0, keeps all.
     """
-    # the classes -1..2, shifted to 0..3 to fit a byte
-    cells = _column_bits(bytes(_c_class(c) + 1 for c in cs))
-    by_v2 = {
-        v: reduce(or_, (cells.get(kappa + 1, 0) for kappa in kept), 0)
-        for v, kept in SCREENED_C_CLASSES.items()
+    def v2(modulus, point):
+        r, s = ((n | modulus) & -(n | modulus) for n in point)
+        return r.bit_length() - s.bit_length()
+
+    columns = [max(v2(4, point), -1) for point in _p1_points(4)]
+    rows = [v2(m, point) for point in _p1_points(m)]
+    return {
+        kappa: tuple(v in SCREENED_C_CLASSES.get(rows[kappa], range(-1, 3)) for v in columns)
+        for kappa in row_classes
     }
-    return [
-        by_v2.get(_v2(b.numerator) - _v2(b.denominator), -1) if b else -1 for b in bs
-    ]
 
 
-def _residue_masks(m: int, b_pairs: list, c_pairs: list) -> list[int]:
-    """Each row's column mask modulo m: the columns whose class pair has a square residue.
+def _class_masks(row_m: int, col_m: int, keep, b_pairs: list, c_pairs: list) -> list[int]:
+    """Each row's column mask: the columns whose class pair ``keep`` keeps.
 
-    A mask is built once per row class that occurs, by OR-ing the bitsets
-    of the column classes it keeps, and the rows of a class share it.
+    ``keep(row_m, classes)`` flags, for each row class in P^1(Z/row_m) that
+    occurs, the kept column classes in P^1(Z/col_m).  A row class's mask,
+    shared by its rows, ORs the kept column classes' bitsets.
     """
-    columns = _column_bits(bytes(_p1_classes(m, c_pairs)))
-    rows = _p1_classes(m, b_pairs)
+    columns = _column_bits(bytes(_p1_classes(col_m, c_pairs)))
+    rows = _p1_classes(row_m, b_pairs)
     masks = {
-        kappa: reduce(or_, (bits for k, bits in columns.items() if square[k]), 0)
-        for kappa, square in _square_classes(m, set(rows)).items()
+        kappa: reduce(or_, (bits for k, bits in columns.items() if kept[k]), 0)
+        for kappa, kept in keep(row_m, set(rows)).items()
     }
     return [masks[kappa] for kappa in rows]
 
@@ -252,10 +250,11 @@ def _axes(space: SearchSpace) -> _Axes:
 
     For the level-0 kernel, also the c numerators and denominators,
     (s^8, ..., 1) for each denominator s, and for each row the column
-    masks of the residue sieve, as bitsets with bit j for column j: its
-    2-adic cell mask first, then one mask per modulus of RESIDUE_MODULI.
-    A row holds references to masks shared by its class, so the masks take
-    O(classes x width) memory; the AND of a row is formed per row piece.
+    masks of the residue sieve (``_class_masks``), as bitsets with bit j
+    for column j: its 2-adic mask first, then one mask per modulus of
+    RESIDUE_MODULI.  A row holds references to masks shared by its class,
+    so the masks take O(classes x width) memory; the AND of a row is formed
+    per row piece.
     """
     values = fraction_values(space.height)
 
@@ -271,8 +270,8 @@ def _axes(space: SearchSpace) -> _Axes:
     powers = {s: tuple(s**k for k in range(8, -1, -1)) for s in set(dens)}
     b_pairs = [(b.numerator, b.denominator) for b in bs]
     c_pairs = [(c.numerator, c.denominator) for c in cs]
-    masks = [_cell_masks(bs, cs)]
-    masks += [_residue_masks(m, b_pairs, c_pairs) for m in RESIDUE_MODULI]
+    masks = [_class_masks(8, 4, _two_adic_cells, b_pairs, c_pairs)]
+    masks += [_class_masks(m, m, _square_classes, b_pairs, c_pairs) for m in RESIDUE_MODULI]
     return _Axes(
         bs, cs, index(bs), index(cs), tuple(c.numerator for c in cs), dens, powers,
         tuple(zip(*masks)),
@@ -548,16 +547,25 @@ def run(
     checkpoint is written; the output does not depend on it.
     ``max_blocks`` bounds how many blocks this call processes before
     returning with completed=False; it exists so interruption and resume
-    can be exercised deterministically.
+    can be exercised deterministically.  A None path means none; an empty
+    one, or an output sharing a file with the checkpoint, is a ValueError.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
+    if "" in (checkpoint_path, output_path):
+        raise ValueError("an empty checkpoint or output path names no file")
+    if checkpoint_path and output_path:
+        # the files a run writes, each with the .tmp of its atomic writes
+        paths = (checkpoint_path, output_path, hits_path_for(output_path))
+        written = [os.path.abspath(p + tail) for p in paths for tail in ("", ".tmp")]
+        if len(set(written)) < len(written):
+            raise ValueError("the output or its .hits file shares a file with the checkpoint")
     if checkpoint_path:
-        # a missing directory fails here, before any block is graded or the
-        # output is touched, rather than at the first checkpoint write
-        os.stat(os.path.dirname(checkpoint_path) or ".")
+        # a missing directory or a file fails here, before any block is graded
+        # or the output is touched, rather than at the first checkpoint write
+        os.scandir(os.path.dirname(checkpoint_path) or ".").close()
     total = grid_size(space)
     cursor = 0
     counts = {level: 0 for level in LEVELS}

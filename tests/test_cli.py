@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,62 @@ def test_search_missing_checkpoint_directory_exit_code(tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1 and "i/o error" in err
     assert not out_path.exists()
+
+
+def test_search_checkpoint_directory_is_a_file_exit_code(tmp_path, capsys):
+    # E/file is a regular file: the run fails before it grades a block
+    (tmp_path / "file").write_text("")
+    out_path = tmp_path / "out.jsonl"
+    code, out, err = run_cli(
+        capsys, "search", "--height", "4", "--quiet",
+        "--checkpoint", str(tmp_path / "file" / "ck.json"), "--output", str(out_path),
+    )
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1 and "i/o error" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "checkpoint, output", [("", ""), ("", "o.jsonl"), ("ck.json", "")],
+    ids=["both", "checkpoint", "output"],
+)
+def test_search_empty_path_exit_code(tmp_path, capsys, monkeypatch, checkpoint, output):
+    # an empty path used to mean no file, so every record was lost silently
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "search", "--height", "4", "--quiet",
+        "--checkpoint", checkpoint, "--output", output,
+    )
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and "invalid input" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "checkpoint, output",
+    [
+        ("ck.json", "ck.json"),
+        ("ck.json", "ck.json.tmp"),
+        ("o.jsonl.hits", "o.jsonl"),
+        ("o.jsonl.tmp", "o.jsonl"),
+        ("o.jsonl.hits.tmp", "o.jsonl"),
+        ("sub/../ck.json", "./ck.json"),
+    ],
+    ids=["output", "output-is-tmp", "hits", "output-tmp", "hits-tmp", "normalised"],
+)
+def test_search_output_on_checkpoint_exit_code(tmp_path, capsys, monkeypatch, checkpoint, output):
+    # the checkpoint write used to replace the records written to the same file
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        capsys, "search", "--height", "4", "--quiet",
+        "--checkpoint", checkpoint, "--output", output,
+    )
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and "invalid input" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_search_checkpoint_mismatch_exit_code(tmp_path, capsys):

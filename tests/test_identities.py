@@ -5,8 +5,7 @@ from cuboidsearch.identities import (
     EDGE_DISC_G,
     QUARTIC_POLY,
     TWO_ADIC_CELLS,
-    _c_class_points,
-    _projective_points,
+    _two_adic_points,
     check_edge_discriminant_factorization,
     check_edge_g_has_no_rational_zero,
     check_s_residue_classes,
@@ -136,13 +135,27 @@ def test_two_adic_cells_modulo_64():
 
 
 def test_two_adic_points_cover_the_projective_line():
-    # the proof is sound only if the classes enumerate all of P^1(Z/2^k),
-    # up to odd units, each point once: (x, 1) for every x, (1, y) for even y
-    m = 64
-    c_points = [point for kappa in range(-1, 3) for point in _c_class_points(kappa, m)]
+    # the proof is sound only if each class enumerates its whole part of
+    # P^1(Z/2^k), up to odd units: the c classes partition p1_points(m),
+    # and so do the exact valuations -k..k of b
+    m, k = 64, 6
+    c_points = [point for kappa in range(-1, 3) for point in _two_adic_points(m, kappa, -1, 2)]
     assert len(c_points) == len(set(c_points)) == m + m // 2
-    b_points = [point for v in range(-5, 6) for point in _projective_points(v, m)]
-    assert sorted(b_points + [(0, 1), (1, 0)]) == sorted(c_points)
+    b_points = [point for v in range(-k, k + 1) for point in _two_adic_points(m, v, -k, k)]
+    assert sorted(b_points) == sorted(c_points) == sorted(p1_points(m))
+    assert _two_adic_points(m, k, -k, k) == [(0, 1)]
+    assert _two_adic_points(m, -k, -k, k) == [(1, 0)]
+    # negative controls on the ends of the c classes.  With S = c^7,
+    # t = q^8 r^7 s is a non-square wherever v2(c) = -1, but 4q^8 at c = 1/4;
+    # with S = 2c, t = 2q^8 r s^7 is a non-square wherever v2(c) = 2, but 0
+    # at c = 0.  A check that cut class -1 or 2 short would call these empty
+    def monomial(j, coeff):  # the table of S = coeff * c^j
+        rows = [[0] * 9 for _ in range(9)]
+        rows[0][j] = coeff
+        return tuple(map(tuple, rows))
+
+    assert check_s_two_adic_cells(k, {(0, -1), (0, 2)}, monomial(7, 1)) == set()
+    assert check_s_two_adic_cells(k, {(0, -1), (0, 2)}, monomial(1, 2)) == set()
 
 
 def test_two_adic_cells_modulo_1024():
@@ -201,12 +214,15 @@ def primitive_pairs(m, ell):
     return [(p, q) for p in range(m) for q in range(m) if p % ell or q % ell]
 
 
-@pytest.mark.parametrize("m, ell", [(5, 5), (9, 3), (25, 5), (27, 3), (37, 37)])
+@pytest.mark.parametrize(
+    "m, ell", [(5, 5), (9, 3), (25, 5), (27, 3), (37, 37), (8, 2), (64, 2)]
+)
 def test_every_pair_is_a_unit_multiple_of_its_representative(m, ell):
     # the representatives are a complete system: each pair mod m that l
     # does not divide twice is a unit multiple of its class's
     # representative, and every class holds exactly phi(m) pairs, so no
-    # two representatives are unit multiples of each other
+    # two representatives are unit multiples of each other; at m = 2^k
+    # this is the enumeration that the 2-adic cell checks (F3) rest on
     points = p1_points(m)
     assert len(points) == m + m // ell
     sizes = [0] * len(points)

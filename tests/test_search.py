@@ -14,9 +14,7 @@ from cuboidsearch.search import (
     CheckpointMismatch,
     SearchSpace,
     _axes,
-    _c_class,
     _piece_columns,
-    _v2,
     canonical_records,
     config_digest,
     e21_form_discrepancies,
@@ -262,6 +260,28 @@ def test_missing_checkpoint_directory_fails_before_any_block(monkeypatch, tmp_pa
         )
     assert out.read_text() == "earlier output\n"
     assert not (tmp_path / "missing").exists()
+
+
+def test_checkpoint_directory_that_is_a_file_fails_before_any_block(monkeypatch, tmp_path):
+    # a checkpoint "directory" that exists as a regular file used to pass the
+    # early check and fail only at the first write, after a block's records
+    import cuboidsearch.search as search_module
+
+    def no_block(*args):
+        raise AssertionError("a block was graded")
+
+    monkeypatch.setattr(search_module, "_process_block", no_block)
+    (tmp_path / "file").write_text("not a directory\n")
+    out = tmp_path / "out.jsonl"
+    out.write_text("earlier output\n")
+    with pytest.raises(NotADirectoryError):
+        run(
+            SearchSpace(height=4),
+            checkpoint_path=str(tmp_path / "file" / "ck.json"),
+            output_path=str(out),
+        )
+    assert out.read_text() == "earlier output\n"
+    assert sorted(os.listdir(tmp_path)) == ["file", "out.jsonl"]
 
 
 def test_run_keeps_nothing_per_block(monkeypatch):
@@ -744,27 +764,41 @@ def test_unsieved_kernel_rejects_every_sieved_point_height_16():
     assert seen == 457  # the points the kernel sees: 0.45% of the grid
 
 
+def v2(x):
+    """The exponent of 2 in a nonzero rational, by repeated halving."""
+    count = 0
+    while x.numerator % 2 == 0:
+        x, count = x / 2, count + 1
+    while x.denominator % 2 == 0:
+        x, count = x * 2, count - 1
+    return count
+
+
+def c_class(c):
+    """The 2-adic class of a c column: v2(c) clamped to -1..2, and 2 for c = 0."""
+    return 2 if c == 0 else min(max(v2(c), -1), 2)
+
+
 def test_sieve_screens_the_kept_classes():
     # every row piece gets exactly its kept classes from its 2-adic mask, in
     # column order, and the AND of all its masks, cut to the piece
     axes = _axes(SearchSpace(height=8))
     width = len(axes.cs)
     for b, masks in zip(axes.bs, axes.row_masks):
-        p, q = b.numerator, b.denominator
-        kept = SCREENED_C_CLASSES.get(_v2(p) - _v2(q)) if p else None
+        kept = SCREENED_C_CLASSES.get(v2(b)) if b else None
         for j0, j1 in ((0, width), (3, 40), (17, 18)):
             columns = _piece_columns(masks[:1], j0, j1)
             if kept is None:
                 assert columns == list(range(j0, j1)), b
             else:
-                expected = [j for j in range(j0, j1) if _c_class(axes.cs[j]) in kept]
+                expected = [j for j in range(j0, j1) if c_class(axes.cs[j]) in kept]
                 assert columns == expected, b
             common = set(range(j0, j1)).intersection(
                 *(_piece_columns((mask,), j0, j1) for mask in masks)
             )
             assert _piece_columns(masks, j0, j1) == sorted(common), b
-    assert _c_class(F(0)) == 2
-    assert [_c_class(c) for c in (F(1, 8), F(-1, 2), F(3), F(-6, 5), F(12), F(16, 3))] == [
+    assert c_class(F(0)) == 2
+    assert [c_class(c) for c in (F(1, 8), F(-1, 2), F(3), F(-6, 5), F(12), F(16, 3))] == [
         -1, -1, 0, 1, 2, 2,
     ]
 
