@@ -5,14 +5,19 @@ monic cubic with rational coefficients split completely over the rationals,
 and if so into which roots?  The answer is computed exactly:
 
   1. clear denominators once, to a primitive integer cubic
-     P = a3*x^3 + a2*x^2 + a1*x + a0 with a3 > 0, and hand it to the
-     integer core ``root_numerators`` (``grade`` calls the core directly).
-     The monic integer cubic g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 has
-     the roots a3*x, so every rational root is y/a3 for an integer root y.
+     P = a3*x^3 + a2*x^2 + a1*x + a0 with a3 > 0.  The monic integer
+     cubic g(y) = y^3 + a2*y^2 + a1*a3*y + a0*a3^2 has the roots a3*x, so
+     every rational root is y/a3 for an integer root y.
   2. prefilter: the discriminant must be the square of a rational, since
      for a fully split cubic it equals the squared product of root
      differences.  As disc(P) = a3^4 * disc, this is one integer
-     perfect-square test on disc(P), before any root search.
+     perfect-square test on ``integer_discriminant(P)``, before any root
+     search.  ``rational_roots`` runs it and then calls the integer split
+     core ``root_numerators`` (steps 3 and 4), whose precondition is a
+     square discriminant.  The verifier calls the core on its edge cubic
+     only where the discriminant is known to be a square: ``grade`` tests
+     it, and the search's level-0 kernel has decided it for the points it
+     hands to ``grade_square``.
   3. find the largest root y of g by integer Newton steps from above,
      starting at Samuelson's bound on the largest root.  Above the larger
      critical point g is increasing and convex, so the floored Newton
@@ -169,10 +174,11 @@ def integer_discriminant(a3: int, a2: int, a1: int, a0: int) -> int:
 def root_numerators(a3: int, a2: int, a1: int, a0: int) -> Optional[tuple[int, int, int]]:
     """Sorted integers y with the roots y / (2*a3) if the cubic splits over Q, else None.
 
-    a3 must be positive.  Steps 2 to 4 of the module docstring.
+    a3 must be positive and ``integer_discriminant`` a perfect square: the
+    square test of step 2 is the caller's.  A square discriminant is
+    nonnegative, so the cubic has three real roots, which the root search
+    of step 3 needs.  Steps 3 and 4 of the module docstring.
     """
-    if is_perfect_square(integer_discriminant(a3, a2, a1, a0)) is None:
-        return None
     b1 = a1 * a3
     b0 = a0 * a3 * a3
     top = _largest_integer_root(a2, b1, b0)
@@ -196,6 +202,8 @@ def rational_roots(q: CubicPoly) -> Optional[tuple[Fraction, Fraction, Fraction]
     Deterministic: equal inputs give bit-identical outputs.
     """
     cubic = _clear_to_integer_cubic(q)
+    if is_perfect_square(integer_discriminant(*cubic)) is None:
+        return None
     ys = root_numerators(*cubic)
     if ys is None:
         return None

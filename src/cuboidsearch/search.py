@@ -3,10 +3,15 @@
 The search enumerates every reduced fraction of bounded height for each of
 the two parameters.  It screens the in-range points one b row piece at a
 time with the verifier's integer level-0 test (``level0_survivors``), which
-rejects most of them, grades the survivors with the full pipeline, and
-appends any point reaching level 1 or higher to a JSONL file.
-Singular points are counted but not graded or logged: along the two
-singular curves they are endless and carry no search information.
+rejects most of them, and grades the survivors from the edge split on with
+``grade_square``: the screen has already decided level 0, so no survivor
+is classified or square-tested again, and the edge discriminant is
+computed only as the residual of a level-1 record.  Every survivor is at
+level 1 or higher, and its record is serialized once, in the worker that
+graded it, as a JSONL line (``_record_line``); the run appends each
+block's lines to the output with one write.  Singular points are counted
+but not graded or logged: along the two singular curves they are endless
+and carry no search information.
 
 Before the screen, a residue sieve drops the columns at which t =
 q^8 s^8 S has no square residue for some modulus, as the bit arrays of
@@ -70,7 +75,7 @@ from typing import Callable, Iterator, NamedTuple
 from .coefficients import E21_PRINTED, check_e21_form
 from .rationals import format_rational, height as height_of, parse_rational
 from .singularity import singular_columns
-from .verifier import _EDGE_DISC_S_COLUMNS, LEVEL_PERFECT, grade, level0_survivors
+from .verifier import _EDGE_DISC_S_COLUMNS, LEVEL_PERFECT, grade_square, level0_survivors
 
 CHECKPOINT_VERSION = 2
 # The smallest block, of 2^18..2^21 points, whose work outweighs the
@@ -99,8 +104,6 @@ SCREENED_C_CLASSES = {0: (), 1: (0, 1), 2: (0, 1), -1: (-1, 2), -2: (-1, 2)}
 # kernel work it saves a full jobs=1 run exceeds the time to build its
 # masks.  41 and 43 break even there; 47, 53, 25, 27 and 49 do not pay.
 RESIDUE_MODULI = (9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# One encoder for every record line; json.dumps would build one per call.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class CheckpointMismatch(RuntimeError):
@@ -121,6 +124,9 @@ class SearchSpace:
     def __post_init__(self):
         if self.height < 1:
             raise ValueError("height must be at least 1")
+        for axis, lo, hi in (("b", self.b_min, self.b_max), ("c", self.c_min, self.c_max)):
+            if lo is not None and hi is not None and lo > hi:
+                raise ValueError(f"{axis}_min {lo} exceeds {axis}_max {hi}")
         check_e21_form(self.e21_form)
 
 
@@ -402,16 +408,25 @@ def _now() -> str:
 # --- records ----------------------------------------------------------------
 
 
+def _record_line(b: Fraction, c: Fraction, verdict, e21_form: str, ts: str) -> str:
+    """The JSONL line of a record: json.dumps(record, sort_keys=True) and a newline.
+
+    This template is the one definition of a record.  Its keys are in
+    sorted order, with json's default separators, and no field needs
+    escaping: b, c and the residuals are "p/q" strings, the level is an
+    integer, and the reason, the e21 form and the ISO timestamp come from
+    closed sets of ASCII characters.
+    """
+    residuals = ", ".join(['"%s"' % r for r in verdict.residuals])
+    return (
+        '{"b": "%s", "c": "%s", "e21_form": "%s", "level": %d, "reason": "%s", '
+        '"residuals": [%s], "ts": "%s"}\n'
+    ) % (b, c, e21_form, verdict.level, verdict.reason, residuals, ts)
+
+
 def make_record(b: Fraction, c: Fraction, verdict, e21_form: str) -> dict:
-    return {
-        "b": format_rational(b),
-        "c": format_rational(c),
-        "level": verdict.level,
-        "reason": verdict.reason,
-        "residuals": [format_rational(r) for r in verdict.residuals],
-        "e21_form": e21_form,
-        "ts": _now(),
-    }
+    """The record of a verdict at (b, c), as the search writes it, stamped now."""
+    return json.loads(_record_line(b, c, verdict, e21_form, _now()))
 
 
 def load_records(path: str) -> list[dict]:
@@ -450,7 +465,8 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None
 
     Used at the start of every run with output: on resume, such records
     were flushed after the last checkpoint write and will be regenerated;
-    with no checkpoint the cursor is 0, and every record goes.
+    with no checkpoint the cursor is 0, and every record goes.  The lines
+    kept are written back as they were read, stripped.
     """
     if not os.path.exists(path):
         return
@@ -469,7 +485,7 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None
             except (ValueError, KeyError, TypeError):
                 continue  # torn write from a hard kill, or not a record
             if index < cursor:
-                kept.append(_RECORD_ENCODER.encode(record))
+                kept.append(line)
     _atomic_write(path, "".join(line + "\n" for line in kept))
 
 
@@ -495,12 +511,18 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     builds no row polynomial.  The singular columns are found by index
     from ``singular_columns``.  The singular points, the sieved points and
     the points the kernel rejects are counted at level 0, and nothing more
-    is built for them.  The survivors are graded in cursor order.
+    is built for them.  The survivors are graded in cursor order by
+    ``grade_square``, whose docstring gives why they need no singularity
+    or square test, and each record of level 1 or higher is serialized
+    once, here, with the block's one timestamp: ``lines`` holds them all
+    and ``hits`` the level-6 ones.
     """
     axes = _axes(space)
     counts = {level: 0 for level in LEVELS}
     singular = 0
-    records = []
+    lines = []
+    hits = []
+    ts = _now()
     for i, j0, j1 in _row_segments(len(axes.cs), start, end):
         b = axes.bs[i]
         p, q = b.numerator, b.denominator
@@ -518,15 +540,19 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
         counts[0] += j1 - j0 - len(survivors)
         for j in survivors:
             c = axes.cs[j]
-            verdict = grade(b, c, space.e21_form)
+            # a survivor's edge discriminant is a square, so it is at level 1 or higher
+            verdict = grade_square(b, c, space.e21_form)
             counts[verdict.level] += 1
-            if verdict.level >= 1:
-                records.append(make_record(b, c, verdict, space.e21_form))
+            line = _record_line(b, c, verdict, space.e21_form, ts)
+            lines.append(line)
+            if verdict.level == LEVEL_PERFECT:
+                hits.append(line)
     return {
         "end": end,
         "counts": counts,
         "singular": singular,
-        "records": records,
+        "lines": "".join(lines),
+        "hits": "".join(hits),
     }
 
 
@@ -593,23 +619,14 @@ def run(
     results = _block_results(space, starts, total, jobs)
     try:
         for done, result in enumerate(results, start=1):
-            block_hit = False
-            for record in result["records"]:
-                hit = record["level"] == LEVEL_PERFECT
-                block_hit = block_hit or hit
-                if out:
-                    line = _RECORD_ENCODER.encode(record) + "\n"
-                    out.write(line)
-                    if hit:
-                        if hits_out is None:
-                            hits_out = open(
-                                hits_path_for(output_path), "a", encoding="utf-8"
-                            )
-                        hits_out.write(line)
             if out:
+                out.write(result["lines"])
                 out.flush()
-            if hits_out:
-                hits_out.flush()
+                if result["hits"]:
+                    if hits_out is None:
+                        hits_out = open(hits_path_for(output_path), "a", encoding="utf-8")
+                    hits_out.write(result["hits"])
+                    hits_out.flush()
             for level in LEVELS:
                 counts[level] += result["counts"][level]
             singular += result["singular"]
@@ -619,7 +636,7 @@ def run(
             if log and (done % 32 == 0 or cursor >= total):
                 log(f"cursor {cursor}/{total} level-counts "
                     + " ".join(f"{lvl}:{counts[lvl]}" for lvl in LEVELS))
-            if block_hit and stop_on_hit:
+            if stop_on_hit and result["counts"][LEVEL_PERFECT]:
                 stopped_on_hit = True
                 break
     finally:

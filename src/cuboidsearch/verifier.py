@@ -21,19 +21,23 @@ The stages of ``grade`` run in this order, and each computes only what its
 level needs:
 
   1. classify the point against the singular factors;
-  2. build the edge cubic as a primitive integer cubic and split it with
-     ``cubic.root_numerators``; only when it does not split is its
-     discriminant computed, and that discriminant's square test puts the
-     point at level 0 or 1, with the discriminant as residual;
-  3. compute e01, e02, e03 and split the diagonal cubic;
-  4. compute e21, e11, e12 and check the auxiliary equations, then the
+  2. build the edge cubic as a primitive integer cubic and compute its
+     discriminant once; a discriminant that is not a perfect square puts
+     the point at level 0, with the discriminant as residual;
+  3. from here on ``grade_square``, which assumes a nonsingular point with
+     a square edge discriminant: split the edge cubic with the core
+     ``cubic.root_numerators``; a cubic that does not split is at level 1,
+     again with the discriminant as residual;
+  4. compute e01, e02, e03 and split the diagonal cubic;
+  5. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
 The search decides level 0 by its own shortcut, ``level0_survivors``
 behind a residue sieve: the 2-adic cells and the odd moduli of fact F4
-(see the search module).  ``grade`` never calls that shortcut or consults
-the sieve's masks, so grading every point checks both against the
-definition.
+(see the search module), and grades its survivors with ``grade_square``
+alone, so it computes the edge discriminant only for the level-1 residual.
+``grade`` never calls that shortcut or consults the sieve's masks, so
+grading every point checks both against the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -235,25 +239,59 @@ def pythagorean_check(
 def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     """Run the whole pipeline on one point and report the deepest level reached.
 
-    The stages run in the order the module docstring gives.  Under the
-    printed e21 form, a point where that form's extra denominator factor
-    vanishes cannot be checked against the auxiliary equations, so it caps
-    at level 4 with reason "e21-printed-pole".
+    The stages run in the order the module docstring gives; past level 0
+    they are ``grade_square``'s.
     """
     check_e21_form(e21_form)
     flags = classify(b, c)
     if flags:
         return Verdict(0, "singular", flags=flags)
-
     edge = edge_integer_cubic(b, c)
+    disc = integer_discriminant(*edge)
+    if is_perfect_square(disc) is None:
+        return Verdict(0, "disc-nonsquare", residuals=(Fraction(disc, edge[0] ** 4),))
+    return grade_square(b, c, e21_form, edge, disc)
+
+
+def grade_square(
+    b: Fraction,
+    c: Fraction,
+    e21_form: str = E21_PRINTED,
+    edge: tuple[int, int, int, int] | None = None,
+    disc: int | None = None,
+) -> Verdict:
+    """``grade`` from the edge split on, at a nonsingular point with a square edge discriminant.
+
+    ``edge`` and ``disc`` are the point's ``edge_integer_cubic`` and its
+    ``integer_discriminant`` when the caller has them; the discriminant is
+    otherwise computed only when the edge cubic does not split, as the
+    level-1 residual.  The e21 form, the singularity and the square test
+    are not checked, so the caller must know them:
+
+      * ``grade`` has just checked all three;
+      * the search validates the form in ``SearchSpace``, drops the
+        singular columns by index (``singular_columns``), and calls this
+        only where ``level0_survivors`` found t = q^8 s^8 S a perfect
+        square.  At a nonsingular point f1, f2 and Q are nonzero, so the
+        factorization b^2 G^2 S / (4 f1^6 f2^6 Q^2) of the edge cubic's
+        discriminant makes it a rational square whenever S = t / (q^8 s^8)
+        is one, and ``integer_discriminant`` is that times the square
+        a3^4.  Conversely, by fact F1 a square discriminant gives a square
+        S, so the kernel keeps exactly the points at which ``grade``
+        passes its square test.
+
+    Under the printed e21 form, a point where that form's extra denominator
+    factor vanishes cannot be checked against the auxiliary equations, so
+    it caps at level 4 with reason "e21-printed-pole".
+    """
+    if edge is None:
+        edge = edge_integer_cubic(b, c)
     ys = root_numerators(*edge)
     if ys is None:
-        disc = integer_discriminant(*edge)
+        if disc is None:
+            disc = integer_discriminant(*edge)
         # the edge cubic's own discriminant is disc / a3^4, a3^4 a square
-        residuals = (Fraction(disc, edge[0] ** 4),)
-        if is_perfect_square(disc) is None:
-            return Verdict(0, "disc-nonsquare", residuals=residuals)
-        return Verdict(1, "edge-no-split", residuals=residuals)
+        return Verdict(1, "edge-no-split", residuals=(Fraction(disc, edge[0] ** 4),))
     den = 2 * edge[0]
     edges = tuple(Fraction(y, den) for y in ys)
     if ys[0] <= 0:

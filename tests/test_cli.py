@@ -279,6 +279,23 @@ def test_search_missing_checkpoint_directory_exit_code(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("axis", ["b", "c"])
+def test_search_inverted_range_exit_code(tmp_path, capsys, axis):
+    # an inverted range used to exit 0 with completed=True, truncate the
+    # output to empty and write no checkpoint
+    out_path = tmp_path / "out.jsonl"
+    out_path.write_text('{"b": "1/2", "c": "1/2"}\n')
+    code, out, err = run_cli(
+        capsys, "search", "--height", "4", "--quiet", f"--{axis}-min", "3", f"--{axis}-max", "1",
+        "--checkpoint", str(tmp_path / "ck.json"), "--output", str(out_path),
+    )
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and "invalid input" in err
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+    assert out_path.read_text() == '{"b": "1/2", "c": "1/2"}\n'
+
+
 def test_search_checkpoint_directory_is_a_file_exit_code(tmp_path, capsys):
     # E/file is a regular file: the run fails before it grades a block
     (tmp_path / "file").write_text("")

@@ -1,6 +1,9 @@
 import hashlib
+import inspect
+import itertools
 import json
 import os
+import re
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -27,8 +30,9 @@ from cuboidsearch.search import (
     point_index,
     run,
 )
+from cuboidsearch import verifier
 from cuboidsearch.singularity import classify
-from cuboidsearch.verifier import Verdict, grade, level0_survivors
+from cuboidsearch.verifier import Verdict, grade, grade_square, level0_survivors
 
 F = Fraction
 
@@ -359,13 +363,23 @@ def test_fibre_walks_only_in_range_points():
 
 
 def test_empty_range_completes_at_once(tmp_path):
+    # a range in order that holds no value of height 4 or less
     out = str(tmp_path / "records.jsonl")
-    space = SearchSpace(height=4, b_min=F(1), b_max=F(0))
+    space = SearchSpace(height=4, b_min=F(1, 6), b_max=F(1, 5))
     summary = run(space, jobs=2, checkpoint_path=str(tmp_path / "ck.json"), output_path=out)
     assert summary["completed"] and not summary["interrupted"]
     assert summary["total"] == summary["visited"] == summary["cursor"] == 0
     assert load_records(out) == []
     assert list(enumerate_points(space)) == []
+
+
+@pytest.mark.parametrize("axis", ["b", "c"])
+def test_inverted_range_is_refused(axis):
+    # an inverted range used to search nothing and report completed=True
+    with pytest.raises(ValueError, match=f"{axis}_min 3 exceeds {axis}_max 1"):
+        SearchSpace(height=4, **{f"{axis}_min": F(3), f"{axis}_max": F(1)})
+    # a range of one value stays legal
+    assert grid_size(SearchSpace(height=4, **{f"{axis}_min": F(1), f"{axis}_max": F(1)})) == 23
 
 
 def test_resume_drops_uncheckpointed_tail(tmp_path):
@@ -393,6 +407,29 @@ def test_resume_drops_uncheckpointed_tail(tmp_path):
     final = run(space, jobs=1, checkpoint_path=ck, output_path=out, block_size=64)
     assert final["completed"]
     assert records_in_order(out) == records_in_order(straight)
+
+
+def test_resumed_output_is_byte_identical(tmp_path):
+    # a run cut after each of two blocks and resumed on two workers, with a
+    # record past its cursor and a torn line left behind by the cut, writes
+    # the bytes of an uninterrupted run but for the timestamps
+    space = SearchSpace(height=6)
+    straight = tmp_path / "straight.jsonl"
+    run(space, jobs=1, checkpoint_path=None, output_path=str(straight), block_size=300)
+    out = tmp_path / "resumed.jsonl"
+    ck = str(tmp_path / "ck.json")
+    for _ in range(2):
+        run(space, jobs=1, checkpoint_path=ck, output_path=str(out), block_size=300, max_blocks=1)
+    lines = straight.read_text(encoding="utf-8").splitlines(keepends=True)
+    with open(out, "a", encoding="utf-8") as handle:
+        handle.write(lines[-1] + '{"b": "1/')
+    run(space, jobs=2, checkpoint_path=ck, output_path=str(out), block_size=300)
+
+    def without_ts(path):
+        return re.sub(r', "ts": "[^"]*"', "", path.read_text(encoding="utf-8"))
+
+    assert len(lines) == 59
+    assert without_ts(out) == without_ts(straight)
 
 
 def test_resume_drops_lines_that_are_not_records(tmp_path):
@@ -445,23 +482,26 @@ def test_fresh_start_replaces_earlier_output(tmp_path):
     assert load_records(hits_path_for(out)) == []
 
 
-def test_records_encoded_only_for_output(monkeypatch, tmp_path):
+def test_each_record_serialized_once(monkeypatch, tmp_path):
+    # the worker builds each record's line once, and the run writes it as built
     import cuboidsearch.search as search_module
 
-    encoded = []
-    encoder = search_module._RECORD_ENCODER
+    built = []
+    record_line = search_module._record_line
 
-    class CountingEncoder:
-        def encode(self, record):
-            encoded.append(record)
-            return encoder.encode(record)
+    def counting_line(*args):
+        built.append(record_line(*args))
+        return built[-1]
 
-    monkeypatch.setattr(search_module, "_RECORD_ENCODER", CountingEncoder())
+    monkeypatch.setattr(search_module, "_record_line", counting_line)
     space = SearchSpace(height=4)
     run(space, jobs=1, checkpoint_path=None, output_path=None)
-    assert encoded == []
-    run(space, jobs=1, checkpoint_path=None, output_path=str(tmp_path / "records.jsonl"))
-    assert len(encoded) == 32
+    assert len(built) == 32
+    built.clear()
+    out = tmp_path / "records.jsonl"
+    run(space, jobs=1, checkpoint_path=None, output_path=str(out))
+    assert len(built) == 32
+    assert out.read_text(encoding="utf-8") == "".join(built)
 
 
 def test_checkpoint_mismatch_detected(tmp_path):
@@ -571,6 +611,58 @@ def test_config_digest_distinguishes_spaces():
     assert config_digest(SearchSpace(height=2)) == config_digest(SearchSpace(height=2))
 
 
+# The reasons of levels 1 to 6, read off the Verdicts that verifier builds.
+REASONS = sorted(
+    set(re.findall(r'Verdict\(\s*([1-6]),\s*"([a-z0-9-]+)"', inspect.getsource(verifier)))
+)
+RECORD_KEYS = ["b", "c", "e21_form", "level", "reason", "residuals", "ts"]
+
+
+def test_record_line_is_json_dumps():
+    # every record field is a rational string, a level, or a name from a
+    # closed set, so the template needs no escaping; its line must be what
+    # json.dumps writes for the record built field by field
+    import cuboidsearch.search as search_module
+
+    assert len(REASONS) == 8 and {level for level, _ in REASONS} == {"1", "2", "3", "4", "5", "6"}
+    residual_shapes = [(), (F(7),), (F(-3, 2), F(0)), (F(2**70 + 1, 3), F(-(2**65), 2**64 + 1))]
+    points = [(F(1, 2), F(1, 2)), (F(-3, 2), F(7, 8)), (F(0), F(-12))]
+    for (level, reason), residuals, (b, c), e21_form, ts in itertools.product(
+        REASONS, residual_shapes, points, ["printed", "common"],
+        ["2026-01-02T03:04:05+00:00", search_module._now()],
+    ):
+        verdict = Verdict(int(level), reason, residuals=residuals)
+        record = {
+            "b": str(b),
+            "c": str(c),
+            "level": int(level),
+            "reason": reason,
+            "residuals": [str(r) for r in residuals],
+            "e21_form": e21_form,
+            "ts": ts,
+        }
+        line = search_module._record_line(b, c, verdict, e21_form, ts)
+        assert line == json.dumps(record, sort_keys=True) + "\n"
+        assert json.loads(line) == record
+        made = make_record(b, c, verdict, e21_form)
+        assert sorted(made) == RECORD_KEYS
+        assert dict(made, ts=ts) == record
+
+
+def test_search_lines_are_json_dumps_height_12(tmp_path):
+    # each line the search writes is json.dumps of its record, with the
+    # seven record keys, and only the block's timestamp varies
+    out = tmp_path / "records.jsonl"
+    run(SearchSpace(height=12), jobs=1, checkpoint_path=None, output_path=str(out))
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) == 234
+    for line in lines:
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True) + "\n"
+        assert sorted(record) == RECORD_KEYS
+    assert len({json.loads(line)["ts"] for line in lines}) == 1  # one block
+
+
 def test_records_replay_through_grade(tmp_path):
     out = str(tmp_path / "records.jsonl")
     run(SearchSpace(height=4), jobs=1, checkpoint_path=None, output_path=out)
@@ -588,17 +680,18 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     import cuboidsearch.search as search_module
 
     # the target is a real level-2 point, so it passes the sieve and the
-    # level-0 test and reaches grade
+    # level-0 test and reaches the grading stage
     target = (F(1, 2), F(1, 2))
     assert grade(*target).level == 2
-    real_grade = grade
+    graded = []
 
-    def fake_grade(b, c, form="printed"):
+    def fake_stage(b, c, form="printed"):
+        graded.append((b, c))
         if (b, c) == target:
             return Verdict(6, "perfect-cuboid", edges=(F(1), F(1), F(1)))
-        return real_grade(b, c, form)
+        return grade_square(b, c, form)
 
-    monkeypatch.setattr(search_module, "grade", fake_grade)
+    monkeypatch.setattr(search_module, "grade_square", fake_stage)
     out = str(tmp_path / "records.jsonl")
     summary = run(
         SearchSpace(height=2),
@@ -615,6 +708,7 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     assert len(hits) == 1 and hits[0]["level"] == 6
     # the hit also appears in the main record stream
     assert any(r["level"] == 6 for r in load_records(out))
+    assert target in graded
 
 
 def test_e21_form_recorded_and_no_low_height_discrepancies(tmp_path):
@@ -764,6 +858,29 @@ def test_unsieved_kernel_rejects_every_sieved_point_height_16():
     assert seen == 457  # the points the kernel sees: 0.45% of the grid
 
 
+@pytest.mark.parametrize("e21_form", ["printed", "common"])
+def test_stage_matches_grade_at_every_kernel_survivor_height_16(e21_form):
+    # exhaustive: the search grades the nonsingular points the unsieved
+    # kernel keeps with grade_square alone, skipping the form check, the
+    # singularity test and the square test; at every such point of the
+    # H=16 grid it must give grade's verdict
+    axes = _axes(SearchSpace(height=16))
+    graded = 0
+    for b in axes.bs:
+        survivors = level0_survivors(
+            b.numerator, b.denominator, axes.c_nums, axes.c_dens, range(len(axes.cs)),
+            axes.s_powers,
+        )
+        for c in (axes.cs[j] for j in survivors):
+            if classify(b, c):
+                continue
+            verdict = grade(b, c, e21_form)
+            assert verdict.level >= 1, (b, c)
+            assert grade_square(b, c, e21_form) == verdict, (b, c)
+            graded += 1
+    assert graded == 371  # the search's records at H=16
+
+
 def v2(x):
     """The exponent of 2 in a nonzero rational, by repeated halving."""
     count = 0
@@ -823,11 +940,14 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
     # row's singular column
     import cuboidsearch.search as search_module
 
-    def never(*args):
-        raise AssertionError(f"called on a sieved row: {args[:2]}")
+    def never(name):
+        def called(*args):
+            raise AssertionError(f"{name} called on a sieved row: {args[:2]}")
 
-    monkeypatch.setattr(search_module, "level0_survivors", never)
-    monkeypatch.setattr(search_module, "grade", never)
+        return called
+
+    monkeypatch.setattr(search_module, "level0_survivors", never("level0_survivors"))
+    monkeypatch.setattr(search_module, "grade_square", never("grade_square"))
     space = SearchSpace(height=12, b_min=F(1), b_max=F(1), c_min=F(1, 2), c_max=F(3))
     out = str(tmp_path / "records.jsonl")
     summary = run(space, jobs=1, checkpoint_path=None, output_path=out, block_size=7)
@@ -836,6 +956,14 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
     assert summary["counts"] == {0: len(points), 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
     assert summary["singular"] == sum(1 for b, c in points if classify(b, c)) == 1
     assert load_records(out) == []
+    # the patches are live: the row b = 1/2 holds a survivor, (1/2, 1/2),
+    # which reaches each of them in turn
+    live = SearchSpace(height=12, b_min=F(1, 2), b_max=F(1, 2), c_min=F(1, 2), c_max=F(3))
+    with pytest.raises(AssertionError, match="level0_survivors called"):
+        run(live, jobs=1, checkpoint_path=None, output_path=None)
+    monkeypatch.setattr(search_module, "level0_survivors", level0_survivors)
+    with pytest.raises(AssertionError, match="grade_square called"):
+        run(live, jobs=1, checkpoint_path=None, output_path=None)
 
 
 def test_grade_never_sees_a_singular_point(monkeypatch):
@@ -843,12 +971,16 @@ def test_grade_never_sees_a_singular_point(monkeypatch):
     # where t is a square there (the origin has t = 0)
     import cuboidsearch.search as search_module
 
-    def checked_grade(b, c, form="printed"):
-        assert not classify(b, c), (b, c)
-        return grade(b, c, form)
+    graded = []
 
-    monkeypatch.setattr(search_module, "grade", checked_grade)
+    def checked_stage(b, c, form="printed"):
+        assert not classify(b, c), (b, c)
+        graded.append((b, c))
+        return grade_square(b, c, form)
+
+    monkeypatch.setattr(search_module, "grade_square", checked_stage)
     summary = run(SearchSpace(height=8), jobs=1, checkpoint_path=None, output_path=None)
     assert summary["singular"] == sum(
         1 for b, c in enumerate_points(SearchSpace(height=8)) if classify(b, c)
     )
+    assert len(graded) == sum(summary["counts"].values()) - summary["counts"][0] > 0
