@@ -66,23 +66,6 @@ def is_perfect_square(n: int) -> Optional[int]:
     return root if root * root == n else None
 
 
-def is_rational_square(r: Fraction) -> Optional[Fraction]:
-    """Nonnegative rational square root of r if one exists, else None.
-
-    A reduced fraction is a rational square exactly when numerator and
-    denominator are both perfect integer squares.
-    """
-    if r < 0:
-        return None
-    num_root = is_perfect_square(r.numerator)
-    if num_root is None:
-        return None
-    den_root = is_perfect_square(r.denominator)
-    if den_root is None:
-        return None
-    return Fraction(num_root, den_root)
-
-
 def _clear_to_integer_cubic(q: CubicPoly) -> tuple[int, int, int, int]:
     """Primitive integer form a3*x^3 + a2*x^2 + a1*x + a0 with a3 > 0.
 

@@ -40,6 +40,11 @@ One more backs the search's residue sieve, fact F4: for an odd prime
 power m, ``check_s_residue_classes`` builds the table of the class pairs
 of P^1(Z/m) x P^1(Z/m) at which t has a square residue, and checks it
 against t evaluated at every pair (p, q) mod m.
+
+One more, also run on its own, backs the search's closed-form row
+b = 0, fact F5: ``check_b0_row`` restricts the factors and the edge
+formulas to b = 0, where the origin is the only singular point and the
+edge cubic is x^2 (x - 1) at every other point.
 """
 
 from __future__ import annotations
@@ -264,6 +269,39 @@ def check_edge_discriminant_factorization(
     g = _table_poly(g_table)
     right = d2**3 * d1**3 * d0**2 * B**2 * g * g * _table_poly(s_table)
     return _compare("edge-discriminant-factorization", left, right)
+
+
+def check_b0_row(
+    cleared: dict = _CLEARED,
+    factors: tuple = (FIRST_CURVE_POLY, SECOND_CURVE_POLY, QUARTIC_POLY),
+) -> list[IdentityResult]:
+    """Prove fact F5: on the row b = 0 every point but the origin has edge cubic x^2 (x - 1).
+
+    Each polynomial is restricted to b = 0 by its coefficient of b^0.
+    There f1 = -1, f2 = -c and quart = c^2, so the origin is the row's only
+    singular point.  The cleared numerators and denominators of e10, e20
+    and e30 become c / c, 0 / 2c^2 and 0 / c^4, with denominators nonzero
+    for c != 0, so e10 = 1 and e20 = e30 = 0 as rational functions of c.
+    The edge cubic x^3 - e10 x^2 + e20 x - e30 is then x^2 (x - 1): its
+    discriminant is 0, a square, and it splits with the nonpositive double
+    root 0, so every such point is at level 2, "edge-root-nonpositive",
+    with residuals (0, 0).  Tests pass altered formulas as a negative
+    control.
+    """
+    f1, f2, quart = factors
+    (n10, d10), (n20, d20), (n30, d30) = (cleared[name] for name in ("e10", "e20", "e30"))
+    restricted = (
+        ("first-curve", f1, -1),
+        ("second-curve", f2, -C),
+        ("quartic", quart, C**2),
+        ("e10-numerator", n10, C),
+        ("e10-denominator", d10, C),
+        ("e20-numerator", n20, 0),
+        ("e20-denominator", d20, 2 * C**2),
+        ("e30-numerator", n30, 0),
+        ("e30-denominator", d30, C**4),
+    )
+    return [_compare(f"b0-{name}", poly.coeff_in_b(0), value) for name, poly, value in restricted]
 
 
 def check_edge_g_has_no_rational_zero(g_table: tuple = EDGE_DISC_G) -> list[IdentityResult]:

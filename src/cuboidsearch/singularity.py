@@ -37,14 +37,6 @@ SingularityClass = frozenset
 NONSINGULAR: SingularityClass = frozenset()
 
 
-class PoleError(ZeroDivisionError):
-    """A curve parametrization was evaluated at the pole of its chart.
-
-    Distinct from singularity of the inverse problems: the pole is an
-    artifact of solving the curve equation for b.
-    """
-
-
 def curve_forms(p: int, q: int, r: int, s: int) -> tuple[int, int]:
     """The integers F1 = qs*f1 and F2 = qs*f2 of the two curve factors at b = p/q, c = r/s."""
     return p * r - q * s - p * s, p * r - q * r - 2 * p * s
@@ -79,18 +71,3 @@ def classify(b: Fraction, c: Fraction) -> SingularityClass:
     if not any(hits):
         return NONSINGULAR
     return frozenset(flag for flag, hit in zip(SingularFlag, hits) if hit)
-
-
-def first_curve_b(c: Fraction) -> Fraction:
-    """The unique b putting (b, c) on the first singular curve: b = 1/(c-1)."""
-    if c == 1:
-        raise PoleError("the first curve has no point over c = 1")
-    return 1 / (c - 1)
-
-
-def second_curve_b(c: Fraction) -> Fraction:
-    """The unique b putting (b, c) on the second singular curve: b = c/(c-2)."""
-    if c == 2:
-        raise PoleError("the second curve has no point over c = 2")
-    return c / (c - 2)
-

@@ -36,8 +36,10 @@ The search decides level 0 by its own shortcut, ``level0_survivors``
 behind a residue sieve: the 2-adic cells and the odd moduli of fact F4
 (see the search module), and grades its survivors with ``grade_square``
 alone, so it computes the edge discriminant only for the level-1 residual.
-``grade`` never calls that shortcut or consults the sieve's masks, so
-grading every point checks both against the definition.
+On the row b = 0 it takes a further shortcut, fact F5: it writes one
+fixed level-2 verdict at every point but the origin, grading none.
+``grade`` never takes either shortcut or consults the sieve's masks, so
+grading every point checks all of them against the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant

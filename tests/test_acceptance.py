@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from conftest import first_curve_b, second_curve_b
 from cuboidsearch import cli
 from cuboidsearch.coefficients import (
     E21_COMMON,
@@ -31,12 +32,7 @@ from cuboidsearch.search import (
     point_index,
     run,
 )
-from cuboidsearch.singularity import (
-    SingularFlag,
-    classify,
-    first_curve_b,
-    second_curve_b,
-)
+from cuboidsearch.singularity import SingularFlag, classify
 
 F = Fraction
 

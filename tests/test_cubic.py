@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from conftest import is_rational_square
 from cuboidsearch.coefficients import edge_integer_cubic
 from cuboidsearch.cubic import (
     CubicPoly,
@@ -13,7 +14,6 @@ from cuboidsearch.cubic import (
     discriminant,
     integer_discriminant,
     is_perfect_square,
-    is_rational_square,
     rational_roots,
     root_numerators,
 )

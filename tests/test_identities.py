@@ -1,11 +1,17 @@
+from fractions import Fraction as F
+
 import pytest
 
 from cuboidsearch.bipoly import B, C, IntPoly2
 from cuboidsearch.identities import (
     EDGE_DISC_G,
+    FIRST_CURVE_POLY,
     QUARTIC_POLY,
+    SECOND_CURVE_POLY,
     TWO_ADIC_CELLS,
+    _CLEARED,
     _two_adic_points,
+    check_b0_row,
     check_edge_discriminant_factorization,
     check_edge_g_has_no_rational_zero,
     check_s_residue_classes,
@@ -17,6 +23,7 @@ from cuboidsearch.identities import (
     run_identity_checks,
 )
 from cuboidsearch.search import (
+    B0_ROW_VERDICT,
     RESIDUE_MODULI,
     SCREENED_C_CLASSES,
     SearchSpace,
@@ -24,7 +31,7 @@ from cuboidsearch.search import (
     _piece_columns,
     _square_classes,
 )
-from cuboidsearch.verifier import EDGE_DISC_S
+from cuboidsearch.verifier import EDGE_DISC_S, grade
 
 
 def test_all_four_identities_pass():
@@ -117,6 +124,42 @@ def test_edge_g_has_no_rational_zero_detects_altered_coefficient():
     assert not by_name["edge-g-discriminant"].passed
     assert by_name["edge-g-b1-coefficient"].passed
     assert by_name["edge-g-b0-coefficient"].passed
+
+
+def test_b0_row_holds():
+    results = check_b0_row()
+    assert [r.name for r in results] == [
+        "b0-first-curve",
+        "b0-second-curve",
+        "b0-quartic",
+        "b0-e10-numerator",
+        "b0-e10-denominator",
+        "b0-e20-numerator",
+        "b0-e20-denominator",
+        "b0-e30-numerator",
+        "b0-e30-denominator",
+    ]
+    for result in results:
+        assert result.passed, f"{result.name}: difference = {result.detail}"
+    # the check stays outside the four denominator identities
+    assert not {r.name for r in run_identity_checks()} & {r.name for r in results}
+    # the verdict the search writes on the row is grade's at c != 0
+    for c in (F(1), F(-1), F(1, 3), F(-7, 2), F(100, 99)):
+        assert grade(F(0), c) == grade(F(0), c, "common") == B0_ROW_VERDICT, c
+
+
+def test_b0_row_detects_altered_coefficient():
+    # negative control: e20's numerator given a term free of b, and the
+    # second curve factor given one more c
+    altered = dict(_CLEARED, e20=(_CLEARED["e20"][0] + C**3, _CLEARED["e20"][1]))
+    by_name = {r.name: r for r in check_b0_row(altered)}
+    assert not by_name["b0-e20-numerator"].passed
+    assert by_name["b0-e20-numerator"].detail == "c^3"
+    assert sum(not r.passed for r in by_name.values()) == 1
+    factors = (FIRST_CURVE_POLY, SECOND_CURVE_POLY - C, QUARTIC_POLY)
+    by_name = {r.name: r for r in check_b0_row(factors=factors)}
+    assert not by_name["b0-second-curve"].passed
+    assert by_name["b0-first-curve"].passed and by_name["b0-quartic"].passed
 
 
 # the cells proven empty modulo 2^6 (all of v2(b) = 0) and the four more

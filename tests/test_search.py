@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import itertools
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import enumerate_points
 from cuboidsearch.rationals import height, parse_rational
 from cuboidsearch.search import (
     DEFAULT_BLOCK_SIZE,
@@ -21,7 +23,6 @@ from cuboidsearch.search import (
     canonical_records,
     config_digest,
     e21_form_discrepancies,
-    enumerate_points,
     fraction_values,
     grid_size,
     hits_path_for,
@@ -983,4 +984,115 @@ def test_grade_never_sees_a_singular_point(monkeypatch):
     assert summary["singular"] == sum(
         1 for b, c in enumerate_points(SearchSpace(height=8)) if classify(b, c)
     )
-    assert len(graded) == sum(summary["counts"].values()) - summary["counts"][0] > 0
+    # the row b = 0 is written without grading (fact F5), and the tests of
+    # that row below check it against grade; every survivor off it is graded
+    row = len(fraction_values(8)) - 1
+    assert all(b != 0 for b, _ in graded)
+    assert len(graded) == sum(summary["counts"].values()) - summary["counts"][0] - row > 0
+
+
+# --- the row b = 0 (fact F5) ---------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def graded_every_point(space):
+    """grade at every point of ``space``: its counts, singular count and records, in cursor order.
+
+    The records are built field by field without their timestamps, apart
+    from the search's line template.
+    """
+    counts = {level: 0 for level in range(7)}
+    singular = 0
+    records = []
+    for b, c in enumerate_points(space):
+        verdict = grade(b, c, space.e21_form)
+        counts[verdict.level] += 1
+        singular += verdict.reason == "singular"
+        if verdict.level >= 1:
+            records.append({
+                "b": str(b),
+                "c": str(c),
+                "e21_form": space.e21_form,
+                "level": verdict.level,
+                "reason": verdict.reason,
+                "residuals": [str(r) for r in verdict.residuals],
+            })
+    return counts, singular, records
+
+
+def forbid_graded_path(monkeypatch):
+    """Make the sieve's AND, the kernel, the singular columns and the stage raise."""
+    import cuboidsearch.search as search_module
+
+    def never(name):
+        def called(*args):
+            raise AssertionError(f"{name} called on the row b = 0: {args[:2]}")
+
+        return called
+
+    for name in ("_piece_columns", "level0_survivors", "singular_columns", "grade_square"):
+        monkeypatch.setattr(search_module, name, never(name))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_b0_row_is_grade_at_every_point_height_100(monkeypatch, tmp_path, jobs):
+    # the whole row b = 0 at H=100, cut into blocks of 1,000 points and
+    # interrupted after five of them, against grade at all 12,175 points
+    space = SearchSpace(height=100, b_min=F(0), b_max=F(0))
+    counts, singular, records = graded_every_point(space)
+    assert counts == {0: 1, 1: 0, 2: 12174, 3: 0, 4: 0, 5: 0, 6: 0} and singular == 1
+    if jobs == 1:
+        forbid_graded_path(monkeypatch)
+    out, ck = str(tmp_path / "records.jsonl"), str(tmp_path / "ck.json")
+    first = run(space, jobs=jobs, checkpoint_path=ck, output_path=out, block_size=1000,
+                max_blocks=5)
+    assert first["interrupted"] and first["cursor"] == 5000
+    second = run(space, jobs=jobs, checkpoint_path=ck, output_path=out, block_size=1000)
+    assert second["completed"] and second["total"] == 12175
+    assert second["counts"] == counts and second["singular"] == singular
+    assert records_in_order(out) == records
+
+
+# ranges that hold b = 0: its whole row, a piece of it beside pieces of
+# other rows, a piece that ends at the origin, pieces without the origin,
+# and the origin alone
+B0_SPACES = [
+    SearchSpace(height=12, b_min=F(0), b_max=F(0)),
+    SearchSpace(height=12, b_min=F(-1, 3), b_max=F(1, 2), c_min=F(-4), c_max=F(7, 2)),
+    SearchSpace(height=12, b_min=F(-1), b_max=F(0), c_max=F(0), e21_form="common"),
+    SearchSpace(height=12, b_min=F(0), b_max=F(1), c_min=F(1, 5)),
+    SearchSpace(height=12, b_min=F(0), b_max=F(0), c_min=F(0), c_max=F(0)),
+]
+
+
+@pytest.mark.parametrize("space", B0_SPACES)
+@pytest.mark.parametrize("block_size, jobs", [(DEFAULT_BLOCK_SIZE, 1), (7, 1), (5, 2)])
+def test_b0_row_pieces_are_grade_at_every_point(tmp_path, space, block_size, jobs):
+    # ranged rows, with and without the origin, cut by blocks anywhere
+    counts, singular, records = graded_every_point(space)
+    out = str(tmp_path / "records.jsonl")
+    summary = run(space, jobs=jobs, checkpoint_path=None, output_path=out, block_size=block_size)
+    assert summary["completed"]
+    assert summary["counts"] == counts and summary["singular"] == singular
+    assert records_in_order(out) == records
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_b0_row_cut_at_the_origin_and_resumed(tmp_path, jobs):
+    # the first run stops with its cursor on the origin, the second counts
+    # the origin as a block of its own, and a third finishes the grid
+    space = SearchSpace(height=12, b_min=F(-1), b_max=F(1, 2))
+    origin = point_index(space, F(0), F(0))
+    assert origin == len(fraction_values(12)) + 1
+    out, ck = str(tmp_path / "records.jsonl"), str(tmp_path / "ck.json")
+    first = run(space, jobs=1, checkpoint_path=ck, output_path=out, block_size=origin,
+                max_blocks=1)
+    assert first["cursor"] == origin and first["singular"] == 2  # (-1, 0) and (-1, 1)
+    second = run(space, jobs=1, checkpoint_path=ck, output_path=out, block_size=1, max_blocks=1)
+    assert second["cursor"] == origin + 1 and second["singular"] == 3
+    assert second["counts"][0] == first["counts"][0] + 1
+    third = run(space, jobs=jobs, checkpoint_path=ck, output_path=out, block_size=9)
+    counts, singular, records = graded_every_point(space)
+    assert third["completed"]
+    assert third["counts"] == counts and third["singular"] == singular
+    assert records_in_order(out) == records

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import PoleError, first_curve_b, second_curve_b
 from cuboidsearch.identities import (
     FIRST_CURVE_POLY,
     QUARTIC_POLY,
@@ -12,11 +13,8 @@ from cuboidsearch.identities import (
 )
 from cuboidsearch.singularity import (
     NONSINGULAR,
-    PoleError,
     SingularFlag,
     classify,
-    first_curve_b,
-    second_curve_b,
     singular_columns,
 )
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import enumerate_points, is_rational_square
 from cuboidsearch.coefficients import (
     E21_COMMON,
     E21_PRINTED,
@@ -12,9 +13,9 @@ from cuboidsearch.coefficients import (
     edge_cubic,
     eval_coefficients,
 )
-from cuboidsearch.cubic import discriminant, is_rational_square, rational_roots
+from cuboidsearch.cubic import discriminant, rational_roots
 from cuboidsearch.identities import _table_poly, eval_coefficients_cleared
-from cuboidsearch.search import SearchSpace, enumerate_points, fraction_values
+from cuboidsearch.search import SearchSpace, fraction_values
 from cuboidsearch.singularity import SingularFlag, classify
 from cuboidsearch.verifier import (
     EDGE_DISC_S,
