@@ -3,7 +3,8 @@
 Subcommands: identities, classify, coeffs, solve, verify, search.  All
 rational arguments are exact "p/q" or integer strings; decimals are
 rejected so no float ever enters the pipeline.  Arguments not in lowest
-terms are reduced with a notice on stderr.
+terms are reduced with a notice on stderr.  The identities module loads
+only in the two subcommands that read it, identities and classify.
 
 Exit codes:
   0  normal completion
@@ -32,7 +33,6 @@ from .coefficients import (
     eval_coefficients,
 )
 from .cubic import rational_roots
-from .identities import factor_values, run_identity_checks
 from .rationals import RationalParseError, format_rational, parse_rational
 from .search import CheckpointMismatch, SearchSpace, run
 from .singularity import classify
@@ -78,6 +78,8 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def cmd_identities(args) -> int:
+    from .identities import run_identity_checks
+
     results = run_identity_checks()
     failed = False
     for result in results:
@@ -101,6 +103,8 @@ def cmd_identities(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .identities import factor_values
+
     b = _rational(args, args.b)
     c = _rational(args, args.c)
     flags = sorted(flag.value for flag in classify(b, c))

@@ -3,15 +3,18 @@
 The search enumerates every reduced fraction of bounded height for each of
 the two parameters.  It screens the in-range points one b row piece at a
 time with the verifier's integer level-0 test (``level0_survivors``), which
-rejects most of them, and grades the survivors from the edge split on with
-``grade_square``: the screen has already decided level 0, so no survivor
-is classified or square-tested again, and the edge discriminant is
-computed only as the residual of a level-1 record.  Every survivor is at
-level 1 or higher, and its record is serialized once, in the worker that
-graded it, as a JSONL line (``_record_line``); the run appends each
-block's lines to the output with one write.  Singular points are counted
-but not graded or logged: along the two singular curves they are endless
-and carry no search information.
+rejects most of them, and grades the survivors with the verifier's
+integer edge stage, ``edge_split``: the screen has already decided level
+0, so no survivor is classified or square-tested again, and the edge
+discriminant is computed only as the residual of a level-1 record.  Every
+survivor is at level 1 or higher.  At levels 1 and 2 its residuals come
+as numerator/denominator pairs and are written with one gcd each
+(``_ratio_text``), so no Fraction or Verdict is built; a survivor past
+level 2 goes on through ``grade_square``.  Each record is serialized
+once, in the worker that graded it, as a JSONL line (``_record_line``);
+the run appends each block's lines to the output with one write.
+Singular points are counted but not graded or logged: along the two
+singular curves they are endless and carry no search information.
 
 Before the screen, a residue sieve drops the columns at which t =
 q^8 s^8 S has no square residue for some modulus, as the bit arrays of
@@ -32,7 +35,9 @@ the sieve and the kernel would keep every column, and by fact F5
 (``identities.check_b0_row``) every point but the singular origin grades
 to one verdict, ``B0_ROW_VERDICT``: level 2, edge cubic x^2 (x - 1).  A
 b = 0 row piece counts c = 0 as singular and writes that verdict's record
-at every other column.  It holds 90-98% of the records at H = 30 to 200.
+at every other column: it fills the record template once, with a slot
+for c, and each line is then head + str(c) + tail.  It holds 90-98% of
+the records at H = 30 to 200.
 
 Determinism is the backbone of everything here:
 
@@ -60,7 +65,10 @@ Determinism is the backbone of everything here:
     JSON or lacks a field or gives one the wrong type, or whose counts do
     not add up to its cursor within the grid.
 
-Rationals are serialized as exact "p/q" strings, never floats.
+Rationals are serialized as exact "p/q" strings, never floats.  Records and
+checkpoints are written by filling fixed templates (``_record_line``,
+``_CHECKPOINT``) with integers and strings, no JSON encoder; each is byte
+for byte what json.dumps writes for the same object.
 """
 
 from __future__ import annotations
@@ -69,7 +77,6 @@ import hashlib
 import json
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -82,7 +89,7 @@ from .coefficients import E21_PRINTED, check_e21_form
 from .rationals import format_rational, height as height_of, parse_rational
 from .singularity import singular_columns
 from .verifier import (
-    _EDGE_DISC_S_COLUMNS, LEVEL_PERFECT, Verdict, grade_square, level0_survivors,
+    _EDGE_DISC_S_COLUMNS, LEVEL_PERFECT, Verdict, edge_split, grade_square, level0_survivors,
 )
 
 CHECKPOINT_VERSION = 2
@@ -357,15 +364,58 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _save_checkpoint(path: str, header: dict, cursor: int, counts: dict, singular: int) -> None:
-    payload = {
-        **header,
-        "cursor": cursor,
-        "counts": {str(level): counts[level] for level in LEVELS},
-        "singular": singular,
-        "updated": _now(),
-    }
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+# The checkpoint, keys sorted, with the counts of the seven levels.  Every
+# string field is a "p/q" rational, an e21 form, a hex digest or an ISO
+# timestamp, none of which json.dumps escapes.
+_CHECKPOINT = """{
+  "config": {
+    "b_max": %s,
+    "b_min": %s,
+    "c_max": %s,
+    "c_min": %s,
+    "e21_form": "%s",
+    "height": %d,
+    "version": %d
+  },
+  "config_digest": "%s",
+  "counts": {
+    "0": %d,
+    "1": %d,
+    "2": %d,
+    "3": %d,
+    "4": %d,
+    "5": %d,
+    "6": %d
+  },
+  "cursor": %d,
+  "singular": %d,
+  "updated": "%s",
+  "version": %d
+}
+"""
+
+
+def _checkpoint_header(space: SearchSpace) -> tuple:
+    """The checkpoint's fields that depend only on ``space``, in ``_CHECKPOINT``'s order."""
+    config = space_config(space)
+    bounds = ("null" if config[key] is None else '"%s"' % config[key]
+              for key in ("b_max", "b_min", "c_max", "c_min"))
+    return (*bounds, space.e21_form, space.height, CHECKPOINT_VERSION, config_digest(space))
+
+
+def _save_checkpoint(path: str, header: tuple, cursor: int, counts: dict, singular: int) -> None:
+    """Write the checkpoint by filling ``_CHECKPOINT``, with no JSON encoder.
+
+    ``header`` is ``_checkpoint_header(space)``.  The bytes are those of
+    json.dumps(payload, indent=2, sort_keys=True) and a newline, the
+    payload holding the config, its digest, the cursor, the counts keyed
+    by str(level), the singular count, the time and the version.
+    """
+    text = _CHECKPOINT % (
+        *header, *(counts[level] for level in LEVELS), cursor, singular, _now(),
+        CHECKPOINT_VERSION,
+    )
+    _atomic_write(path, text)
 
 
 def _load_checkpoint(path: str, space: SearchSpace) -> tuple[int, dict, int]:
@@ -417,25 +467,34 @@ def _now() -> str:
 # --- records ----------------------------------------------------------------
 
 
-def _record_line(b: Fraction, c: Fraction, verdict, e21_form: str, ts: str) -> str:
+def _record_line(b, c, level: int, reason: str, residuals, e21_form: str, ts: str) -> str:
     """The JSONL line of a record: json.dumps(record, sort_keys=True) and a newline.
 
-    This template is the one definition of a record.  Its keys are in
-    sorted order, with json's default separators, and no field needs
-    escaping: b, c and the residuals are "p/q" strings, the level is an
-    integer, and the reason, the e21 form and the ISO timestamp come from
-    closed sets of ASCII characters.
+    This template is the one definition of a record.  b, c and each
+    residual may be given as Fractions or as their "p/q" strings.  Its keys
+    are in sorted order, with json's default separators, and no field
+    needs escaping: b, c and the residuals are "p/q" strings, the level is
+    an integer, and the reason, the e21 form and the ISO timestamp come
+    from closed sets of ASCII characters.  None of them holds a "%", so
+    the row b = 0 renders it once with "%" for c and splits it there.
     """
-    residuals = ", ".join(['"%s"' % r for r in verdict.residuals])
+    residuals = ", ".join(['"%s"' % r for r in residuals])
     return (
         '{"b": "%s", "c": "%s", "e21_form": "%s", "level": %d, "reason": "%s", '
         '"residuals": [%s], "ts": "%s"}\n'
-    ) % (b, c, e21_form, verdict.level, verdict.reason, residuals, ts)
+    ) % (b, c, e21_form, level, reason, residuals, ts)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, with one gcd."""
+    g = gcd(n, d)
+    return "%d" % (n // g) if d == g else "%d/%d" % (n // g, d // g)
 
 
 def make_record(b: Fraction, c: Fraction, verdict, e21_form: str) -> dict:
     """The record of a verdict at (b, c), as the search writes it, stamped now."""
-    return json.loads(_record_line(b, c, verdict, e21_form, _now()))
+    line = _record_line(b, c, verdict.level, verdict.reason, verdict.residuals, e21_form, _now())
+    return json.loads(line)
 
 
 def load_records(path: str) -> list[dict]:
@@ -517,17 +576,18 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
 
     A piece of the row b = 0 is decided in closed form (fact F5): c = 0 is
     counted singular and every other column gets ``B0_ROW_VERDICT``'s
-    record, with no mask, kernel or grading.  Each other row piece of the
-    block sends the columns that the residue sieve keeps through
-    ``level0_survivors`` at once, and a piece with none left builds no row
-    polynomial.  The singular columns are found by index from
-    ``singular_columns``.  The singular points, the sieved points and
-    the points the kernel rejects are counted at level 0, and nothing more
-    is built for them.  The survivors are graded in cursor order by
-    ``grade_square``, whose docstring gives why they need no singularity
-    or square test, and each record of level 1 or higher is serialized
-    once, here, with the block's one timestamp: ``lines`` holds them all
-    and ``hits`` the level-6 ones.
+    record, cut from one template filled per piece, with no mask, kernel or
+    grading.  Each other row piece of the block sends the columns that the
+    residue sieve keeps through ``level0_survivors`` at once, and a piece
+    with none left builds no row polynomial.  The singular columns are
+    found by index from ``singular_columns``.  The singular points, the
+    sieved points and the points the kernel rejects are counted at level 0,
+    and nothing more is built for them.  The survivors are graded in cursor order by
+    ``edge_split``, and past level 2 by ``grade_square``, whose docstring
+    gives why they need no singularity or square test.  Each record of
+    level 1 or higher is serialized once, here, with the block's one
+    timestamp, from integers and strings: ``lines`` holds them all and
+    ``hits`` the level-6 ones.
     """
     axes = _axes(space)
     counts = {level: 0 for level in LEVELS}
@@ -541,15 +601,16 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
         if not p:
             # fact F5: the origin is the row's one singular point, and every
             # other point has the edge cubic x^2 (x - 1)
-            origin = axes.c_index.get((0, 1), -1)
-            at_origin = j0 <= origin < j1
+            head, _, tail = _record_line(
+                b, "%", B0_ROW_VERDICT.level, B0_ROW_VERDICT.reason, B0_ROW_VERDICT.residuals,
+                space.e21_form, ts,
+            ).partition("%")
+            row = [head + str(c) + tail for c in axes.cs[j0:j1] if c]
+            at_origin = j1 - j0 - len(row)
             singular += at_origin
             counts[0] += at_origin
-            counts[2] += j1 - j0 - at_origin
-            lines += [
-                _record_line(b, axes.cs[j], B0_ROW_VERDICT, space.e21_form, ts)
-                for j in range(j0, j1) if j != origin
-            ]
+            counts[2] += len(row)
+            lines += row
             continue
         columns = _piece_columns(axes.row_masks[i], j0, j1)
         survivors = (
@@ -566,11 +627,16 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
         for j in survivors:
             c = axes.cs[j]
             # a survivor's edge discriminant is a square, so it is at level 1 or higher
-            verdict = grade_square(b, c, space.e21_form)
-            counts[verdict.level] += 1
-            line = _record_line(b, c, verdict, space.e21_form, ts)
+            level, reason, residuals, _, _ = edge_split(b, c)
+            if reason is None:
+                verdict = grade_square(b, c, space.e21_form)
+                level, reason, residuals = verdict.level, verdict.reason, verdict.residuals
+            else:
+                residuals = [_ratio_text(n, d) for n, d in residuals]
+            counts[level] += 1
+            line = _record_line(b, c, level, reason, residuals, space.e21_form, ts)
             lines.append(line)
-            if verdict.level == LEVEL_PERFECT:
+            if level == LEVEL_PERFECT:
                 hits.append(line)
     return {
         "end": end,
@@ -631,12 +697,7 @@ def run(
 
     resumed_at = cursor
     starts = range(cursor, total, block_size)[:max_blocks]
-    # the checkpoint fields that depend only on the space
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "config": space_config(space),
-        "config_digest": config_digest(space),
-    }
+    header = _checkpoint_header(space)
 
     out = open(output_path, "a", encoding="utf-8") if output_path else None
     hits_out = None
@@ -697,6 +758,9 @@ def _block_results(space: SearchSpace, starts: range, total: int, jobs: int):
         for start, end in blocks:
             yield _process_block(space, start, end)
         return
+    # imported here: no grid of one block starts a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for start, end in blocks:

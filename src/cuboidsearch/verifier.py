@@ -25,21 +25,25 @@ level needs:
      discriminant once; a discriminant that is not a perfect square puts
      the point at level 0, with the discriminant as residual;
   3. from here on ``grade_square``, which assumes a nonsingular point with
-     a square edge discriminant: split the edge cubic with the core
-     ``cubic.root_numerators``; a cubic that does not split is at level 1,
-     again with the discriminant as residual;
+     a square edge discriminant.  ``edge_split`` splits the edge cubic
+     with the core ``cubic.root_numerators``: a cubic that does not split
+     is at level 1, again with the discriminant as residual, and one with
+     a root <= 0 at level 2, with those roots as residuals.  It works in
+     integers and gives each residual as a numerator/denominator pair;
   4. compute e01, e02, e03 and split the diagonal cubic;
   5. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
 The search decides level 0 by its own shortcut, ``level0_survivors``
 behind a residue sieve: the 2-adic cells and the odd moduli of fact F4
-(see the search module), and grades its survivors with ``grade_square``
-alone, so it computes the edge discriminant only for the level-1 residual.
-On the row b = 0 it takes a further shortcut, fact F5: it writes one
-fixed level-2 verdict at every point but the origin, grading none.
-``grade`` never takes either shortcut or consults the sieve's masks, so
-grading every point checks all of them against the definition.
+(see the search module), and grades its survivors with ``edge_split``
+alone, so it computes the edge discriminant only for the level-1 residual
+and builds no Fraction or Verdict; only a survivor past level 2 goes on
+through ``grade_square``.  On the row b = 0 it takes a further shortcut,
+fact F5: it writes one fixed level-2 verdict at every point but the
+origin, grading none.  ``grade`` never takes either shortcut or consults
+the sieve's masks, so grading every point checks all of them against the
+definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -53,6 +57,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .coefficients import (
@@ -104,9 +109,15 @@ def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
     return acc
 
 
-def _s_row(p: int, q: int) -> tuple[int, ...]:
-    """q^8 S(p/q, c) as integer coefficients in c; one row serves every c of a row piece."""
-    return tuple(_homogeneous_horner(column, p, q) for column in _EDGE_DISC_S_COLUMNS)
+def _s_row(p: int, q: int) -> list[int]:
+    """q^8 S(p/q, c) as integer coefficients in c; one row serves every c of a row piece.
+
+    Each coefficient is a column of S dotted with (p^i q^(8-i)) for i = 0..8.
+    """
+    pq = [q**8]
+    for _ in range(8):
+        pq.append(pq[-1] // q * p)
+    return [sum(map(mul, column, pq)) for column in _EDGE_DISC_S_COLUMNS]
 
 
 def level0_survivors(
@@ -163,8 +174,9 @@ class Verdict(NamedTuple):
 
     For verdicts deep enough to have them, the fully assembled candidate
     data rides along: the edge and diagonal root triples and the accepted
-    diagonal pairing.  Every graded survivor builds one, and a NamedTuple
-    is the cheapest immutable record with this repr and equality.
+    diagonal pairing.  ``grade`` returns one for every point, and a
+    NamedTuple is the cheapest immutable record with this repr and
+    equality.
     """
 
     level: int
@@ -255,6 +267,42 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     return grade_square(b, c, e21_form, edge, disc)
 
 
+def edge_split(
+    b: Fraction,
+    c: Fraction,
+    edge: tuple[int, int, int, int] | None = None,
+    disc: int | None = None,
+) -> tuple:
+    """Levels 1 and 2 in integers, at a nonsingular point with a square edge discriminant.
+
+    Splits ``edge``, the point's ``edge_integer_cubic`` (built here when the
+    caller has not), with ``root_numerators``, and computes its
+    ``integer_discriminant``, unless given as ``disc``, only when it does
+    not split.  Returns (level, reason, residuals, ys, den), each residual
+    an exact (numerator, denominator) pair with a positive denominator, not
+    reduced:
+
+      * (1, "edge-no-split", the edge cubic's discriminant disc / a3^4,
+        None, None);
+      * (2, "edge-root-nonpositive", the roots y / den <= 0, the sorted root
+        numerators ys, den = 2 a3);
+      * (3, None, (), ys, den) when every root is positive: the point is
+        past level 2, and ``grade_square`` goes on from the roots ys / den.
+    """
+    if edge is None:
+        edge = edge_integer_cubic(b, c)
+    ys = root_numerators(*edge)
+    if ys is None:
+        if disc is None:
+            disc = integer_discriminant(*edge)
+        # the edge cubic's own discriminant is disc / a3^4, a3^4 a square
+        return (1, "edge-no-split", ((disc, edge[0] ** 4),), None, None)
+    den = 2 * edge[0]
+    if ys[0] <= 0:
+        return (2, "edge-root-nonpositive", tuple((y, den) for y in ys if y <= 0), ys, den)
+    return (3, None, (), ys, den)
+
+
 def grade_square(
     b: Fraction,
     c: Fraction,
@@ -265,40 +313,32 @@ def grade_square(
     """``grade`` from the edge split on, at a nonsingular point with a square edge discriminant.
 
     ``edge`` and ``disc`` are the point's ``edge_integer_cubic`` and its
-    ``integer_discriminant`` when the caller has them; the discriminant is
-    otherwise computed only when the edge cubic does not split, as the
-    level-1 residual.  The e21 form, the singularity and the square test
-    are not checked, so the caller must know them:
+    ``integer_discriminant`` when the caller has them; ``edge_split``
+    decides levels 1 and 2 from them.  The e21 form, the singularity and
+    the square test are not checked, so the caller must know them:
 
       * ``grade`` has just checked all three;
       * the search validates the form in ``SearchSpace``, drops the
-        singular columns by index (``singular_columns``), and calls this
-        only where ``level0_survivors`` found t = q^8 s^8 S a perfect
-        square.  At a nonsingular point f1, f2 and Q are nonzero, so the
-        factorization b^2 G^2 S / (4 f1^6 f2^6 Q^2) of the edge cubic's
-        discriminant makes it a rational square whenever S = t / (q^8 s^8)
-        is one, and ``integer_discriminant`` is that times the square
-        a3^4.  Conversely, by fact F1 a square discriminant gives a square
-        S, so the kernel keeps exactly the points at which ``grade``
-        passes its square test.
+        singular columns by index (``singular_columns``), and calls
+        ``edge_split`` only where ``level0_survivors`` found t = q^8 s^8 S
+        a perfect square, and this only past level 2.  At a nonsingular
+        point f1, f2 and Q are nonzero, so the factorization
+        b^2 G^2 S / (4 f1^6 f2^6 Q^2) of the edge cubic's discriminant
+        makes it a rational square whenever S = t / (q^8 s^8) is one, and
+        ``integer_discriminant`` is that times the square a3^4.
+        Conversely, by fact F1 a square discriminant gives a square S, so
+        the kernel keeps exactly the points at which ``grade`` passes its
+        square test.
 
     Under the printed e21 form, a point where that form's extra denominator
     factor vanishes cannot be checked against the auxiliary equations, so
     it caps at level 4 with reason "e21-printed-pole".
     """
-    if edge is None:
-        edge = edge_integer_cubic(b, c)
-    ys = root_numerators(*edge)
-    if ys is None:
-        if disc is None:
-            disc = integer_discriminant(*edge)
-        # the edge cubic's own discriminant is disc / a3^4, a3^4 a square
-        return Verdict(1, "edge-no-split", residuals=(Fraction(disc, edge[0] ** 4),))
-    den = 2 * edge[0]
-    edges = tuple(Fraction(y, den) for y in ys)
-    if ys[0] <= 0:
-        bad = tuple(x for x, y in zip(edges, ys) if y <= 0)
-        return Verdict(2, "edge-root-nonpositive", residuals=bad, edges=edges)
+    level, reason, residuals, ys, den = edge_split(b, c, edge, disc)
+    edges = None if ys is None else tuple(Fraction(y, den) for y in ys)
+    if reason is not None:
+        residuals = tuple(Fraction(n, d) for n, d in residuals)
+        return Verdict(level, reason, residuals=residuals, edges=edges)
 
     diagonals = rational_roots(diagonal_cubic(diagonal_coefficients(b, c)))
     if diagonals is None:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuboidsearch import cli
+from cuboidsearch import cli, identities
 from cuboidsearch.bipoly import B
 from cuboidsearch.identities import IdentityResult
 
@@ -46,7 +46,8 @@ def test_identities_failure_rendering(capsys, monkeypatch):
         IdentityResult("shared-denominator-factors", True, B - B),
         IdentityResult("quartic-sum-of-squares", False, 3 * B),
     ]
-    monkeypatch.setattr(cli, "run_identity_checks", lambda: fake)
+    # the subcommand imports the identities module when it runs
+    monkeypatch.setattr(identities, "run_identity_checks", lambda: fake)
     code, out, _ = run_cli(capsys, "identities")
     assert code == cli.EXIT_IDENTITY
     assert "FAIL quartic-sum-of-squares: difference = 3*b" in out

@@ -1,4 +1,4 @@
-"""What importing the search loads: the pipeline's modules, and no others of the package."""
+"""What the search loads: the pipeline's modules, no others of the package, and no unused pool."""
 
 import os
 import subprocess
@@ -30,3 +30,25 @@ def test_search_import_loads_only_the_pipeline():
         "cuboidsearch.singularity",
         "cuboidsearch.verifier",
     ]
+
+
+def test_cli_search_loads_neither_identities_nor_the_pool(tmp_path):
+    # a grid of one block starts no pool, and search reads no identity, so
+    # neither module is imported; classify reads the identities module
+    script = (
+        "import sys; from cuboidsearch import cli; "
+        f"code = cli.main(sys.argv[1:]); print(code, "
+        "'cuboidsearch.identities' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv, expected in (
+        (["search", "--height", "4", "--quiet", "--jobs", "2",
+          "--checkpoint", str(tmp_path / "ck.json"), "--output", str(tmp_path / "out.jsonl")],
+         "0 False False"),
+        (["classify", "1", "1"], "0 True False"),
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out.splitlines()[-1] == expected

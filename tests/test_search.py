@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import hashlib
 import inspect
@@ -30,10 +31,11 @@ from cuboidsearch.search import (
     make_record,
     point_index,
     run,
+    space_config,
 )
 from cuboidsearch import verifier
 from cuboidsearch.singularity import classify
-from cuboidsearch.verifier import Verdict, grade, grade_square, level0_survivors
+from cuboidsearch.verifier import Verdict, edge_split, grade, grade_square, level0_survivors
 
 F = Fraction
 
@@ -199,7 +201,7 @@ def test_pool_starts_no_more_workers_than_blocks(monkeypatch, tmp_path):
             most_outstanding[-1] = max(most_outstanding[-1], len(outstanding))
             return future
 
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     space = SearchSpace(height=2)
     paths = {}
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: 64)
@@ -230,7 +232,7 @@ def test_one_block_grid_starts_no_pool(monkeypatch, tmp_path):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(search_module.os, "cpu_count", lambda: 2)
     space = SearchSpace(height=12)
     assert grid_size(space) <= DEFAULT_BLOCK_SIZE
@@ -484,20 +486,31 @@ def test_fresh_start_replaces_earlier_output(tmp_path):
 
 
 def test_each_record_serialized_once(monkeypatch, tmp_path):
-    # the worker builds each record's line once, and the run writes it as built
+    # the worker builds each record's line once, and the run writes it as
+    # built: the template is filled once per survivor off the row b = 0 and
+    # once for that row, whose 22 lines are cut from it
     import cuboidsearch.search as search_module
 
     built = []
+    templates = []
+    process_block = search_module._process_block
     record_line = search_module._record_line
 
-    def counting_line(*args):
-        built.append(record_line(*args))
-        return built[-1]
+    def recording_block(*args):
+        result = process_block(*args)
+        built.extend(result["lines"].splitlines(keepends=True))
+        return result
 
+    def counting_line(*args):
+        templates.append(record_line(*args))
+        return templates[-1]
+
+    monkeypatch.setattr(search_module, "_process_block", recording_block)
     monkeypatch.setattr(search_module, "_record_line", counting_line)
     space = SearchSpace(height=4)
     run(space, jobs=1, checkpoint_path=None, output_path=None)
     assert len(built) == 32
+    assert len(templates) == 10 + 1
     built.clear()
     out = tmp_path / "records.jsonl"
     run(space, jobs=1, checkpoint_path=None, output_path=str(out))
@@ -604,6 +617,64 @@ def test_checkpoint_with_bad_field_refused(tmp_path, damage):
         run(space, jobs=1, checkpoint_path=ck, output_path=None)
 
 
+def assert_checkpoint_is_json_dumps(path, space, summary):
+    """The checkpoint's bytes are json.dumps of its payload, and it holds the run's state."""
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert payload["config"] == space_config(space)
+    assert payload["config_digest"] == config_digest(space)
+    assert payload["version"] == 2
+    assert payload["cursor"] == summary["cursor"]
+    assert payload["counts"] == {str(level): n for level, n in summary["counts"].items()}
+    assert payload["singular"] == summary["singular"]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        SearchSpace(height=6),
+        SearchSpace(height=6, e21_form="common"),
+        SearchSpace(height=6, b_min=F(-1, 2), b_max=F(3), c_min=F(-5, 4), c_max=F(2, 3)),
+        SearchSpace(height=6, b_min=F(0), c_max=F(-1, 6), e21_form="common"),
+    ],
+)
+def test_checkpoint_bytes_are_json_dumps(tmp_path, space):
+    # the checkpoint template, with ranges of None and of p/q and both
+    # forms, after an interrupted run and after its resume
+    ck = str(tmp_path / "ck.json")
+    first = run(space, jobs=1, checkpoint_path=ck, output_path=None, block_size=50, max_blocks=2)
+    assert first["interrupted"] and first["cursor"] == 100
+    assert_checkpoint_is_json_dumps(ck, space, first)
+    second = run(space, jobs=1, checkpoint_path=ck, output_path=None, block_size=50)
+    assert second["completed"]
+    assert_checkpoint_is_json_dumps(ck, space, second)
+
+
+def test_checkpoint_bytes_are_json_dumps_past_two_to_the_64(tmp_path):
+    # counts no grid here reaches, written and read back exactly
+    import cuboidsearch.search as search_module
+
+    space = SearchSpace(height=3, b_min=F(1, 3), c_max=F(-2, 3), e21_form="common")
+    counts = {level: 2**64 + 3**level for level in range(7)}
+    summary = {"cursor": sum(counts.values()), "counts": counts, "singular": 2**65}
+    ck = str(tmp_path / "ck.json")
+    search_module._save_checkpoint(
+        ck, search_module._checkpoint_header(space), summary["cursor"], counts, summary["singular"]
+    )
+    assert_checkpoint_is_json_dumps(ck, space, summary)
+
+
+def test_ratio_text_is_str_of_fraction():
+    # the search writes a residual pair (n, d), d > 0, with one gcd
+    from cuboidsearch.search import _ratio_text
+
+    values = [0, 1, 2, 3, 4, 6, 12, 35, 2**64, 3**45 * 2**7]
+    for n, d in itertools.product(values + [-v for v in values], values[1:]):
+        assert _ratio_text(n, d) == str(F(n, d)), (n, d)
+
+
 def test_config_digest_distinguishes_spaces():
     assert config_digest(SearchSpace(height=2)) != config_digest(SearchSpace(height=3))
     assert config_digest(SearchSpace(height=2)) != config_digest(
@@ -612,9 +683,10 @@ def test_config_digest_distinguishes_spaces():
     assert config_digest(SearchSpace(height=2)) == config_digest(SearchSpace(height=2))
 
 
-# The reasons of levels 1 to 6, read off the Verdicts that verifier builds.
+# The reasons of levels 1 to 6, read off the Verdicts that verifier builds
+# and the integer tuples of its edge stage.
 REASONS = sorted(
-    set(re.findall(r'Verdict\(\s*([1-6]),\s*"([a-z0-9-]+)"', inspect.getsource(verifier)))
+    set(re.findall(r'(?:Verdict)?\(\s*([1-6]),\s*"([a-z0-9-]+)"', inspect.getsource(verifier)))
 )
 RECORD_KEYS = ["b", "c", "e21_form", "level", "reason", "residuals", "ts"]
 
@@ -642,7 +714,7 @@ def test_record_line_is_json_dumps():
             "e21_form": e21_form,
             "ts": ts,
         }
-        line = search_module._record_line(b, c, verdict, e21_form, ts)
+        line = search_module._record_line(b, c, int(level), reason, residuals, e21_form, ts)
         assert line == json.dumps(record, sort_keys=True) + "\n"
         assert json.loads(line) == record
         made = make_record(b, c, verdict, e21_form)
@@ -686,13 +758,13 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     assert grade(*target).level == 2
     graded = []
 
-    def fake_stage(b, c, form="printed"):
+    def fake_stage(b, c, *args):
         graded.append((b, c))
         if (b, c) == target:
-            return Verdict(6, "perfect-cuboid", edges=(F(1), F(1), F(1)))
-        return grade_square(b, c, form)
+            return (6, "perfect-cuboid", (), None, None)
+        return edge_split(b, c, *args)
 
-    monkeypatch.setattr(search_module, "grade_square", fake_stage)
+    monkeypatch.setattr(search_module, "edge_split", fake_stage)
     out = str(tmp_path / "records.jsonl")
     summary = run(
         SearchSpace(height=2),
@@ -948,7 +1020,7 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
         return called
 
     monkeypatch.setattr(search_module, "level0_survivors", never("level0_survivors"))
-    monkeypatch.setattr(search_module, "grade_square", never("grade_square"))
+    monkeypatch.setattr(search_module, "edge_split", never("edge_split"))
     space = SearchSpace(height=12, b_min=F(1), b_max=F(1), c_min=F(1, 2), c_max=F(3))
     out = str(tmp_path / "records.jsonl")
     summary = run(space, jobs=1, checkpoint_path=None, output_path=out, block_size=7)
@@ -963,7 +1035,7 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
     with pytest.raises(AssertionError, match="level0_survivors called"):
         run(live, jobs=1, checkpoint_path=None, output_path=None)
     monkeypatch.setattr(search_module, "level0_survivors", level0_survivors)
-    with pytest.raises(AssertionError, match="grade_square called"):
+    with pytest.raises(AssertionError, match="edge_split called"):
         run(live, jobs=1, checkpoint_path=None, output_path=None)
 
 
@@ -974,12 +1046,12 @@ def test_grade_never_sees_a_singular_point(monkeypatch):
 
     graded = []
 
-    def checked_stage(b, c, form="printed"):
+    def checked_stage(b, c, *args):
         assert not classify(b, c), (b, c)
         graded.append((b, c))
-        return grade_square(b, c, form)
+        return edge_split(b, c, *args)
 
-    monkeypatch.setattr(search_module, "grade_square", checked_stage)
+    monkeypatch.setattr(search_module, "edge_split", checked_stage)
     summary = run(SearchSpace(height=8), jobs=1, checkpoint_path=None, output_path=None)
     assert summary["singular"] == sum(
         1 for b, c in enumerate_points(SearchSpace(height=8)) if classify(b, c)
@@ -1021,7 +1093,7 @@ def graded_every_point(space):
 
 
 def forbid_graded_path(monkeypatch):
-    """Make the sieve's AND, the kernel, the singular columns and the stage raise."""
+    """Make the sieve's AND, the kernel, the singular columns and both stages raise."""
     import cuboidsearch.search as search_module
 
     def never(name):
@@ -1030,7 +1102,9 @@ def forbid_graded_path(monkeypatch):
 
         return called
 
-    for name in ("_piece_columns", "level0_survivors", "singular_columns", "grade_square"):
+    for name in (
+        "_piece_columns", "level0_survivors", "singular_columns", "edge_split", "grade_square",
+    ):
         monkeypatch.setattr(search_module, name, never(name))
 
 

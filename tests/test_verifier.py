@@ -10,6 +10,7 @@ from cuboidsearch.coefficients import (
     CoefficientSet,
     E21DenominatorPole,
     diagonal_cubic,
+    edge_coefficients,
     edge_cubic,
     eval_coefficients,
 )
@@ -25,6 +26,7 @@ from cuboidsearch.verifier import (
     _s_row,
     auxiliary_residuals,
     check_pairings,
+    edge_split,
     grade,
     level0_survivors,
     pythagorean_check,
@@ -174,6 +176,40 @@ def test_grade_square_disc_without_splitting():
     verdict = grade(F(-3, 2), F(7, 8))
     assert verdict.level == 1
     assert verdict.reason == "edge-no-split"
+
+
+def test_edge_split_matches_the_fraction_path_height_8():
+    # exhaustive: at every nonsingular point of the H=8 grid with a square
+    # edge discriminant, the integer stage against the edge cubic built from
+    # the Fraction coefficients and split by rational_roots, with that
+    # cubic's own discriminant as the level-1 residual and its roots <= 0 as
+    # the level-2 ones; every residual denominator is positive
+    levels = {1: 0, 2: 0}
+    for b, c in enumerate_points(SearchSpace(height=8)):
+        if classify(b, c):
+            continue
+        cubic = edge_cubic(edge_coefficients(b, c))
+        disc = discriminant(cubic)
+        if is_rational_square(disc) is None:
+            continue
+        level, reason, residuals, ys, den = edge_split(b, c)
+        roots = rational_roots(cubic)
+        if roots is None:
+            expected = (1, "edge-no-split", (disc,))
+            assert ys is None and den is None
+        else:
+            expected = (2, "edge-root-nonpositive", tuple(r for r in roots if r <= 0))
+            assert tuple(F(y, den) for y in ys) == roots, (b, c)
+        assert (level, reason, tuple(F(n, d) for n, d in residuals)) == expected, (b, c)
+        assert all(d > 0 for _, d in residuals), (b, c)
+        levels[level] += 1
+    assert levels == {1: 1, 2: 113}  # the H=8 search's records
+
+
+def test_edge_split_past_level_two(monkeypatch):
+    # (3x - 1)(2x - 1)(3x - 2) has the positive roots 1/3, 1/2, 2/3: the
+    # stage hands them on with no reason and no residual
+    assert edge_split(F(1), F(1), edge=(18, -27, 13, -2)) == (3, None, (), (12, 18, 24), 36)
 
 
 def test_grade_edge_root_nonpositive():
