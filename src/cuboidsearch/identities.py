@@ -62,7 +62,7 @@ from .coefficients import (
     check_e21_form,
 )
 from .singularity import classify
-from .verifier import EDGE_DISC_S, _homogeneous_horner
+from .verifier import EDGE_DISC_S
 
 
 # Symbolic forms of the three factors, used by the identity checks, by
@@ -350,6 +350,16 @@ def _two_adic_points(m: int, v: int, low: int, high: int) -> list[tuple[int, int
         return ((n | m) & -(n | m)).bit_length() - 1
 
     return [(r, s) for r, s in p1_points(m) if min(max(v2(r) - v2(s), low), high) == v]
+
+
+def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
+    """den^n * P(num/den) for P(x) = sum(coeffs[i] * x^i) of degree n, by Horner's rule."""
+    acc = 0
+    den_power = 1
+    for coeff in reversed(coeffs):
+        acc = acc * num + coeff * den_power
+        den_power *= den
+    return acc
 
 
 def _never_square(m: int, b_points: list, c_points: list, s_table: tuple) -> bool:

@@ -1,37 +1,37 @@
 """Deterministic, checkpointable search over the rational parameter plane.
 
 The search enumerates every reduced fraction of bounded height for each of
-the two parameters.  It screens the in-range points one b row piece at a
-time with the verifier's integer level-0 test (``level0_survivors``), which
-rejects most of them, and grades the survivors with the verifier's
-integer edge stage, ``edge_split``: the screen has already decided level
-0, so no survivor is classified or square-tested again, and the edge
-discriminant is computed only as the residual of a level-1 record.  Every
-survivor is at level 1 or higher.  At levels 1 and 2 its residuals come
-as numerator/denominator pairs and are written with one gcd each
-(``_ratio_text``), so no Fraction or Verdict is built; a survivor past
-level 2 goes on through ``grade_square``.  Each record is serialized
-once, in the worker that graded it, as a JSONL line (``_record_line``);
-the run appends each block's lines to the output with one write.
-Singular points are counted but not graded or logged: along the two
-singular curves they are endless and carry no search information.
+the two parameters.  A residue sieve drops most in-range points one b row
+piece at a time, and at each point it keeps the search runs ``grade``'s
+own level-0 test: the integer discriminant of ``edge_integer_cubic`` must
+be a perfect square.  The survivors go on to the verifier's integer edge
+stage, ``edge_split``, with that cubic and discriminant, so nothing is
+classified or computed twice.  Every survivor is at level 1 or higher.
+At levels 1 and 2 its residuals come as numerator/denominator pairs and
+are written with one gcd each (``_ratio_text``), so no Fraction or
+Verdict is built; a survivor past level 2 goes on through
+``grade_square``.  Each record is serialized once, in the worker that
+graded it, as a JSONL line (``_record_line``); the run appends each
+block's lines to the output with one write.  Singular points are counted
+but not graded or logged: along the two singular curves they are endless
+and carry no search information.
 
-Before the screen, a residue sieve drops the columns at which t =
-q^8 s^8 S has no square residue for some modulus, as the bit arrays of
-M. Stoll's ratpoints do.  Each row holds one column bitset per modulus,
-each built by ``_class_masks`` from a table of the kept pairs of a row's
-and a column's class in P^1: the cells of (v2(b), v2(c)) outside those
-the identities module proves empty (``SCREENED_C_CLASSES``, 55-59% of
-the grid; a row with p and q odd keeps no column), read off the classes
-in P^1(Z/8) x P^1(Z/4), and for each odd modulus m of ``RESIDUE_MODULI``
-the pairs in P^1(Z/m) at which t has a square residue (fact F4).  A row
-piece ANDs its row's masks and hands only the set bits to the kernel,
-0.21% of the grid at H=30.  The points dropped are counted at level 0;
-the singular points among them are found by column index from
-``singular_columns``.
+The sieve drops the columns at which t = q^8 s^8 S has no square residue
+for some modulus, as the bit arrays of M. Stoll's ratpoints do.  Each row
+holds one column bitset per modulus, each built by ``_class_masks`` from a
+table of the kept pairs of a row's and a column's class in P^1: the cells
+of (v2(b), v2(c)) outside those the identities module proves empty
+(``SCREENED_C_CLASSES``, 55-59% of the grid; a row with p and q odd keeps
+no column), read off the classes in P^1(Z/8) x P^1(Z/4), and for each odd
+modulus m that ``residue_moduli`` picks for the grid's size from
+``RESIDUE_MODULI`` the pairs in P^1(Z/m) at which t has a square residue
+(fact F4).  A row piece ANDs its row's masks and tests only the set bits:
+off b = 0, 1,410 points of the 148M at H=100, of which 398 are records.
+The points dropped are counted at level 0; the singular points among them
+are found by column index from ``singular_columns``.
 
 The row b = 0 skips all of that.  There S(0, c) = 4c^4 is a square, so
-the sieve and the kernel would keep every column, and by fact F5
+the sieve and the discriminant test would keep every column, and by fact F5
 (``identities.check_b0_row``) every point but the singular origin grades
 to one verdict, ``B0_ROW_VERDICT``: level 2, edge cubic x^2 (x - 1).  A
 b = 0 row piece counts c = 0 as singular and writes that verdict's record
@@ -85,12 +85,11 @@ from math import gcd
 from operator import and_, mul, or_
 from typing import Callable, Iterator, NamedTuple
 
-from .coefficients import E21_PRINTED, check_e21_form
+from .coefficients import E21_PRINTED, check_e21_form, edge_integer_cubic
+from .cubic import integer_discriminant, is_perfect_square
 from .rationals import format_rational, height as height_of, parse_rational
 from .singularity import singular_columns
-from .verifier import (
-    _EDGE_DISC_S_COLUMNS, LEVEL_PERFECT, Verdict, edge_split, grade_square, level0_survivors,
-)
+from .verifier import EDGE_DISC_S, LEVEL_PERFECT, Verdict, edge_split, grade_square
 
 CHECKPOINT_VERSION = 2
 # The smallest block, of 2^18..2^21 points, whose work outweighs the
@@ -115,10 +114,37 @@ SCREENED_C_CLASSES = {0: (), 1: (0, 1), 2: (0, 1), -1: (-1, 2), -2: (-1, 2)}
 # residue mod m depends only on the classes of (p : q) and (r : s) in
 # P^1(Z/m) (fact F4, identities.check_s_residue_classes).  A perfect
 # square has a square residue, so a point whose class pair has none is at
-# level 0.  A modulus is kept only if it pays for its tables at H=30: the
-# kernel work it saves a full jobs=1 run exceeds the time to build its
-# masks.  41 and 43 break even there; 47, 53, 25, 27 and 49 do not pay.
-RESIDUE_MODULI = (9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# level 0.  The output does not depend on which moduli sieve, so the set
+# is in neither the config digest nor the checkpoint.
+#
+# How many sieve a grid, by measured cost (2-vCPU Xeon, Python 3.11.7,
+# warm jobs=1 runs).  Off b = 0, each odd prime past 37 keeps about half of
+# the points the sieve still passes, nearly all of them level 0: at H=100
+# the moduli up to 37 keep 214,737 points there, those up to 71 keep 1,410,
+# and 398 are records.  Each point kept costs the discriminant test, 5-12
+# us.  A prime costs its tables, 2-5 ms at H=30, 6-13 ms at H=100 and 25-45
+# ms at H=200 for 41..71, and one AND per row.  The points a prime removes
+# grow with the grid's size and its costs with the width, so each doubling
+# of the size pays for about one more prime: ``residue_moduli`` adds one
+# past 37 per bit of the size past 19.  That is none up to H=24, 41 from
+# H=26, 41..43 at H=30, 41..61 at H=60 and 41..71 from H=100 on:
+#   * H=16 (17 bits): 41 would remove 36 of 138 points, 0.2 ms, for 2.2 ms
+#     of tables; at H=4 (10 bits) the 10 columns kept are all records;
+#   * H=30 (21 bits): 41 and 43 save 3.3 and 2.1 ms for 2 ms of tables
+#     each, and 47 saves 1.0 ms;
+#   * H=60 (25 bits): 41..53 pay, and the runs up to 53, 59, 61 and 67
+#     are within 3 ms of each other;
+#   * H=100 and H=200: each of 41..71 pays or breaks even, and at H=200
+#     73..89 gain nothing more (1.47, 1.41, 1.43 s up to 71, 79, 89).
+# The prime powers 25, 27 and 49 did not pay at H=30 when measured.
+RESIDUE_MODULI = (9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def residue_moduli(size: int) -> tuple[int, ...]:
+    """The moduli that sieve a grid of ``size`` points: the first 11, one more per bit past 19."""
+    return RESIDUE_MODULI[:11 + max(0, size.bit_length() - 19)]
+
+
 # Fact F5 (identities.check_b0_row): at b = 0 and any c != 0 the point is
 # nonsingular and its edge cubic is x^3 - x^2 = x^2 (x - 1), which splits with
 # the double root 0, so grade_square returns this verdict there.
@@ -174,9 +200,6 @@ class _Axes(NamedTuple):
     cs: tuple[Fraction, ...]
     b_index: dict[tuple[int, int], int]
     c_index: dict[tuple[int, int], int]
-    c_nums: tuple[int, ...]
-    c_dens: tuple[int, ...]
-    s_powers: dict[int, tuple[int, ...]]
     row_masks: tuple[tuple[int, ...], ...]
 
 
@@ -205,6 +228,10 @@ def _p1_points(m: int) -> list[tuple[int, int]]:
     return [(x, 1) for x in range(m)] + [(1, y) for y in range(0, m, ell)]
 
 
+# Column j holds the coefficients of c^j in S, as a polynomial in b.
+_S_COLUMNS = tuple(zip(*EDGE_DISC_S))
+
+
 def _square_classes(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
     """For each row class given, whether t has a square residue mod m at each column class.
 
@@ -217,7 +244,7 @@ def _square_classes(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
     squares = {y * y % m for y in range(m)}
     table = {}
     for kappa in row_classes:
-        row = [sum(map(mul, column, powers[kappa])) for column in _EDGE_DISC_S_COLUMNS]
+        row = [sum(map(mul, column, powers[kappa])) for column in _S_COLUMNS]
         table[kappa] = tuple(sum(map(mul, row, power)) % m in squares for power in powers)
     return table
 
@@ -261,8 +288,9 @@ def _class_masks(row_m: int, col_m: int, keep, b_pairs: list, c_pairs: list) -> 
     occurs, the kept column classes in P^1(Z/col_m).  A row class's mask,
     shared by its rows, ORs the kept column classes' bitsets.
     """
-    columns = _column_bits(bytes(_p1_classes(col_m, c_pairs)))
-    rows = _p1_classes(row_m, b_pairs)
+    classes = _p1_classes(col_m, c_pairs)
+    columns = _column_bits(bytes(classes))
+    rows = classes if (row_m, b_pairs) == (col_m, c_pairs) else _p1_classes(row_m, b_pairs)
     masks = {
         kappa: reduce(or_, (bits for k, bits in columns.items() if kept[k]), 0)
         for kappa, kept in keep(row_m, set(rows)).items()
@@ -276,34 +304,30 @@ def _axes(space: SearchSpace) -> _Axes:
 
     The indices are keyed by (numerator, denominator).
 
-    For the level-0 kernel, also the c numerators and denominators,
-    (s^8, ..., 1) for each denominator s, and for each row the column
-    masks of the residue sieve (``_class_masks``), as bitsets with bit j
-    for column j: its 2-adic mask first, then one mask per modulus of
-    RESIDUE_MODULI.  A row holds references to masks shared by its class,
-    so the masks take O(classes x width) memory; the AND of a row is formed
-    per row piece.
+    For each row, also the column masks of the residue sieve
+    (``_class_masks``), as bitsets with bit j for column j: its 2-adic
+    mask first, then one mask per modulus of ``residue_moduli``.  A row
+    holds references to masks shared by its class, so the masks take
+    O(classes x width) memory; the AND of a row is formed per row piece.
     """
     values = fraction_values(space.height)
 
     def axis(lo, hi):
         return tuple(v for v in values if (lo is None or lo <= v) and (hi is None or v <= hi))
 
-    def index(axis):
-        return {(v.numerator, v.denominator): i for i, v in enumerate(axis)}
+    def index(pairs):
+        return {pair: i for i, pair in enumerate(pairs)}
 
     bs = axis(space.b_min, space.b_max)
     cs = axis(space.c_min, space.c_max)
-    dens = tuple(c.denominator for c in cs)
-    powers = {s: tuple(s**k for k in range(8, -1, -1)) for s in set(dens)}
     b_pairs = [(b.numerator, b.denominator) for b in bs]
-    c_pairs = [(c.numerator, c.denominator) for c in cs]
+    c_pairs = b_pairs if cs == bs else [(c.numerator, c.denominator) for c in cs]
     masks = [_class_masks(8, 4, _two_adic_cells, b_pairs, c_pairs)]
-    masks += [_class_masks(m, m, _square_classes, b_pairs, c_pairs) for m in RESIDUE_MODULI]
-    return _Axes(
-        bs, cs, index(bs), index(cs), tuple(c.numerator for c in cs), dens, powers,
-        tuple(zip(*masks)),
-    )
+    masks += [
+        _class_masks(m, m, _square_classes, b_pairs, c_pairs)
+        for m in residue_moduli(len(bs) * len(cs))
+    ]
+    return _Axes(bs, cs, index(b_pairs), index(c_pairs), tuple(zip(*masks)))
 
 
 def grid_size(space: SearchSpace) -> int:
@@ -538,6 +562,9 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None
     """
     if not os.path.exists(path):
         return
+    if not cursor:
+        _atomic_write(path, "")  # every record is at or past the cursor: none is parsed
+        return
     kept = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
@@ -576,18 +603,18 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
 
     A piece of the row b = 0 is decided in closed form (fact F5): c = 0 is
     counted singular and every other column gets ``B0_ROW_VERDICT``'s
-    record, cut from one template filled per piece, with no mask, kernel or
-    grading.  Each other row piece of the block sends the columns that the
-    residue sieve keeps through ``level0_survivors`` at once, and a piece
-    with none left builds no row polynomial.  The singular columns are
-    found by index from ``singular_columns``.  The singular points, the
-    sieved points and the points the kernel rejects are counted at level 0,
-    and nothing more is built for them.  The survivors are graded in cursor order by
-    ``edge_split``, and past level 2 by ``grade_square``, whose docstring
-    gives why they need no singularity or square test.  Each record of
-    level 1 or higher is serialized once, here, with the block's one
-    timestamp, from integers and strings: ``lines`` holds them all and
-    ``hits`` the level-6 ones.
+    record, cut from one template filled per piece, with no mask, test or
+    grading.  In each other row piece of the block, the singular columns
+    are found by index from ``singular_columns``, and each other column
+    that the residue sieve keeps gets ``grade``'s discriminant test.  The
+    singular points, the sieved points and the points the test rejects are
+    counted at level 0, and nothing more is built for them.  The survivors
+    are graded in cursor order by ``edge_split`` from the test's edge
+    cubic and discriminant, and past level 2 by ``grade_square``, whose
+    docstring gives why they need no further singularity or square test.
+    Each record of level 1 or higher is serialized once, here, with the
+    block's one timestamp, from integers and strings: ``lines`` holds them
+    all and ``hits`` the level-6 ones.
     """
     axes = _axes(space)
     counts = {level: 0 for level in LEVELS}
@@ -612,24 +639,25 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
             counts[2] += len(row)
             lines += row
             continue
-        columns = _piece_columns(axes.row_masks[i], j0, j1)
-        survivors = (
-            level0_survivors(p, q, axes.c_nums, axes.c_dens, columns, axes.s_powers)
-            if columns else []
-        )
         singular_js = [
             j for j in map(axes.c_index.get, singular_columns(p, q))
             if j is not None and j0 <= j < j1
         ]
-        survivors = [j for j in survivors if j not in singular_js]
         singular += len(singular_js)
-        counts[0] += j1 - j0 - len(survivors)
-        for j in survivors:
+        counts[0] += j1 - j0  # less one for each survivor below
+        for j in _piece_columns(axes.row_masks[i], j0, j1):
+            if j in singular_js:
+                continue
             c = axes.cs[j]
-            # a survivor's edge discriminant is a square, so it is at level 1 or higher
-            level, reason, residuals, _, _ = edge_split(b, c)
+            # grade's level-0 test: the edge discriminant must be a perfect square
+            edge = edge_integer_cubic(b, c)
+            disc = integer_discriminant(*edge)
+            if is_perfect_square(disc) is None:
+                continue
+            counts[0] -= 1
+            level, reason, residuals, _, _ = edge_split(b, c, edge, disc)
             if reason is None:
-                verdict = grade_square(b, c, space.e21_form)
+                verdict = grade_square(b, c, space.e21_form, edge, disc)
                 level, reason, residuals = verdict.level, verdict.reason, verdict.residuals
             else:
                 residuals = [_ratio_text(n, d) for n, d in residuals]

@@ -34,15 +34,15 @@ level needs:
   5. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
-The search decides level 0 by its own shortcut, ``level0_survivors``
-behind a residue sieve: the 2-adic cells and the odd moduli of fact F4
-(see the search module), and grades its survivors with ``edge_split``
-alone, so it computes the edge discriminant only for the level-1 residual
+The search applies stage 2 only at the points its residue sieve keeps:
+the 2-adic cells and the odd moduli of fact F4 (see the search module)
+prove every other point to be at level 0.  It drops the singular columns
+by index, takes stage 2's edge cubic and discriminant on to ``edge_split``,
 and builds no Fraction or Verdict; only a survivor past level 2 goes on
 through ``grade_square``.  On the row b = 0 it takes a further shortcut,
 fact F5: it writes one fixed level-2 verdict at every point but the
-origin, grading none.  ``grade`` never takes either shortcut or consults
-the sieve's masks, so grading every point checks all of them against the
+origin, grading none.  ``grade`` never takes that shortcut or consults
+the sieve's masks, so grading every point checks both against the
 definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
@@ -56,9 +56,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt
-from operator import mul
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .coefficients import (
     AuxiliaryCoefficients,
@@ -95,78 +93,6 @@ EDGE_DISC_S = (
     (320, -1440, 2480, -1800, 0, 900, -620, 180, -20),
     (64, -384, 992, -1440, 1284, -720, 248, -48, 4),
 )
-# Column j holds the coefficients of c^j in S, as a polynomial in b.
-_EDGE_DISC_S_COLUMNS = tuple(zip(*EDGE_DISC_S))
-
-
-def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
-    """den^n * P(num/den) for P(x) = sum(coeffs[i] * x^i) of degree n, by Horner's rule."""
-    acc = 0
-    den_power = 1
-    for coeff in reversed(coeffs):
-        acc = acc * num + coeff * den_power
-        den_power *= den
-    return acc
-
-
-def _s_row(p: int, q: int) -> list[int]:
-    """q^8 S(p/q, c) as integer coefficients in c; one row serves every c of a row piece.
-
-    Each coefficient is a column of S dotted with (p^i q^(8-i)) for i = 0..8.
-    """
-    pq = [q**8]
-    for _ in range(8):
-        pq.append(pq[-1] // q * p)
-    return [sum(map(mul, column, pq)) for column in _EDGE_DISC_S_COLUMNS]
-
-
-def level0_survivors(
-    p: int,
-    q: int,
-    rs: tuple[int, ...],
-    ss: tuple[int, ...],
-    columns: Iterable[int],
-    s_powers: dict[int, tuple[int, ...]],
-) -> list[int]:
-    """Level 0 of the row b = p/q at the columns c = rs[j]/ss[j], j in ``columns``.
-
-    Returns the indices j, in the order of ``columns``, at which
-    t = q^8 s^8 S(b, c) is a perfect square.  At a nonsingular point these
-    are exactly the points that ``grade`` does not stop at
-    "disc-nonsquare"; the caller drops the singular points, which it
-    counts from ``singular_columns``.  ``s_powers`` maps each denominator s
-    to (s^8, s^7, ..., 1).  With ``range(j0, j1)`` the whole row piece is
-    screened; the search passes only the columns its residue sieve keeps,
-    in ascending order.
-
-    At a nonsingular point f1, f2 and Q are nonzero, and so is G: by fact
-    F1 (``identities.check_edge_g_has_no_rational_zero``) G vanishes at a
-    rational point only at the singular origin.  By the factorization above
-    the discriminant is then a rational square exactly when b = 0 or S is a
-    rational square, and S(0, c) = 4c^4 is one, so S alone decides.  With
-    c = r/s in lowest terms, t is an integer, and as q^8 s^8 is a square,
-    S is a rational square exactly when t is a perfect square: Horner's
-    rule in r on row[k] * s^(8-k), built once per denominator, and one
-    isqrt.
-    """
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _s_row(p, q)
-    sets = {}
-    survivors = []
-    for j in columns:
-        r = rs[j]
-        s = ss[j]
-        coeffs = sets.get(s)
-        if coeffs is None:
-            w8, w7, w6, w5, w4, w3, w2, w1, _ = s_powers[s]
-            coeffs = sets[s] = (
-                c0 * w8, c1 * w7, c2 * w6, c3 * w5, c4 * w4, c5 * w3, c6 * w2, c7 * w1, c8
-            )
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = coeffs
-        t = ((((((((a8 * r + a7) * r + a6) * r + a5) * r + a4) * r + a3) * r + a2) * r + a1) * r
-             + a0)
-        if t >= 0 and isqrt(t) ** 2 == t:
-            survivors.append(j)
-    return survivors
 
 
 class Verdict(NamedTuple):
@@ -319,16 +245,14 @@ def grade_square(
 
       * ``grade`` has just checked all three;
       * the search validates the form in ``SearchSpace``, drops the
-        singular columns by index (``singular_columns``), and calls
-        ``edge_split`` only where ``level0_survivors`` found t = q^8 s^8 S
-        a perfect square, and this only past level 2.  At a nonsingular
-        point f1, f2 and Q are nonzero, so the factorization
-        b^2 G^2 S / (4 f1^6 f2^6 Q^2) of the edge cubic's discriminant
-        makes it a rational square whenever S = t / (q^8 s^8) is one, and
-        ``integer_discriminant`` is that times the square a3^4.
-        Conversely, by fact F1 a square discriminant gives a square S, so
-        the kernel keeps exactly the points at which ``grade`` passes its
-        square test.
+        singular columns by index (``singular_columns``), and runs
+        ``grade``'s own square test on ``edge_integer_cubic`` at the
+        points its residue sieve keeps, calling this only past level 2.
+        The sieve drops only points at which t = q^8 s^8 S is not a
+        square, and off the row b = 0 a nonsingular point has b, f1,
+        f2, Q and, by fact F1, G nonzero, so the factorization b^2 G^2 S / (4 f1^6 f2^6 Q^2)
+        of the edge cubic's discriminant makes each of them a point at
+        which ``grade`` fails its square test.
 
     Under the printed e21 form, a point where that form's extra denominator
     factor vanishes cannot be checked against the auxiliary equations, so

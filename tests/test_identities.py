@@ -26,10 +26,10 @@ from cuboidsearch.search import (
     B0_ROW_VERDICT,
     RESIDUE_MODULI,
     SCREENED_C_CLASSES,
-    SearchSpace,
-    _axes,
+    _class_masks,
     _piece_columns,
     _square_classes,
+    fraction_values,
 )
 from cuboidsearch.verifier import EDGE_DISC_S, grade
 
@@ -288,14 +288,15 @@ def test_residue_class_tables_hold_and_are_the_search_tables(m):
     assert tuple(search_table[k] for k in range(n)) == check.table
     # some class pair has no square residue, or the modulus would sieve nothing
     assert not all(all(row) for row in check.table)
-    axes = _axes(SearchSpace(height=8))
-    position = 1 + RESIDUE_MODULI.index(m)
-    for b, masks in zip(axes.bs, axes.row_masks):
+    values = fraction_values(8)
+    pairs = [(v.numerator, v.denominator) for v in values]
+    masks = _class_masks(m, m, _square_classes, pairs, pairs)
+    for b, mask in zip(values, masks):
         row = check.table[p1_class(b.numerator, b.denominator, m)[0]]
         expected = [
-            j for j, c in enumerate(axes.cs) if row[p1_class(c.numerator, c.denominator, m)[0]]
+            j for j, c in enumerate(values) if row[p1_class(c.numerator, c.denominator, m)[0]]
         ]
-        assert _piece_columns(masks[position:position + 1], 0, len(axes.cs)) == expected, b
+        assert _piece_columns((mask,), 0, len(values)) == expected, b
 
 
 @pytest.mark.parametrize("m", [m for m in RESIDUE_MODULI if m <= 13])

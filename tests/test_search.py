@@ -30,12 +30,15 @@ from cuboidsearch.search import (
     load_records,
     make_record,
     point_index,
+    residue_moduli,
     run,
     space_config,
 )
 from cuboidsearch import verifier
+from cuboidsearch.coefficients import edge_integer_cubic
+from cuboidsearch.cubic import integer_discriminant, is_perfect_square
 from cuboidsearch.singularity import classify
-from cuboidsearch.verifier import Verdict, edge_split, grade, grade_square, level0_survivors
+from cuboidsearch.verifier import Verdict, edge_split, grade, grade_square
 
 F = Fraction
 
@@ -485,6 +488,32 @@ def test_fresh_start_replaces_earlier_output(tmp_path):
     assert load_records(hits_path_for(out)) == []
 
 
+def test_fresh_start_parses_no_earlier_line(monkeypatch, tmp_path):
+    # a run with no checkpoint to resume drops every earlier line unread:
+    # with the search's line parsers made to raise, an output and a hit
+    # file that hold records, a torn line and garbage still start empty
+    import cuboidsearch.search as search_module
+
+    space = SearchSpace(height=4)
+    out = str(tmp_path / "records.jsonl")
+    run(space, jobs=1, checkpoint_path=None, output_path=out)
+    first = records_in_order(out)
+    for path in (out, hits_path_for(out)):
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"b": "1", "c": "1", "level": 6}\nnot json\n{"b": "1/')
+
+    def never(*args):
+        raise AssertionError(f"an earlier line was parsed: {args[0]!r}")
+
+    monkeypatch.setattr(search_module.json, "loads", never)
+    monkeypatch.setattr(search_module, "parse_rational", never)
+    summary = run(space, jobs=1, checkpoint_path=None, output_path=out)
+    monkeypatch.undo()
+    assert summary["completed"]
+    assert records_in_order(out) == first and len(first) == 32
+    assert load_records(hits_path_for(out)) == []
+
+
 def test_each_record_serialized_once(monkeypatch, tmp_path):
     # the worker builds each record's line once, and the run writes it as
     # built: the template is filled once per survivor off the row b = 0 and
@@ -908,50 +937,85 @@ def test_record_stream_pinned_height_6(tmp_path):
 # --- the residue sieve -------------------------------------------------------
 
 
-def test_unsieved_kernel_rejects_every_sieved_point_height_16():
-    # exhaustive: the kernel on each whole row of the H=16 grid, unsieved,
-    # rejects every point that the search's masks remove, both the 2-adic
-    # cells alone (the first mask of a row) and all the masks together
-    # (fact F4); on the columns the masks keep it finds the same survivors
-    axes = _axes(SearchSpace(height=16))
+def test_grade_puts_every_sieved_point_at_level_0_height_16(monkeypatch):
+    # exhaustive: grade stops at level 0 at every point of the H=16 grid
+    # that the search's masks remove, both the 2-adic cells alone (the
+    # first mask of a row) and all the masks together (fact F4).  The
+    # masks are built for every modulus of RESIDUE_MODULI, though a grid
+    # this small is sieved by the first 11 alone, and kept out of the cache
+    import cuboidsearch.search as search_module
+
+    space = SearchSpace(height=16)
+    assert residue_moduli(grid_size(space)) == RESIDUE_MODULI[:11]
+    monkeypatch.setattr(search_module, "residue_moduli", lambda size: RESIDUE_MODULI)
+    axes = _axes.__wrapped__(space)
     width = len(axes.cs)
     skipped = seen = 0
     for b, masks in zip(axes.bs, axes.row_masks):
-        p, q = b.numerator, b.denominator
         screened = set(_piece_columns(masks[:1], 0, width))
-        kept = _piece_columns(masks, 0, width)
-        survivors = level0_survivors(p, q, axes.c_nums, axes.c_dens, range(width), axes.s_powers)
-        assert set(survivors) <= set(kept) <= screened, b
-        assert level0_survivors(p, q, axes.c_nums, axes.c_dens, kept, axes.s_powers) == survivors
+        kept = set(_piece_columns(masks, 0, width))
+        assert kept <= screened, b
+        for j, c in enumerate(axes.cs):
+            if j not in kept:
+                assert grade(b, c).level == 0, (b, c)
         skipped += width - len(screened)
         seen += len(kept)
     assert width == 319
     assert all(len(masks) == 1 + len(RESIDUE_MODULI) for masks in axes.row_masks)
     assert skipped == 56144  # 55% of the grid
-    assert seen == 457  # the points the kernel sees: 0.45% of the grid
+    assert seen == 372  # the points the masks keep, 0.37% of the grid, 319 of them at b = 0
+
+
+@functools.lru_cache(maxsize=None)
+def square_discriminant_points(height):
+    """Every nonsingular point of the grid at which grade's edge discriminant is a square.
+
+    Found by the search's per-point test, ``grade``'s own, on every point:
+    no mask is consulted.
+    """
+    values = fraction_values(height)
+    points = []
+    for b in values:
+        for c in values:
+            if classify(b, c):
+                continue
+            edge = edge_integer_cubic(b, c)
+            disc = integer_discriminant(*edge)
+            if is_perfect_square(disc) is not None:
+                points.append((b, c, edge, disc))
+    return points
 
 
 @pytest.mark.parametrize("e21_form", ["printed", "common"])
 def test_stage_matches_grade_at_every_kernel_survivor_height_16(e21_form):
-    # exhaustive: the search grades the nonsingular points the unsieved
-    # kernel keeps with grade_square alone, skipping the form check, the
-    # singularity test and the square test; at every such point of the
-    # H=16 grid it must give grade's verdict
-    axes = _axes(SearchSpace(height=16))
+    # exhaustive: the search grades the nonsingular points that pass the
+    # discriminant test with grade_square alone, from the edge cubic and
+    # discriminant of the test, skipping the form check, the singularity
+    # test and the square test; at every such point of the H=16 grid it
+    # must give grade's verdict
     graded = 0
-    for b in axes.bs:
-        survivors = level0_survivors(
-            b.numerator, b.denominator, axes.c_nums, axes.c_dens, range(len(axes.cs)),
-            axes.s_powers,
-        )
-        for c in (axes.cs[j] for j in survivors):
-            if classify(b, c):
-                continue
-            verdict = grade(b, c, e21_form)
-            assert verdict.level >= 1, (b, c)
-            assert grade_square(b, c, e21_form) == verdict, (b, c)
-            graded += 1
+    for b, c, edge, disc in square_discriminant_points(16):
+        verdict = grade(b, c, e21_form)
+        assert verdict.level >= 1, (b, c)
+        assert grade_square(b, c, e21_form, edge, disc) == verdict, (b, c)
+        graded += 1
     assert graded == 371  # the search's records at H=16
+
+
+def test_unsieved_search_is_grade_at_every_point_height_8(monkeypatch, tmp_path):
+    # with the sieve's AND made to keep every column, the discriminant test
+    # alone decides level 0 at every point off b = 0, the singular ones
+    # included, which the masks never keep up to H=100; the search must
+    # still be grade at every point
+    import cuboidsearch.search as search_module
+
+    monkeypatch.setattr(search_module, "_piece_columns", lambda masks, j0, j1: range(j0, j1))
+    space = SearchSpace(height=8)
+    counts, singular, records = graded_every_point(space)
+    out = str(tmp_path / "records.jsonl")
+    summary = run(space, jobs=1, checkpoint_path=None, output_path=out, block_size=1000)
+    assert summary["counts"] == counts and summary["singular"] == singular
+    assert records_in_order(out) == records
 
 
 def v2(x):
@@ -1008,8 +1072,8 @@ def test_full_grid_pinned_height_30(tmp_path, jobs):
 
 
 def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
-    # b = 1 has v2(b) = 0: its 2-adic mask is empty, so the kernel and
-    # grade never run, and every point is counted at level 0.  c = 2 is the
+    # b = 1 has v2(b) = 0: its 2-adic mask is empty, so the discriminant
+    # test and the grading never run, and every point is counted at level 0.  c = 2 is the
     # row's singular column
     import cuboidsearch.search as search_module
 
@@ -1019,7 +1083,7 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
 
         return called
 
-    monkeypatch.setattr(search_module, "level0_survivors", never("level0_survivors"))
+    monkeypatch.setattr(search_module, "edge_integer_cubic", never("edge_integer_cubic"))
     monkeypatch.setattr(search_module, "edge_split", never("edge_split"))
     space = SearchSpace(height=12, b_min=F(1), b_max=F(1), c_min=F(1, 2), c_max=F(3))
     out = str(tmp_path / "records.jsonl")
@@ -1032,9 +1096,9 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
     # the patches are live: the row b = 1/2 holds a survivor, (1/2, 1/2),
     # which reaches each of them in turn
     live = SearchSpace(height=12, b_min=F(1, 2), b_max=F(1, 2), c_min=F(1, 2), c_max=F(3))
-    with pytest.raises(AssertionError, match="level0_survivors called"):
+    with pytest.raises(AssertionError, match="edge_integer_cubic called"):
         run(live, jobs=1, checkpoint_path=None, output_path=None)
-    monkeypatch.setattr(search_module, "level0_survivors", level0_survivors)
+    monkeypatch.setattr(search_module, "edge_integer_cubic", edge_integer_cubic)
     with pytest.raises(AssertionError, match="edge_split called"):
         run(live, jobs=1, checkpoint_path=None, output_path=None)
 
@@ -1093,7 +1157,7 @@ def graded_every_point(space):
 
 
 def forbid_graded_path(monkeypatch):
-    """Make the sieve's AND, the kernel, the singular columns and both stages raise."""
+    """Make the sieve's AND, the discriminant test, the singular columns and both stages raise."""
     import cuboidsearch.search as search_module
 
     def never(name):
@@ -1103,7 +1167,7 @@ def forbid_graded_path(monkeypatch):
         return called
 
     for name in (
-        "_piece_columns", "level0_survivors", "singular_columns", "edge_split", "grade_square",
+        "_piece_columns", "edge_integer_cubic", "singular_columns", "edge_split", "grade_square",
     ):
         monkeypatch.setattr(search_module, name, never(name))
 

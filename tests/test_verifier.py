@@ -12,23 +12,22 @@ from cuboidsearch.coefficients import (
     diagonal_cubic,
     edge_coefficients,
     edge_cubic,
+    edge_integer_cubic,
     eval_coefficients,
 )
-from cuboidsearch.cubic import discriminant, rational_roots
-from cuboidsearch.identities import _table_poly, eval_coefficients_cleared
+from cuboidsearch.cubic import (
+    discriminant, integer_discriminant, is_perfect_square, rational_roots,
+)
+from cuboidsearch.identities import eval_coefficients_cleared
 from cuboidsearch.search import SearchSpace, fraction_values
 from cuboidsearch.singularity import SingularFlag, classify
 from cuboidsearch.verifier import (
-    EDGE_DISC_S,
     PERMUTATIONS,
     Verdict,
-    _homogeneous_horner,
-    _s_row,
     auxiliary_residuals,
     check_pairings,
     edge_split,
     grade,
-    level0_survivors,
     pythagorean_check,
 )
 
@@ -263,30 +262,23 @@ def test_grade_uses_verifier_pipeline_consistently():
 
 
 def test_prefilter_matches_cleared_discriminant_height_6():
-    # exhaustive: the integer level-0 test against the discriminant of the
-    # edge cubic built from the cleared transcription, and grade's residual
-    # at every rejected point against that discriminant (the common e21
-    # form never raises, and the edge cubic ignores e21).  The kernel takes
-    # each row with the whole H=6 c axis, unsieved: at the nonsingular
-    # points its survivors must be exactly those with a square
-    # discriminant, in column order.  The search drops the singular points
-    # by index (test_search covers their count)
+    # exhaustive: the search's level-0 test, a perfect-square test on the
+    # integer discriminant of edge_integer_cubic, against the discriminant
+    # of the edge cubic built from the cleared transcription, and grade's
+    # residual at every rejected point against that discriminant (the
+    # common e21 form never raises, and the edge cubic ignores e21).  The
+    # test runs at every point of the H=6 grid, unsieved: at the
+    # nonsingular points it must pass exactly those with a square
+    # discriminant.  The search drops the singular points by index
+    # (test_search covers their count)
     values = fraction_values(6)
-    rs = tuple(c.numerator for c in values)
-    ss = tuple(c.denominator for c in values)
-    s_powers = {s: tuple(s**k for k in range(8, -1, -1)) for s in ss}
     checked = rejected = 0
     for b in values:
-        survivors = level0_survivors(
-            b.numerator, b.denominator, rs, ss, range(len(values)), s_powers
-        )
-        assert survivors == sorted(set(survivors)), b
-        survivors = set(survivors)
-        for j, c in enumerate(values):
+        for c in values:
             if classify(b, c):
                 continue
             disc = discriminant(edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)))
-            passed = j in survivors
+            passed = is_perfect_square(integer_discriminant(*edge_integer_cubic(b, c))) is not None
             assert passed == (is_rational_square(disc) is not None), (b, c)
             if not passed:
                 assert grade(b, c) == Verdict(0, "disc-nonsquare", residuals=(disc,)), (b, c)
@@ -294,23 +286,6 @@ def test_prefilter_matches_cleared_discriminant_height_6():
             rejected += not passed
     assert checked == 2148
     assert rejected == 2089
-
-
-def test_horner_s_row_matches_s_table_on_random_points():
-    # q^8 s^8 S(p/q, r/s) from the row polynomial and Horner's rule, against
-    # IntPoly2.eval of the whole S table
-    s_poly = _table_poly(EDGE_DISC_S)
-    rng = random.Random(7)
-
-    def draw():
-        return F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-
-    for _ in range(300):
-        b, c = draw(), draw()
-        p, q, r, s = b.numerator, b.denominator, c.numerator, c.denominator
-        row = _s_row(p, q)
-        t = _homogeneous_horner(row, r, s)
-        assert t == q**8 * s**8 * s_poly.eval(b, c), (b, c)
 
 
 def reference_grade(b, c, e21_form):
@@ -356,20 +331,32 @@ def reference_grade(b, c, e21_form):
 
 
 def test_staged_grade_matches_reference_height_4(monkeypatch):
-    # grade decides level 0 from its own edge cubic, never from the
-    # search's shortcut on S
-    import cuboidsearch.verifier as verifier
+    # grade decides level 0 from its own edge cubic, never through the
+    # search's sieve or the search's copy of the discriminant test
+    import cuboidsearch.search as search_module
 
-    def shortcut_called(p, q, *columns):
-        raise AssertionError(f"grade called level0_survivors at b = {p}/{q}")
+    def never(name):
+        def called(*args):
+            raise AssertionError(f"grade called the search's {name}")
 
-    monkeypatch.setattr(verifier, "level0_survivors", shortcut_called)
+        return called
+
+    seams = {
+        name: getattr(search_module, name) for name in ("_piece_columns", "edge_integer_cubic")
+    }
+    for name in seams:
+        monkeypatch.setattr(search_module, name, never(name))
     reasons = set()
     for b, c in enumerate_points(SearchSpace(height=4)):
         verdict = grade(b, c, E21_PRINTED)
         assert verdict == reference_grade(b, c, E21_PRINTED), (b, c)
         reasons.add(verdict.reason)
     assert reasons == {"singular", "disc-nonsquare", "edge-root-nonpositive"}
+    # the patches are live: the search reaches each of them in turn
+    for name, seam in seams.items():
+        with pytest.raises(AssertionError, match=name):
+            search_module.run(SearchSpace(height=4), jobs=1)
+        monkeypatch.setattr(search_module, name, seam)
 
 
 @pytest.mark.parametrize("e21_form", [E21_PRINTED, E21_COMMON])
