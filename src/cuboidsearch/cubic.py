@@ -25,7 +25,9 @@ and if so into which roots?  The answer is computed exactly:
      and an irrational one is passed within a logarithmic number of
      steps.  No integer is factored.
   4. deflate g in integers and solve the remaining quadratic with isqrt;
-     the core returns the root numerators over 2*a3.
+     the core returns the root numerators over 2*a3, ascending with no
+     sort: the quadratic's two roots are roots of g, so they lie at or
+     below the largest root found in step 3, and its isqrt is nonnegative.
 
 No floating point is used anywhere.
 """
@@ -45,18 +47,6 @@ class CubicPoly(NamedTuple):
     c0: Fraction
 
 
-def discriminant(q: CubicPoly) -> Fraction:
-    """Discriminant of the monic cubic; equals prod (r_i - r_j)^2 over roots."""
-    c2, c1, c0 = q
-    return (
-        18 * c2 * c1 * c0
-        - 4 * c2**3 * c0
-        + c2 * c2 * c1 * c1
-        - 4 * c1**3
-        - 27 * c0 * c0
-    )
-
-
 def is_perfect_square(n: int) -> Optional[int]:
     """Integer square root of n if n is a perfect square, else None."""
     if n < 0:
@@ -73,7 +63,10 @@ def _clear_to_integer_cubic(q: CubicPoly) -> tuple[int, int, int, int]:
     denominator d to the full power p^e of a3, and that coefficient's
     numerator, prime to d, times a3 / d, prime to p, is not divisible by p.
     """
-    (n2, d2), (n1, d1), (n0, d0) = (coeff.as_integer_ratio() for coeff in q)
+    c2, c1, c0 = q
+    n2, d2 = c2.as_integer_ratio()
+    n1, d1 = c1.as_integer_ratio()
+    n0, d0 = c0.as_integer_ratio()
     a3 = math.lcm(d2, d1, d0)
     return a3, n2 * (a3 // d2), n1 * (a3 // d1), n0 * (a3 // d0)
 
@@ -143,23 +136,29 @@ def _largest_integer_root(a2: int, b1: int, b0: int) -> Optional[int]:
 
 
 def integer_discriminant(a3: int, a2: int, a1: int, a0: int) -> int:
-    """Discriminant of a3*x^3 + a2*x^2 + a1*x + a0; a3^4 times that of its monic form."""
-    return (
-        18 * a3 * a2 * a1 * a0
-        - 4 * a2**3 * a0
-        + a2 * a2 * a1 * a1
-        - 4 * a3 * a1**3
-        - 27 * a3 * a3 * a0 * a0
-    )
+    """Discriminant of a3*x^3 + a2*x^2 + a1*x + a0; a3^4 times that of its monic form.
+
+    The textbook expansion 18*a3*a2*a1*a0 - 4*a2^3*a0 + a2^2*a1^2
+    - 4*a3*a1^3 - 27*a3^2*a0^2, regrouped around t = a2*a1 and u = a3*a0:
+    13 products instead of 17.
+    """
+    t = a2 * a1
+    u = a3 * a0
+    return t * (t + 18 * u) - 27 * u * u - 4 * (a3 * a1 * a1 * a1 + a0 * a2 * a2 * a2)
 
 
 def root_numerators(a3: int, a2: int, a1: int, a0: int) -> Optional[tuple[int, int, int]]:
-    """Sorted integers y with the roots y / (2*a3) if the cubic splits over Q, else None.
+    """Ascending integers y with the roots y / (2*a3) if the cubic splits over Q, else None.
 
     a3 must be positive and ``integer_discriminant`` a perfect square: the
     square test of step 2 is the caller's.  A square discriminant is
     nonnegative, so the cubic has three real roots, which the root search
     of step 3 needs.  Steps 3 and 4 of the module docstring.
+
+    The triple is ascending by construction, with no sort: the deflated
+    quadratic's roots (-p -+ root) / 2, root >= 0, are roots of g, so
+    neither exceeds its largest root top.  Doubled, -p - root <= -p + root
+    <= 2*top, and dividing by 2*a3 > 0 keeps the order.
     """
     b1 = a1 * a3
     b0 = a0 * a3 * a3
@@ -172,8 +171,8 @@ def root_numerators(a3: int, a2: int, a1: int, a0: int) -> Optional[tuple[int, i
     root = is_perfect_square(p * p - 4 * s)
     if root is None:
         return None
-    # the roots are y / (2 * a3) with a3 > 0, so sorting the numerators y sorts them
-    return tuple(sorted((2 * top, -p + root, -p - root)))
+    # ascending: root >= 0, and top is the largest root of g
+    return -p - root, -p + root, 2 * top
 
 
 def rational_roots(q: CubicPoly) -> Optional[tuple[Fraction, Fraction, Fraction]]:
@@ -183,11 +182,12 @@ def rational_roots(q: CubicPoly) -> Optional[tuple[Fraction, Fraction, Fraction]
     with multiplicity), or None when the cubic does not fully split.
     Deterministic: equal inputs give bit-identical outputs.
     """
-    cubic = _clear_to_integer_cubic(q)
-    if is_perfect_square(integer_discriminant(*cubic)) is None:
+    a3, a2, a1, a0 = _clear_to_integer_cubic(q)
+    if is_perfect_square(integer_discriminant(a3, a2, a1, a0)) is None:
         return None
-    ys = root_numerators(*cubic)
+    ys = root_numerators(a3, a2, a1, a0)
     if ys is None:
         return None
-    den = 2 * cubic[0]
-    return tuple(Fraction(y, den) for y in ys)
+    y0, y1, y2 = ys
+    den = 2 * a3
+    return Fraction(y0, den), Fraction(y1, den), Fraction(y2, den)

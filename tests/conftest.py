@@ -57,6 +57,18 @@ def is_rational_square(r: Fraction):
     return Fraction(num_root, den_root)
 
 
+def discriminant(q) -> Fraction:
+    """Discriminant of the monic cubic ``CubicPoly`` q; equals prod (r_i - r_j)^2 over roots."""
+    c2, c1, c0 = q
+    return (
+        18 * c2 * c1 * c0
+        - 4 * c2**3 * c0
+        + c2 * c2 * c1 * c1
+        - 4 * c1**3
+        - 27 * c0 * c0
+    )
+
+
 class PoleError(ZeroDivisionError):
     """A curve parametrization was evaluated at the pole of its chart."""
 

@@ -1,17 +1,16 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from conftest import is_rational_square
+from conftest import discriminant, is_rational_square
 from cuboidsearch.coefficients import edge_integer_cubic
 from cuboidsearch.cubic import (
     CubicPoly,
     _clear_to_integer_cubic,
     _largest_integer_root,
-    discriminant,
     integer_discriminant,
     is_perfect_square,
     rational_roots,
@@ -98,6 +97,40 @@ def test_discriminant_equals_squared_root_differences():
             * (roots[1] - roots[2]) ** 2
         )
         assert discriminant(q) == expected
+
+
+def textbook_integer_discriminant(a3, a2, a1, a0):
+    """The discriminant of a3*x^3 + a2*x^2 + a1*x + a0 in its textbook expansion."""
+    return (
+        18 * a3 * a2 * a1 * a0
+        - 4 * a2**3 * a0
+        + a2 * a2 * a1 * a1
+        - 4 * a3 * a1**3
+        - 27 * a3 * a3 * a0 * a0
+    )
+
+
+def test_integer_discriminant_is_the_textbook_polynomial():
+    """``integer_discriminant`` and the textbook expansion are one polynomial.
+
+    Both sides have degree at most 3 in each of a3, a2, a1 and a0, so their
+    difference does too.  A polynomial of degree at most 3 in each variable
+    that vanishes on a grid S^4 with |S| = 4 is zero: read as a polynomial
+    in a3 whose coefficients are polynomials in the other three, it has
+    four zeros at each point of S^3, so each coefficient vanishes on S^3,
+    and induction on the number of variables ends at a univariate cubic
+    with four zeros.  Agreement on {-1, 0, 1, 2}^4 is therefore a proof;
+    the random 200-bit values are a spot check on top.
+    """
+    grid = range(-1, 3)
+    for cubic in product(grid, repeat=4):
+        assert integer_discriminant(*cubic) == textbook_integer_discriminant(*cubic)
+    rng = random.Random(24)
+    for _ in range(200):
+        cubic = [rng.randint(-(2**200), 2**200) for _ in range(4)]
+        assert integer_discriminant(*cubic) == textbook_integer_discriminant(*cubic)
+    # monic, it is the rational discriminant of the test oracle
+    assert integer_discriminant(1, -6, 11, -6) == discriminant(CubicPoly(F(-6), F(11), F(-6))) == 4
 
 
 # --- squares ----------------------------------------------------------------
@@ -252,6 +285,68 @@ def test_root_numerators_square_discriminant_irrational_roots():
     # whose discriminant 5184 = 72^2 is a square
     assert is_perfect_square(integer_discriminant(8, 0, -6, -1)) == 72
     assert root_numerators(8, 0, -6, -1) is None
+
+
+def assert_ascending_root_numerators(cubic, ys):
+    """ys is ascending and y / (2*a3) runs over the roots of the cubic, with multiplicity.
+
+    Vieta's formulas over the common denominator 2*a3, in integers: the
+    roots' elementary symmetric functions are -a2/a3, a1/a3 and -a0/a3.
+    """
+    a3, a2, a1, a0 = cubic
+    y0, y1, y2 = ys
+    assert y0 <= y1 <= y2
+    assert y0 + y1 + y2 == -2 * a2
+    assert y0 * y1 + y0 * y2 + y1 * y2 == 4 * a1 * a3
+    assert y0 * y1 * y2 == -8 * a0 * a3 * a3
+
+
+def test_root_numerators_ascending_on_a_full_box():
+    # every cubic of the largest-root box test with a square discriminant
+    k = 50
+    square = split = 0
+    for a2 in range(-k, k + 1):
+        for b1 in range(-k, k + 1):
+            for b0 in range(-k, k + 1):
+                if is_perfect_square(integer_discriminant(1, a2, b1, b0)) is None:
+                    continue
+                square += 1
+                ys = root_numerators(1, a2, b1, b0)
+                if ys is not None:
+                    assert_ascending_root_numerators((1, a2, b1, b0), ys)
+                    split += 1
+    assert (square, split) == (2918, 1244)
+
+
+def test_root_numerators_ascending_on_every_integer_root_multiset():
+    r = 60
+    for roots in combinations_with_replacement(range(-r, r + 1), 3):
+        cubic = (1, *cubic_from_roots(*roots))
+        assert root_numerators(*cubic) == tuple(2 * y for y in roots)
+    # rational roots, so that a3 > 1: every multiset of height-4 fractions
+    values = sorted({F(p, q) for p in range(-4, 5) for q in range(1, 5)})
+    for roots in combinations_with_replacement(values, 3):
+        cubic = _clear_to_integer_cubic(cubic_from_roots(*roots))
+        ys = root_numerators(*cubic)
+        assert_ascending_root_numerators(cubic, ys)
+        assert tuple(F(y, 2 * cubic[0]) for y in ys) == roots
+
+
+@pytest.mark.parametrize("digits", [60, 200])
+def test_root_numerators_ascending_near_double_and_triple_roots(digits):
+    # the exact-root families of the largest-root test below, through the whole core
+    size = 10**digits
+    rng = random.Random(digits)
+    small = [0, 1, 2]
+    for _ in range(40):
+        r = rng.randint(-size, size)
+        big = rng.randint(3, size)
+        mid = rng.randint(3, 10**6)
+        for g1 in small + [mid, big]:
+            for g2 in small + [mid, big]:
+                roots = (r, r + g1, r + g1 + g2)
+                a2, b1, b0 = cubic_from_roots(*roots)
+                assert root_numerators(1, a2, b1, b0) == tuple(2 * y for y in roots)
 
 
 # --- the largest-root search against the bisection it replaced ------------------------

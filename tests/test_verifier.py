@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import enumerate_points, is_rational_square
+from conftest import discriminant, enumerate_points, is_rational_square
 from cuboidsearch.coefficients import (
     E21_COMMON,
     E21_PRINTED,
@@ -15,9 +15,7 @@ from cuboidsearch.coefficients import (
     edge_integer_cubic,
     eval_coefficients,
 )
-from cuboidsearch.cubic import (
-    discriminant, integer_discriminant, is_perfect_square, rational_roots,
-)
+from cuboidsearch.cubic import integer_discriminant, is_perfect_square, rational_roots
 from cuboidsearch.identities import eval_coefficients_cleared
 from cuboidsearch.search import SearchSpace, fraction_values
 from cuboidsearch.singularity import SingularFlag, classify
