@@ -146,15 +146,16 @@ def _denominators(b: Fraction, c: Fraction) -> tuple[Fraction, Fraction, Fractio
 
 def edge_coefficients(b: Fraction, c: Fraction) -> EdgeCoefficients:
     """Direct-path e10, e20, e30 at a nonsingular point (not checked)."""
-    a3, a2, a1, a0 = edge_integer_cubic(b, c)
+    a3, a2, a1, a0 = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
     return EdgeCoefficients(Fraction(-a2, a3), Fraction(a1, a3), Fraction(-a0, a3))
 
 
-def edge_integer_cubic(b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
+def edge_integer_cubic(p: int, q: int, r: int, s: int) -> tuple[int, int, int, int]:
     """x^3 - e10 x^2 + e20 x - e30 at a nonsingular point (not checked), in integers.
 
-    Each factor is evaluated in homogeneous integer form at b = p/q,
-    c = r/s: a factor of degree (i, j) in (b, c) is multiplied by q^i s^j.
+    At b = p/q, c = r/s in lowest terms, q, s > 0, each factor is
+    evaluated in homogeneous integer form: a factor of degree (i, j) in
+    (b, c) is multiplied by q^i s^j.
     The shared denominator equals f1*f2, and quart is written from its
     sum-of-squares form (c-1)^2 (c-2)^2 b^2 + c^2; here f1 and f2 stand for
     qs*f1 and qs*f2 (``singularity.curve_forms``), and quart for
@@ -165,7 +166,6 @@ def edge_integer_cubic(b: Fraction, c: Fraction) -> tuple[int, int, int, int]:
     common denominator 2 quart (f1 f2)^2, over their content.  a3 > 0, as
     quart is a sum of squares that vanishes only at the singular origin.
     """
-    p, q, r, s = b.numerator, b.denominator, c.numerator, c.denominator
     pp, rr, rs, ss = p * p, r * r, r * s, s * s
     f1, f2 = curve_forms(p, q, r, s)
     shared = f1 * f2

@@ -27,17 +27,17 @@ modulus m that ``residue_moduli`` picks for the grid's size from
 ``RESIDUE_MODULI`` the pairs in P^1(Z/m) at which t has a square residue
 (fact F4).  A row piece ANDs its row's masks and tests only the set bits:
 off b = 0, 1,410 points of the 148M at H=100, of which 398 are records.
-The points dropped are counted at level 0; the singular points among them
-are found by column index from ``singular_columns``.
+The points dropped are counted at level 0.  ``_axes`` builds what
+depends only on the space once, so the block loop does per-point work.
 
 The row b = 0 skips all of that.  There S(0, c) = 4c^4 is a square, so
 the sieve and the discriminant test would keep every column, and by fact F5
 (``identities.check_b0_row``) every point but the singular origin grades
 to one verdict, ``B0_ROW_VERDICT``: level 2, edge cubic x^2 (x - 1).  A
 b = 0 row piece counts c = 0 as singular and writes that verdict's record
-at every other column: it fills the record template once, with a slot
-for c, and each line is then head + str(c) + tail.  It holds 90-98% of
-the records at H = 30 to 200.
+at every other column: its lines are one join of the columns' texts
+into the record template, the origin's line taken out.  The row holds
+90-98% of the records at H = 30 to 200.
 
 Determinism is the backbone of everything here:
 
@@ -83,7 +83,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 from operator import and_, mul, or_
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .coefficients import E21_PRINTED, check_e21_form, edge_integer_cubic
 from .cubic import integer_discriminant, is_perfect_square
@@ -200,7 +200,11 @@ class _Axes(NamedTuple):
     cs: tuple[Fraction, ...]
     b_index: dict[tuple[int, int], int]
     c_index: dict[tuple[int, int], int]
+    b_pairs: tuple[tuple[int, int], ...]
+    c_pairs: tuple[tuple[int, int], ...]
+    c_texts: tuple[str, ...]
     row_masks: tuple[tuple[int, ...], ...]
+    singular: tuple[tuple[int, ...], ...]
 
 
 def _prime_of(m: int) -> int:
@@ -281,7 +285,7 @@ def _two_adic_cells(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
     }
 
 
-def _class_masks(row_m: int, col_m: int, keep, b_pairs: list, c_pairs: list) -> list[int]:
+def _class_masks(row_m: int, col_m: int, keep, b_pairs: tuple, c_pairs: tuple) -> list[int]:
     """Each row's column mask: the columns whose class pair ``keep`` keeps.
 
     ``keep(row_m, classes)`` flags, for each row class in P^1(Z/row_m) that
@@ -300,53 +304,46 @@ def _class_masks(row_m: int, col_m: int, keep, b_pairs: list, c_pairs: list) -> 
 
 @lru_cache(maxsize=16)
 def _axes(space: SearchSpace) -> _Axes:
-    """The in-range b and c values, in (height, value) order, with their indices.
+    """The in-range b and c values, in (height, value) order, and their constants.
 
-    The indices are keyed by (numerator, denominator).
-
-    For each row, also the column masks of the residue sieve
-    (``_class_masks``), as bitsets with bit j for column j: its 2-adic
-    mask first, then one mask per modulus of ``residue_moduli``.  A row
-    holds references to masks shared by its class, so the masks take
-    O(classes x width) memory; the AND of a row is formed per row piece.
+    Each value's (numerator, denominator) pair and an index keyed by it,
+    each column's str(c), each row's in-range singular columns, and each
+    row's column masks of the residue sieve (``_class_masks``), as bitsets
+    with bit j for column j: its 2-adic mask first, then one mask per
+    modulus of ``residue_moduli``.  A row holds references to masks shared
+    by its class, so the masks take O(classes x width) memory; the AND of
+    a row is formed per row piece.
     """
     values = fraction_values(space.height)
 
     def axis(lo, hi):
         return tuple(v for v in values if (lo is None or lo <= v) and (hi is None or v <= hi))
 
-    def index(pairs):
-        return {pair: i for i, pair in enumerate(pairs)}
-
     bs = axis(space.b_min, space.b_max)
     cs = axis(space.c_min, space.c_max)
-    b_pairs = [(b.numerator, b.denominator) for b in bs]
-    c_pairs = b_pairs if cs == bs else [(c.numerator, c.denominator) for c in cs]
+    b_pairs = tuple(b.as_integer_ratio() for b in bs)
+    c_pairs = b_pairs if cs == bs else tuple(c.as_integer_ratio() for c in cs)
+    c_index = {pair: j for j, pair in enumerate(c_pairs)}
     masks = [_class_masks(8, 4, _two_adic_cells, b_pairs, c_pairs)]
     masks += [
         _class_masks(m, m, _square_classes, b_pairs, c_pairs)
         for m in residue_moduli(len(bs) * len(cs))
     ]
-    return _Axes(bs, cs, index(b_pairs), index(c_pairs), tuple(zip(*masks)))
+    # fact F5: the origin is the row b = 0's one singular point
+    singular = tuple(
+        tuple(c_index[rs] for rs in (singular_columns(p, q) if p else [(0, 1)]) if rs in c_index)
+        for p, q in b_pairs
+    )
+    return _Axes(
+        bs, cs, {pair: i for i, pair in enumerate(b_pairs)}, c_index, b_pairs, c_pairs,
+        tuple(map(str, cs)), tuple(zip(*masks)), singular,
+    )
 
 
 def grid_size(space: SearchSpace) -> int:
     """Number of cursor positions: the in-range points of the b x c grid."""
     axes = _axes(space)
     return len(axes.bs) * len(axes.cs)
-
-
-def _row_segments(width: int, start: int, end: int) -> Iterator[tuple[int, int, int]]:
-    """Cursor indices start..end-1 of a grid ``width`` columns wide, as row pieces.
-
-    Each piece (i, j0, j1) is columns j0..j1-1 of row i; the pieces come in
-    cursor order.
-    """
-    while start < end:
-        i, j0 = divmod(start, width)
-        j1 = min(width, j0 + end - start)
-        yield i, j0, j1
-        start += j1 - j0
 
 
 def point_index(space: SearchSpace, b: Fraction, c: Fraction) -> int:
@@ -419,11 +416,11 @@ _CHECKPOINT = """{
 """
 
 
+@lru_cache(maxsize=16)
 def _checkpoint_header(space: SearchSpace) -> tuple:
     """The checkpoint's fields that depend only on ``space``, in ``_CHECKPOINT``'s order."""
     config = space_config(space)
-    bounds = ("null" if config[key] is None else '"%s"' % config[key]
-              for key in ("b_max", "b_min", "c_max", "c_min"))
+    bounds = (json.dumps(config[key]) for key in ("b_max", "b_min", "c_max", "c_min"))
     return (*bounds, space.e21_form, space.height, CHECKPOINT_VERSION, config_digest(space))
 
 
@@ -588,8 +585,13 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None
 
 
 def _piece_columns(masks: tuple[int, ...], j0: int, j1: int) -> list[int]:
-    """The columns j0 <= j < j1, ascending, whose bit is set in every mask."""
-    bits = (reduce(and_, masks, -1) >> j0) & ((1 << (j1 - j0)) - 1)
+    """The columns j0 <= j < j1, ascending, whose bit is set in every mask.
+
+    No mask has a bit past its row's end, so a whole row is not cut.
+    """
+    bits = reduce(and_, masks) >> j0
+    if bits >> (j1 - j0):
+        bits &= (1 << (j1 - j0)) - 1
     columns = []
     while bits:
         low = bits & -bits
@@ -601,60 +603,52 @@ def _piece_columns(masks: tuple[int, ...], j0: int, j1: int) -> list[int]:
 def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     """Count one cursor block, grading only level-0 survivors. Pure; runs in workers.
 
-    A piece of the row b = 0 is decided in closed form (fact F5): c = 0 is
-    counted singular and every other column gets ``B0_ROW_VERDICT``'s
-    record, cut from one template filled per piece, with no mask, test or
-    grading.  In each other row piece of the block, the singular columns
-    are found by index from ``singular_columns``, and each other column
-    that the residue sieve keeps gets ``grade``'s discriminant test.  The
-    singular points, the sieved points and the points the test rejects are
-    counted at level 0, and nothing more is built for them.  The survivors
-    are graded in cursor order by ``edge_split`` from the test's edge
-    cubic and discriminant, and past level 2 by ``grade_square``, whose
+    Each row piece reads its row's constants from ``_axes`` and counts and
+    skips its singular points.  A piece of the row b = 0 is one join of
+    its columns' texts (fact F5).  In each other piece, every column that
+    the sieve keeps gets ``grade``'s discriminant test; the survivors go
+    on to ``edge_split`` and, past level 2, ``grade_square``, whose
     docstring gives why they need no further singularity or square test.
-    Each record of level 1 or higher is serialized once, here, with the
-    block's one timestamp, from integers and strings: ``lines`` holds them
-    all and ``hits`` the level-6 ones.
+    Each record is serialized once, with the block's one timestamp:
+    ``lines`` holds them all and ``hits`` the level-6 ones.
     """
     axes = _axes(space)
+    width = len(axes.cs)
     counts = {level: 0 for level in LEVELS}
     singular = 0
     lines = []
     hits = []
     ts = _now()
-    for i, j0, j1 in _row_segments(len(axes.cs), start, end):
-        b = axes.bs[i]
-        p, q = b.numerator, b.denominator
+    cursor = start
+    while cursor < end:
+        # the block's piece of row i: columns j0..j1-1
+        i, j0 = divmod(cursor, width)
+        j1 = min(width, j0 + end - cursor)
+        cursor += j1 - j0
+        skip = axes.singular[i]
+        at_singular = len(skip) if j1 - j0 == width else sum(j0 <= j < j1 for j in skip)
+        singular += at_singular
+        p, q = axes.b_pairs[i]
         if not p:
-            # fact F5: the origin is the row's one singular point, and every
-            # other point has the edge cubic x^2 (x - 1)
+            # fact F5: every point but the origin, whose line is taken out,
+            # has the edge cubic x^2 (x - 1)
             head, _, tail = _record_line(
-                b, "%", B0_ROW_VERDICT.level, B0_ROW_VERDICT.reason, B0_ROW_VERDICT.residuals,
-                space.e21_form, ts,
+                axes.bs[i], "%", B0_ROW_VERDICT.level, B0_ROW_VERDICT.reason,
+                B0_ROW_VERDICT.residuals, space.e21_form, ts,
             ).partition("%")
-            row = [head + str(c) + tail for c in axes.cs[j0:j1] if c]
-            at_origin = j1 - j0 - len(row)
-            singular += at_origin
-            counts[0] += at_origin
-            counts[2] += len(row)
-            lines += row
+            row = head + (tail + head).join(axes.c_texts[j0:j1]) + tail
+            lines.append(row.replace(head + "0" + tail, ""))
+            counts[2] += j1 - j0 - at_singular
             continue
-        singular_js = [
-            j for j in map(axes.c_index.get, singular_columns(p, q))
-            if j is not None and j0 <= j < j1
-        ]
-        singular += len(singular_js)
-        counts[0] += j1 - j0  # less one for each survivor below
         for j in _piece_columns(axes.row_masks[i], j0, j1):
-            if j in singular_js:
+            if j in skip:
                 continue
-            c = axes.cs[j]
             # grade's level-0 test: the edge discriminant must be a perfect square
-            edge = edge_integer_cubic(b, c)
+            edge = edge_integer_cubic(p, q, *axes.c_pairs[j])
             disc = integer_discriminant(*edge)
             if is_perfect_square(disc) is None:
                 continue
-            counts[0] -= 1
+            b, c = axes.bs[i], axes.cs[j]
             level, reason, residuals, _, _ = edge_split(b, c, edge, disc)
             if reason is None:
                 verdict = grade_square(b, c, space.e21_form, edge, disc)
@@ -662,10 +656,12 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
             else:
                 residuals = [_ratio_text(n, d) for n, d in residuals]
             counts[level] += 1
-            line = _record_line(b, c, level, reason, residuals, space.e21_form, ts)
+            line = _record_line(b, axes.c_texts[j], level, reason, residuals, space.e21_form, ts)
             lines.append(line)
             if level == LEVEL_PERFECT:
                 hits.append(line)
+    # every point not recorded is at level 0
+    counts[0] = end - start - sum(counts.values())
     return {
         "end": end,
         "counts": counts,
@@ -692,13 +688,17 @@ def run(
     checkpoint is written; the output does not depend on it.
     ``max_blocks`` bounds how many blocks this call processes before
     returning with completed=False; it exists so interruption and resume
-    can be exercised deterministically.  A None path means none; an empty
-    one, or an output sharing a file with the checkpoint, is a ValueError.
+    can be exercised deterministically.  None means no bound, and a
+    negative bound is a ValueError, as a ``block_size`` below 1 is.  A
+    None path means none; an empty one, or an output sharing a file with
+    the checkpoint, is a ValueError.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
+    if max_blocks is not None and max_blocks < 0:
+        raise ValueError("max_blocks must not be negative")
     if "" in (checkpoint_path, output_path):
         raise ValueError("an empty checkpoint or output path names no file")
     if checkpoint_path and output_path:

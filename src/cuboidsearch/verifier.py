@@ -186,7 +186,7 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     flags = classify(b, c)
     if flags:
         return Verdict(0, "singular", flags=flags)
-    edge = edge_integer_cubic(b, c)
+    edge = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
     disc = integer_discriminant(*edge)
     if is_perfect_square(disc) is None:
         return Verdict(0, "disc-nonsquare", residuals=(Fraction(disc, edge[0] ** 4),))
@@ -216,7 +216,7 @@ def edge_split(
         past level 2, and ``grade_square`` goes on from the roots ys / den.
     """
     if edge is None:
-        edge = edge_integer_cubic(b, c)
+        edge = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
     ys = root_numerators(*edge)
     if ys is None:
         if disc is None:
@@ -245,9 +245,9 @@ def grade_square(
 
       * ``grade`` has just checked all three;
       * the search validates the form in ``SearchSpace``, drops the
-        singular columns by index (``singular_columns``), and runs
-        ``grade``'s own square test on ``edge_integer_cubic`` at the
-        points its residue sieve keeps, calling this only past level 2.
+        singular columns by index (a table of ``singular_columns``),
+        and runs ``grade``'s own square test on ``edge_integer_cubic`` at
+        the points its residue sieve keeps, calling this only past level 2.
         The sieve drops only points at which t = q^8 s^8 S is not a
         square, and off the row b = 0 a nonsingular point has b, f1,
         f2, Q and, by fact F1, G nonzero, so the factorization b^2 G^2 S / (4 f1^6 f2^6 Q^2)

@@ -177,7 +177,7 @@ def test_edge_integer_cubic_is_primitive_cleared_edge_cubic_height_8():
         for c in values:
             if classify(b, c):
                 continue
-            a3, a2, a1, a0 = edge_integer_cubic(b, c)
+            a3, a2, a1, a0 = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
             assert a3 > 0 and gcd(a3, a2, a1, a0) == 1, (b, c)
             monic = CubicPoly(F(a2, a3), F(a1, a3), F(a0, a3))
             assert monic == edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)), (b, c)

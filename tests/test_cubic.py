@@ -273,7 +273,7 @@ def test_root_numerators_over_twice_the_leading_coefficient():
 
 def test_root_numerators_double_root_at_zero():
     # the edge cubic of `solve 0 -1`, x^2 (x - 1)
-    edge = edge_integer_cubic(F(0), F(-1))
+    edge = edge_integer_cubic(0, 1, -1, 1)
     assert edge == (1, -1, 0, 0)
     assert root_numerators(*edge) == (0, 0, 2)
     # x^2 (5x - 3), with a3 = 5

@@ -251,6 +251,17 @@ def test_run_rejects_block_size_below_one(block_size):
         run(SearchSpace(height=2), block_size=block_size)
 
 
+@pytest.mark.parametrize("max_blocks", [-1, -5])
+def test_run_rejects_negative_max_blocks(tmp_path, max_blocks):
+    # a negative bound would slice the blocks from the end and drop the
+    # last ones without saying so; nothing is written
+    ck = str(tmp_path / "ck.json")
+    with pytest.raises(ValueError, match="max_blocks"):
+        run(SearchSpace(height=4), checkpoint_path=ck, block_size=100, max_blocks=max_blocks)
+    assert not os.path.exists(ck)
+    assert run(SearchSpace(height=4), block_size=100, max_blocks=0)["cursor"] == 0
+
+
 def test_missing_checkpoint_directory_fails_before_any_block(monkeypatch, tmp_path):
     # a checkpoint in a missing directory used to fail only at the first
     # write, after a block was graded and its records appended
@@ -979,7 +990,7 @@ def square_discriminant_points(height):
         for c in values:
             if classify(b, c):
                 continue
-            edge = edge_integer_cubic(b, c)
+            edge = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
             disc = integer_discriminant(*edge)
             if is_perfect_square(disc) is not None:
                 points.append((b, c, edge, disc))
@@ -1172,6 +1183,28 @@ def forbid_graded_path(monkeypatch):
         monkeypatch.setattr(search_module, name, never(name))
 
 
+def test_forbidden_graded_path_is_live(monkeypatch):
+    # off the row b = 0 the names forbid_graded_path patches are reached:
+    # singular_columns when the tables are built, the others by a search
+    # of the row b = 1/2, whose point (1/2, 1/2) is a record.  grade_square
+    # is reached only past level 2, which no point of the grids searched
+    # here reaches
+    import cuboidsearch.search as search_module
+
+    names = ("singular_columns", "_piece_columns", "edge_integer_cubic", "edge_split")
+    seams = {name: getattr(search_module, name) for name in names}
+    forbid_graded_path(monkeypatch)
+    space = SearchSpace(height=12, b_min=F(1, 2), b_max=F(1, 2))
+    with pytest.raises(AssertionError, match="singular_columns called"):
+        _axes.__wrapped__(space)
+    monkeypatch.setattr(search_module, "singular_columns", seams["singular_columns"])
+    for name in names[1:]:
+        with pytest.raises(AssertionError, match=f"{name} called"):
+            run(space, jobs=1)
+        monkeypatch.setattr(search_module, name, seams[name])
+    assert run(space, jobs=1)["counts"][2] > 0
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_b0_row_is_grade_at_every_point_height_100(monkeypatch, tmp_path, jobs):
     # the whole row b = 0 at H=100, cut into blocks of 1,000 points and
@@ -1201,6 +1234,54 @@ B0_SPACES = [
     SearchSpace(height=12, b_min=F(0), b_max=F(1), c_min=F(1, 5)),
     SearchSpace(height=12, b_min=F(0), b_max=F(0), c_min=F(0), c_max=F(0)),
 ]
+
+
+@pytest.mark.parametrize("space", [SearchSpace(height=16)] + B0_SPACES)
+def test_tables_hold_each_rows_singular_columns_pairs_and_texts(space):
+    # the per-space tables the block loop reads in place of recomputing:
+    # a row's singular columns are exactly those where classify flags the
+    # point, and each value's pair and text are its numerator, denominator
+    # and str
+    axes = _axes(space)
+    assert len(axes.singular) == len(axes.b_pairs) == len(axes.bs)
+    assert len(axes.c_texts) == len(axes.c_pairs) == len(axes.cs)
+    for b, pair, columns in zip(axes.bs, axes.b_pairs, axes.singular):
+        assert pair == (b.numerator, b.denominator)
+        assert sorted(columns) == [j for j, c in enumerate(axes.cs) if classify(b, c)], b
+    for j, c in enumerate(axes.cs):
+        assert axes.c_pairs[j] == (c.numerator, c.denominator)
+        assert axes.c_texts[j] == str(c)
+    if space.height == 16:
+        assert sum(map(len, axes.singular)) == 432
+
+
+def test_b0_row_pieces_join_to_one_line_per_column(monkeypatch):
+    # a piece of the row b = 0 is one join of its column texts; its bytes
+    # must be the line-per-column template's, c = 0 left out, for pieces
+    # that hold the origin alone, start at it, end at it or miss it
+    import cuboidsearch.search as search_module
+
+    monkeypatch.setattr(search_module, "_now", lambda: "T")
+    space = SearchSpace(height=12, b_min=F(0), b_max=F(0), c_min=F(-1), c_max=F(2))
+    cs = _axes(space).cs
+    origin = cs.index(F(0))
+    assert 0 < origin < len(cs) - 5
+
+    def per_column(j0, j1):
+        return "".join(
+            search_module._record_line(F(0), c, 2, "edge-root-nonpositive", ("0", "0"),
+                                       space.e21_form, "T")
+            for c in cs[j0:j1] if c
+        )
+
+    pieces = [(origin, origin + 1), (origin, origin + 5), (0, origin + 1), (0, origin),
+              (origin + 1, len(cs)), (0, len(cs))]
+    for j0, j1 in pieces:
+        block = search_module._process_block(space, j0, j1)
+        assert block["lines"] == per_column(j0, j1), (j0, j1)
+        assert block["singular"] == (j0 <= origin < j1)
+        assert block["counts"][2] == j1 - j0 - block["singular"]
+    assert search_module._process_block(space, origin, origin + 1)["lines"] == ""
 
 
 @pytest.mark.parametrize("space", B0_SPACES)

@@ -241,7 +241,7 @@ def test_grade_caps_at_level_four_on_printed_pole(monkeypatch):
     import cuboidsearch.verifier as verifier
 
     # (3x - 1)(2x - 1)(3x - 2): the edge stage solves it to 1/3, 1/2, 2/3
-    monkeypatch.setattr(verifier, "edge_integer_cubic", lambda b, c: (18, -27, 13, -2))
+    monkeypatch.setattr(verifier, "edge_integer_cubic", lambda p, q, r, s: (18, -27, 13, -2))
     monkeypatch.setattr(
         verifier, "rational_roots", lambda q: (F(1, 3), F(1, 2), F(2, 3))
     )
@@ -276,7 +276,8 @@ def test_prefilter_matches_cleared_discriminant_height_6():
             if classify(b, c):
                 continue
             disc = discriminant(edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)))
-            passed = is_perfect_square(integer_discriminant(*edge_integer_cubic(b, c))) is not None
+            edge = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
+            passed = is_perfect_square(integer_discriminant(*edge)) is not None
             assert passed == (is_rational_square(disc) is not None), (b, c)
             if not passed:
                 assert grade(b, c) == Verdict(0, "disc-nonsquare", residuals=(disc,)), (b, c)
