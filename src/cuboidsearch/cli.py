@@ -45,6 +45,8 @@ EXIT_CHECKPOINT = 4
 EXIT_IO = 5
 EXIT_IDENTITY = 6
 
+# search's range options; a negative value may follow one as its own argument
+_BOUND_OPTIONS = ("--b-min", "--b-max", "--c-min", "--c-max")
 _FACTOR_KEYS = ("first_curve", "second_curve", "third_variety")
 _COEFF_ORDER = ("e10", "e20", "e30", "e01", "e02", "e03", "e21", "e11", "e12")
 
@@ -55,6 +57,24 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def _join_negative_bounds(argv: list[str]) -> list[str]:
+    """argv with each range option and a negative value after it joined, as --b-min=-3/2.
+
+    argparse reads an argument that starts with "-" as an option unless it
+    is a plain negative number such as -2, so it would refuse -3/2 there.
+    An option may be abbreviated as argparse allows, to --b-mi at least.
+    """
+    joined = []
+    for arg in argv:
+        option = joined[-1] if joined else ""
+        if (len(option) > 5 and any(name.startswith(option) for name in _BOUND_OPTIONS)
+                and arg[:1] == "-" and arg[1:2].isdigit()):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _notice(args, message: str) -> None:
@@ -337,7 +357,11 @@ def build_parser() -> _Parser:
         help="grade every rational point of bounded height, with checkpoint/resume",
     )
     p.add_argument("--height", type=int, required=True, help="height bound H >= 1")
-    p.add_argument("--b-min", help="lower bound for b (closed, rational)")
+    p.add_argument(
+        "--b-min",
+        help="lower bound for b (closed, rational); a negative bound may be given "
+        "as --b-min -3/2 or --b-min=-3/2, and so for the other three",
+    )
     p.add_argument("--b-max", help="upper bound for b")
     p.add_argument("--c-min", help="lower bound for c")
     p.add_argument("--c-max", help="upper bound for c")
@@ -361,7 +385,7 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_bounds(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except RationalParseError as exc:

@@ -23,7 +23,8 @@ and if so into which roots?  The answer is computed exactly:
      points never pass the floor of the root, and each step removes at
      least a third of the distance to it: an integer root is met exactly,
      and an irrational one is passed within a logarithmic number of
-     steps.  No integer is factored.
+     steps.  No integer is factored.  A cubic with a zero constant term
+     has the root 0 and skips this step.
   4. deflate g in integers and solve the remaining quadratic with isqrt;
      the core returns the root numerators over 2*a3, ascending with no
      sort: the quadratic's two roots are roots of g, so they lie at or
@@ -159,7 +160,18 @@ def root_numerators(a3: int, a2: int, a1: int, a0: int) -> Optional[tuple[int, i
     quadratic's roots (-p -+ root) / 2, root >= 0, are roots of g, so
     neither exceeds its largest root top.  Doubled, -p - root <= -p + root
     <= 2*top, and dividing by 2*a3 > 0 keeps the order.
+
+    With a0 = 0 the cubic is x*(a3*x^2 + a2*x + a1): its roots are 0 and
+    the quadratic's (-a2 -+ r) / (2*a3), r the isqrt of a2^2 - 4*a3*a1,
+    and no root is searched for.
     """
+    if not a0:
+        root = is_perfect_square(a2 * a2 - 4 * a3 * a1)
+        if root is None:
+            return None
+        low, high = -a2 - root, -a2 + root
+        # ascending: low <= high, and 0 goes where its sign puts it
+        return (low, high, 0) if high <= 0 else (0, low, high) if low >= 0 else (low, 0, high)
     b1 = a1 * a3
     b0 = a0 * a3 * a3
     top = _largest_integer_root(a2, b1, b0)

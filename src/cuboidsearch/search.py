@@ -12,7 +12,8 @@ are written with one gcd each (``_ratio_text``), so no Fraction or
 Verdict is built; a survivor past level 2 goes on through
 ``grade_square``.  Each record is serialized once, in the worker that
 graded it, as a JSONL line (``_record_line``); the run appends each
-block's lines to the output with one write.  Singular points are counted
+block's lines to the output with one ``os.write``, with no text-file
+layer or user-space buffer (``_write_all``).  Singular points are counted
 but not graded or logged: along the two singular curves they are endless
 and carry no search information.
 
@@ -52,12 +53,13 @@ Determinism is the backbone of everything here:
     keeps no per-block state beyond at most four blocks per worker in
     flight.
     Workers (never more than the blocks or the CPUs) grade disjoint blocks
-    and results are flushed strictly in block order, so the output is
+    and results are written strictly in block order, so the output is
     identical for any worker count;
   * the checkpoint (version 2) stores the cursor and per-level counts and
-    is only advanced after a block's records are flushed.  On resume, any
-    records at or past the stored cursor (flushed but not yet checkpointed
-    when the process died) are dropped before continuing, so an
+    is only advanced after the ``os.write`` of a block's records has
+    returned, so they are in the kernel.  On resume, any records at or
+    past the stored cursor (written but not yet checkpointed when the
+    process died) are dropped before continuing, so an
     interrupted run converges to exactly the uninterrupted output; a run
     with no checkpoint starts its output empty.  A version-1 checkpoint
     counted every grid position, in range or not; it is refused with
@@ -202,6 +204,7 @@ class _Axes(NamedTuple):
     c_index: dict[tuple[int, int], int]
     b_pairs: tuple[tuple[int, int], ...]
     c_pairs: tuple[tuple[int, int], ...]
+    b_texts: tuple[str, ...]
     c_texts: tuple[str, ...]
     row_masks: tuple[tuple[int, ...], ...]
     singular: tuple[tuple[int, ...], ...]
@@ -307,7 +310,7 @@ def _axes(space: SearchSpace) -> _Axes:
     """The in-range b and c values, in (height, value) order, and their constants.
 
     Each value's (numerator, denominator) pair and an index keyed by it,
-    each column's str(c), each row's in-range singular columns, and each
+    each value's str, each row's in-range singular columns, and each
     row's column masks of the residue sieve (``_class_masks``), as bitsets
     with bit j for column j: its 2-adic mask first, then one mask per
     modulus of ``residue_moduli``.  A row holds references to masks shared
@@ -336,7 +339,7 @@ def _axes(space: SearchSpace) -> _Axes:
     )
     return _Axes(
         bs, cs, {pair: i for i, pair in enumerate(b_pairs)}, c_index, b_pairs, c_pairs,
-        tuple(map(str, cs)), tuple(zip(*masks)), singular,
+        tuple(map(str, bs)), tuple(map(str, cs)), tuple(zip(*masks)), singular,
     )
 
 
@@ -378,10 +381,25 @@ def config_digest(space: SearchSpace) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _write_all(fd: int, text: str) -> None:
+    """Write ``text`` to ``fd`` as UTF-8, looping on short writes; no user-space buffer."""
+    data = memoryview(text.encode("utf-8"))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+# how the output and hits files are opened: appended to, made if missing
+_APPEND = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
+
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``'s .tmp and replace ``path`` with it."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        _write_all(fd, text)
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
 
 
@@ -553,7 +571,7 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None
     """Drop records at or past the cursor, torn lines and non-records.
 
     Used at the start of every run with output: on resume, such records
-    were flushed after the last checkpoint write and will be regenerated;
+    were written after the last checkpoint write and will be regenerated;
     with no checkpoint the cursor is 0, and every record goes.  The lines
     kept are written back as they were read, stripped.
     """
@@ -619,12 +637,15 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     lines = []
     hits = []
     ts = _now()
-    cursor = start
-    while cursor < end:
-        # the block's piece of row i: columns j0..j1-1
-        i, j0 = divmod(cursor, width)
-        j1 = min(width, j0 + end - cursor)
-        cursor += j1 - j0
+    # the block's rows first..last: the first starts at column j0, the last
+    # ends before j_end, and every other piece is a whole row
+    first, j0 = divmod(start, width)
+    last, j_end = divmod(end - 1, width)
+    j_end += 1
+    for i in range(first, last + 1):
+        if i > first:
+            j0 = 0
+        j1 = j_end if i == last else width
         skip = axes.singular[i]
         at_singular = len(skip) if j1 - j0 == width else sum(j0 <= j < j1 for j in skip)
         singular += at_singular
@@ -633,7 +654,7 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
             # fact F5: every point but the origin, whose line is taken out,
             # has the edge cubic x^2 (x - 1)
             head, _, tail = _record_line(
-                axes.bs[i], "%", B0_ROW_VERDICT.level, B0_ROW_VERDICT.reason,
+                axes.b_texts[i], "%", B0_ROW_VERDICT.level, B0_ROW_VERDICT.reason,
                 B0_ROW_VERDICT.residuals, space.e21_form, ts,
             ).partition("%")
             row = head + (tail + head).join(axes.c_texts[j0:j1]) + tail
@@ -656,7 +677,9 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
             else:
                 residuals = [_ratio_text(n, d) for n, d in residuals]
             counts[level] += 1
-            line = _record_line(b, axes.c_texts[j], level, reason, residuals, space.e21_form, ts)
+            line = _record_line(
+                axes.b_texts[i], axes.c_texts[j], level, reason, residuals, space.e21_form, ts
+            )
             lines.append(line)
             if level == LEVEL_PERFECT:
                 hits.append(line)
@@ -692,6 +715,12 @@ def run(
     negative bound is a ValueError, as a ``block_size`` below 1 is.  A
     None path means none; an empty one, or an output sharing a file with
     the checkpoint, is a ValueError.
+
+    The output and hits files are plain descriptors, opened for appending
+    once per run, and each block's lines go out with one ``os.write``
+    (``_write_all``): with no user-space buffer, a block's records are in
+    the kernel when its checkpoint is written, which no flush call needs
+    to ensure.
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
@@ -727,20 +756,18 @@ def run(
     starts = range(cursor, total, block_size)[:max_blocks]
     header = _checkpoint_header(space)
 
-    out = open(output_path, "a", encoding="utf-8") if output_path else None
+    out = os.open(output_path, _APPEND, 0o666) if output_path else None
     hits_out = None
     stopped_on_hit = False
     results = _block_results(space, starts, total, jobs)
     try:
         for done, result in enumerate(results, start=1):
-            if out:
-                out.write(result["lines"])
-                out.flush()
+            if out is not None:
+                _write_all(out, result["lines"])
                 if result["hits"]:
                     if hits_out is None:
-                        hits_out = open(hits_path_for(output_path), "a", encoding="utf-8")
-                    hits_out.write(result["hits"])
-                    hits_out.flush()
+                        hits_out = os.open(hits_path_for(output_path), _APPEND, 0o666)
+                    _write_all(hits_out, result["hits"])
             for level in LEVELS:
                 counts[level] += result["counts"][level]
             singular += result["singular"]
@@ -755,10 +782,10 @@ def run(
                 break
     finally:
         results.close()
-        if out:
-            out.close()
-        if hits_out:
-            hits_out.close()
+        if out is not None:
+            os.close(out)
+        if hits_out is not None:
+            os.close(hits_out)
 
     return {
         "counts": counts,
@@ -781,7 +808,9 @@ def _block_results(space: SearchSpace, starts: range, total: int, jobs: int):
     At most 4 blocks per worker are submitted and not yet yielded.
     """
     blocks = ((start, min(start + starts.step, total)) for start in starts)
-    workers = min(jobs, len(starts), os.cpu_count() or 1)
+    workers = min(jobs, len(starts))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         for start, end in blocks:
             yield _process_block(space, start, end)

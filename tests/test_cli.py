@@ -267,6 +267,33 @@ def test_search_invalid_number_exit_code(tmp_path, capsys, flag, value):
     assert not (tmp_path / "ck.json").exists()
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [("--b-min", "-3/2", "--c-min", "-2"), ("--b-max", "-1/4", "--c-max", "-1/3"),
+     ("--b-mi", "-3/2", "--c-ma", "-1/3")],
+)
+def test_search_negative_bound_as_separate_argument(tmp_path, capsys, bounds):
+    # argparse reads -3/2 as an option unless it is joined to its flag with
+    # "="; a negative bound given as the next argument must run the same search
+    results = []
+    for form in ("joined", "separate"):
+        args = ([f"{bounds[0]}={bounds[1]}", f"{bounds[2]}={bounds[3]}"]
+                if form == "joined" else list(bounds))
+        out_path = tmp_path / f"{form}.jsonl"
+        code, out, err = run_cli(
+            capsys, "search", "--height", "4", *args, "--quiet",
+            "--checkpoint", str(tmp_path / f"{form}.json"), "--output", str(out_path),
+        )
+        assert code == 0 and err == ""
+        records = json_lines(out_path.read_text())
+        results.append((out, [{k: v for k, v in r.items() if k != "ts"} for r in records]))
+    assert results[0] == results[1]
+    # the bounds were applied: the full H=4 grid has 529 points
+    assert "cursor=529/529" not in results[0][0]
+    if bounds[1] == "-3/2":
+        assert results[0][1]
+
+
 def test_search_missing_checkpoint_directory_exit_code(tmp_path, capsys):
     # the run fails before it grades a block, so the output is never opened
     out_path = tmp_path / "o.jsonl"

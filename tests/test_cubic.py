@@ -349,6 +349,46 @@ def test_root_numerators_ascending_near_double_and_triple_roots(digits):
                 assert root_numerators(1, a2, b1, b0) == tuple(2 * y for y in roots)
 
 
+def newton_root_numerators(a3, a2, a1, a0):
+    """``root_numerators`` by the Newton search and deflation, for any a0."""
+    b1, b0 = a1 * a3, a0 * a3 * a3
+    top = _largest_integer_root(a2, b1, b0)
+    if top is None:
+        return None
+    p = a2 + top
+    root = is_perfect_square(p * p - 4 * (b1 + top * p))
+    return None if root is None else (-p - root, -p + root, 2 * top)
+
+
+def test_root_numerators_zero_constant_is_the_newton_path():
+    # a0 = 0 splits off the root 0 and solves the quadratic with no root search;
+    # every such cubic of the box with a square discriminant, a1 = 0 (a double
+    # root 0) among them, must give the Newton path's ascending triple
+    k = 30
+    seen = {"split": 0, "double zero": 0, "zero in the middle": 0}
+    for a3 in range(1, k + 1):
+        for a2 in range(-k, k + 1):
+            for a1 in range(-k, k + 1):
+                if is_perfect_square(integer_discriminant(a3, a2, a1, 0)) is None:
+                    continue
+                ys = root_numerators(a3, a2, a1, 0)
+                assert ys == newton_root_numerators(a3, a2, a1, 0), (a3, a2, a1)
+                assert_ascending_root_numerators((a3, a2, a1, 0), ys)
+                seen["split"] += 1
+                seen["double zero"] += a1 == 0
+                seen["zero in the middle"] += ys[0] < 0 < ys[2] and ys[1] == 0
+    assert all(seen.values()), seen
+    # large roots, where the Newton search takes many steps
+    rng = random.Random(0)
+    for _ in range(200):
+        r, t = (F(rng.randint(-(2**200), 2**200), rng.randint(1, 2**20)) for _ in range(2))
+        cubic = _clear_to_integer_cubic(cubic_from_roots(F(0), r, t))
+        assert cubic[3] == 0
+        ys = root_numerators(*cubic)
+        assert ys == newton_root_numerators(*cubic)
+        assert tuple(F(y, 2 * cubic[0]) for y in ys) == tuple(sorted((F(0), r, t)))
+
+
 # --- the largest-root search against the bisection it replaced ------------------------
 
 

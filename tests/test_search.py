@@ -824,6 +824,76 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     assert target in graded
 
 
+def test_short_writes_give_the_same_files(monkeypatch, tmp_path):
+    # os.write may take fewer bytes than it is given; the write path must
+    # loop until every byte is out, so runs whose writes take at most 7
+    # bytes each leave the bytes that whole writes leave, for the output,
+    # the hits file and the checkpoint, through a resume's rewrite too
+    import cuboidsearch.search as search_module
+
+    target = (F(1, 2), F(1, 2))
+
+    def fake_stage(b, c, *args):
+        # one injected level-6 record, so that the hits file is written
+        if (b, c) == target:
+            return (6, "perfect-cuboid", (), None, None)
+        return edge_split(b, c, *args)
+
+    monkeypatch.setattr(search_module, "edge_split", fake_stage)
+    # ts and updated masked
+    monkeypatch.setattr(search_module, "_now", lambda: "T")
+    space = SearchSpace(height=6)
+
+    def files(tag):
+        out, ck = str(tmp_path / f"{tag}.jsonl"), str(tmp_path / f"{tag}.json")
+        first = run(space, checkpoint_path=ck, output_path=out, block_size=50, max_blocks=3)
+        assert first["interrupted"]
+        assert run(space, checkpoint_path=ck, output_path=out, block_size=50)["completed"]
+        with open(out, "rb") as a, open(hits_path_for(out), "rb") as b, open(ck, "rb") as c:
+            return a.read(), b.read(), c.read()
+
+    whole = files("whole")
+    assert all(whole) and whole[1].count(b"\n") == 1
+    write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(len(data))
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(search_module.os, "write", short_write)
+    assert files("short") == whole
+    assert max(sizes) > 7 and len(sizes) > sum(map(len, whole)) // 7
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+def test_failed_block_leaves_no_file_open(monkeypatch, tmp_path):
+    # a block that raises after the output and hits files are open must not
+    # leave their descriptors open
+    import cuboidsearch.search as search_module
+
+    calls = []
+
+    def block_then_failure(space, start, end):
+        calls.append(start)
+        if len(calls) > 1:
+            raise RuntimeError("block failed")
+        counts = dict.fromkeys(range(7), 0)
+        counts[0] = end - start
+        return {"end": end, "counts": counts, "singular": 0, "lines": "x\n", "hits": "x\n"}
+
+    monkeypatch.setattr(search_module, "_process_block", block_then_failure)
+    out = str(tmp_path / "out.jsonl")
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError, match="block failed"):
+        run(SearchSpace(height=4), checkpoint_path=str(tmp_path / "ck.json"),
+            output_path=out, block_size=100)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert calls == [0, 100]
+    with open(out) as lines, open(hits_path_for(out)) as hits:
+        assert lines.read() == hits.read() == "x\n"
+
+
 def test_e21_form_recorded_and_no_low_height_discrepancies(tmp_path):
     printed_out = str(tmp_path / "printed.jsonl")
     common_out = str(tmp_path / "common.jsonl")
@@ -1248,6 +1318,7 @@ def test_tables_hold_each_rows_singular_columns_pairs_and_texts(space):
     for b, pair, columns in zip(axes.bs, axes.b_pairs, axes.singular):
         assert pair == (b.numerator, b.denominator)
         assert sorted(columns) == [j for j, c in enumerate(axes.cs) if classify(b, c)], b
+    assert axes.b_texts == tuple(map(str, axes.bs))
     for j, c in enumerate(axes.cs):
         assert axes.c_pairs[j] == (c.numerator, c.denominator)
         assert axes.c_texts[j] == str(c)
