@@ -35,7 +35,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .cubic import CubicPoly
-from .singularity import SingularityClass, classify, curve_forms
+from .singularity import SingularityClass, classify
 
 E21_PRINTED = "printed"
 E21_COMMON = "common"
@@ -160,27 +160,25 @@ def edge_integer_cubic(p: int, q: int, r: int, s: int) -> tuple[int, int, int, i
     sum-of-squares form (c-1)^2 (c-2)^2 b^2 + c^2; here f1 and f2 stand for
     qs*f1 and qs*f2 (``singularity.curve_forms``), and quart for
     q^2 s^4 * quart.  Then e10 = n10 / (f1 f2), e20 = n20 / (2 (f1 f2)^2)
-    and e30 = n30 / (quart (f1 f2)^2).
+    and e30 = n30 / (quart (f1 f2)^2).  All of them are expanded over the
+    products p r^2, p r s, p s^2, q r^2, q r s and q s^2, each formed once.
 
     Returns the primitive (a3, a2, a1, a0): the coefficients times the
     common denominator 2 quart (f1 f2)^2, over their content.  a3 > 0, as
     quart is a sum of squares that vanishes only at the singular origin.
     """
-    pp, rr, rs, ss = p * p, r * r, r * s, s * s
-    f1, f2 = curve_forms(p, q, r, s)
-    shared = f1 * f2
-    quart = (p * (r - s) * (r - 2 * s)) ** 2 + (q * rs) ** 2
-    n10 = -(pp * (rr + 2 * ss - 3 * rs) - q * q * rs)
-    n20 = (
-        p * q
-        * (p * rr - 2 * q * rs - 2 * p * ss)
-        * (2 * p * rr - q * rr - 6 * p * rs + 2 * q * ss + 4 * p * ss)
-    )
-    n30 = (
-        r * pp * (s - r) * (r - 2 * s) * q * q * s
-        * (p * rr - 4 * p * rs + 2 * q * ss + 4 * p * ss)
-        * (2 * p * rr - q * rr - 4 * p * rs + 2 * p * ss)
-    )
+    rr, rs, ss = r * r, r * s, s * s
+    prr, prs, pss = p * rr, p * rs, p * ss
+    qrr, qrs, qss = q * rr, q * rs, q * ss
+    # pu = p (r - s)(r - 2s); f1 f2 = pa + qb - pq (r^2 - 2s^2), and n10 = qb - pa
+    pu = prr - 3 * prs + 2 * pss
+    pa = p * pu
+    qb = q * qrs
+    shared = pa + qb - p * (qrr - 2 * qss)
+    quart = pu * pu + qrs * qrs
+    n10 = qb - pa
+    n20 = p * q * (prr - 2 * qrs - 2 * pss) * (2 * prr - qrr - 6 * prs + 2 * qss + 4 * pss)
+    n30 = -pa * qb * (prr - 4 * prs + 2 * qss + 4 * pss) * (2 * prr - qrr - 4 * prs + 2 * pss)
     a3 = 2 * quart * shared * shared
     a2 = -2 * quart * shared * n10
     a1 = quart * n20

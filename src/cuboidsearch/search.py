@@ -4,16 +4,19 @@ The search enumerates every reduced fraction of bounded height for each of
 the two parameters.  A residue sieve drops most in-range points one b row
 piece at a time, and at each point it keeps the search runs ``grade``'s
 own level-0 test: the integer discriminant of ``edge_integer_cubic`` must
-be a perfect square.  The survivors go on to the verifier's integer edge
+be a perfect square.  On e30 = 0, where the cubic's a0 is 0, one isqrt
+decides that test and the roots, and the survivor is written at level 2
+in closed form (``_root_zero_residuals``); every ``grid-h4`` survivor off
+b = 0 is one.  The other survivors go on to the verifier's integer edge
 stage, ``edge_split``, with that cubic and discriminant, so nothing is
 classified or computed twice.  Every survivor is at level 1 or higher.
-At levels 1 and 2 its residuals come as numerator/denominator pairs and
-are written with one gcd each (``_ratio_text``), so no Fraction or
-Verdict is built; a survivor past level 2 goes on through
-``grade_square``.  Each record is serialized once, in the worker that
-graded it, as a JSONL line (``_record_line``); the run appends each
-block's lines to the output with one ``os.write``, with no text-file
-layer or user-space buffer (``_write_all``).  Singular points are counted
+At levels 1 and 2 its residuals are written with one gcd each
+(``_ratio_text``), so no Fraction or Verdict is built; a survivor past
+level 2 goes on through ``grade_square``.  Each record is one fill, in
+the worker that graded it, of a JSONL template rendered once per block
+(``_record_template``); the run appends each block's lines to the output
+with one ``os.write``, with no text-file layer or user-space buffer
+(``_write_all``).  Singular points are counted
 but not graded or logged: along the two singular curves they are endless
 and carry no search information.
 
@@ -68,7 +71,7 @@ Determinism is the backbone of everything here:
     not add up to its cursor within the grid.
 
 Rationals are serialized as exact "p/q" strings, never floats.  Records and
-checkpoints are written by filling fixed templates (``_record_line``,
+checkpoints are written by filling fixed templates (``_record_template``,
 ``_CHECKPOINT``) with integers and strings, no JSON encoder; each is byte
 for byte what json.dumps writes for the same object.
 """
@@ -81,10 +84,12 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from errno import ENOTDIR
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 from operator import and_, mul, or_
+from stat import S_ISDIR
 from typing import Callable, NamedTuple
 
 from .coefficients import E21_PRINTED, check_e21_form, edge_integer_cubic
@@ -154,6 +159,8 @@ B0_ROW_VERDICT = Verdict(
     2, "edge-root-nonpositive", residuals=(Fraction(0), Fraction(0)),
     edges=(Fraction(0), Fraction(0), Fraction(1)),
 )
+# its residuals as a record lists them
+_B0_ROW_RESIDUALS = ", ".join(['"%s"' % r for r in B0_ROW_VERDICT.residuals])
 
 
 class CheckpointMismatch(RuntimeError):
@@ -506,28 +513,57 @@ def _now() -> str:
 # --- records ----------------------------------------------------------------
 
 
-def _record_line(b, c, level: int, reason: str, residuals, e21_form: str, ts: str) -> str:
-    """The JSONL line of a record: json.dumps(record, sort_keys=True) and a newline.
+def _record_template(e21_form: str, ts: str) -> str:
+    """The one definition of a record: its line, e21 form and timestamp filled in.
 
-    This template is the one definition of a record.  b, c and each
-    residual may be given as Fractions or as their "p/q" strings.  Its keys
-    are in sorted order, with json's default separators, and no field
-    needs escaping: b, c and the residuals are "p/q" strings, the level is
-    an integer, and the reason, the e21 form and the ISO timestamp come
-    from closed sets of ASCII characters.  None of them holds a "%", so
-    the row b = 0 renders it once with "%" for c and splits it there.
+    ``template % (b, c, level, reason, residuals)``, the residuals given as
+    the text between the brackets, is json.dumps(record, sort_keys=True)
+    and a newline.  No field needs escaping: b, c and the residuals are
+    "p/q" strings, the level is an integer, and the reason, the e21 form
+    and the ISO timestamp come from closed sets of ASCII characters.  None
+    holds a "%", so the row b = 0 fills in "%" for c and splits there.
     """
-    residuals = ", ".join(['"%s"' % r for r in residuals])
     return (
-        '{"b": "%s", "c": "%s", "e21_form": "%s", "level": %d, "reason": "%s", '
-        '"residuals": [%s], "ts": "%s"}\n'
-    ) % (b, c, e21_form, level, reason, residuals, ts)
+        '{"b": "%%s", "c": "%%s", "e21_form": "%s", "level": %%d, "reason": "%%s", '
+        '"residuals": [%%s], "ts": "%s"}\n'
+    ) % (e21_form, ts)
+
+
+def _record_line(b, c, level: int, reason: str, residuals, e21_form: str, ts: str) -> str:
+    """The JSONL line of a record; b, c and each residual a Fraction or its "p/q" string."""
+    residuals = ", ".join(['"%s"' % r for r in residuals])
+    return _record_template(e21_form, ts) % (b, c, level, reason, residuals)
 
 
 def _ratio_text(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for d > 0, with one gcd."""
+    """str(Fraction(n, d)) for d > 0, with one gcd, or none for n = 0."""
+    if not n:
+        return "0"
     g = gcd(n, d)
     return "%d" % (n // g) if d == g else "%d/%d" % (n // g, d // g)
+
+
+def _root_zero_residuals(a3: int, a2: int, a1: int) -> str | None:
+    """The residual texts of a point whose edge cubic has a0 = 0, or None at level 0.
+
+    The cubic is x (a3 x^2 + a2 x + a1), and its discriminant is
+    a1^2 (a2^2 - 4 a3 a1): a square exactly when a2^2 - 4 a3 a1 is one,
+    as it is when a1 = 0, so this is ``grade``'s level-0 test.  Past it
+    the roots are 0 and (-a2 -+ r) / (2 a3), r the isqrt, so the point is
+    at level 2, "edge-root-nonpositive", and its residuals are the
+    nonpositive roots, ascending: those of the quadratic, then 0.  That is
+    what ``root_numerators``' a0 = 0 branch and ``edge_split`` give.
+    """
+    root = is_perfect_square(a2 * a2 - 4 * a3 * a1)
+    if root is None:
+        return None
+    den = a3 + a3
+    texts = '"0"'
+    # each quadratic root <= 0 goes before the rest, the higher one first
+    for y in (-a2 + root, -a2 - root):
+        if y <= 0:
+            texts = '"%s", %s' % (_ratio_text(y, den), texts)
+    return texts
 
 
 def make_record(b: Fraction, c: Fraction, verdict, e21_form: str) -> dict:
@@ -570,15 +606,11 @@ def hits_path_for(output_path: str) -> str:
 def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None:
     """Drop records at or past the cursor, torn lines and non-records.
 
-    Used at the start of every run with output: on resume, such records
-    were written after the last checkpoint write and will be regenerated;
-    with no checkpoint the cursor is 0, and every record goes.  The lines
-    kept are written back as they were read, stripped.
+    Used at the start of a resumed run with output: such records were
+    written after the last checkpoint write and will be regenerated.  The
+    lines kept are written back as they were read, stripped.
     """
     if not os.path.exists(path):
-        return
-    if not cursor:
-        _atomic_write(path, "")  # every record is at or past the cursor: none is parsed
         return
     kept = []
     with open(path, encoding="utf-8") as handle:
@@ -623,20 +655,25 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
 
     Each row piece reads its row's constants from ``_axes`` and counts and
     skips its singular points.  A piece of the row b = 0 is one join of
-    its columns' texts (fact F5).  In each other piece, every column that
-    the sieve keeps gets ``grade``'s discriminant test; the survivors go
-    on to ``edge_split`` and, past level 2, ``grade_square``, whose
-    docstring gives why they need no further singularity or square test.
-    Each record is serialized once, with the block's one timestamp:
-    ``lines`` holds them all and ``hits`` the level-6 ones.
+    its columns' texts (fact F5); a row whose 2-adic mask is empty keeps
+    no column.  In each other piece, every column that the sieve keeps
+    gets ``grade``'s discriminant test.  A point whose edge cubic has
+    a0 = 0, on e30 = 0, is decided and written in closed form
+    (``_root_zero_residuals``); the other survivors go on to ``edge_split``
+    and, past level 2, ``grade_square``, whose docstring gives why they
+    need no further singularity or square test.  Every record is one fill
+    of the block's template, with the block's one timestamp: ``lines``
+    holds them all and ``hits`` the level-6 ones.
     """
     axes = _axes(space)
     width = len(axes.cs)
+    b_pairs, b_texts, row_masks = axes.b_pairs, axes.b_texts, axes.row_masks
+    c_pairs, c_texts, singular_at = axes.c_pairs, axes.c_texts, axes.singular
     counts = {level: 0 for level in LEVELS}
     singular = 0
     lines = []
     hits = []
-    ts = _now()
+    template = _record_template(space.e21_form, ts=_now())
     # the block's rows first..last: the first starts at column j0, the last
     # ends before j_end, and every other piece is a whole row
     first, j0 = divmod(start, width)
@@ -646,40 +683,49 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
         if i > first:
             j0 = 0
         j1 = j_end if i == last else width
-        skip = axes.singular[i]
+        skip = singular_at[i]
         at_singular = len(skip) if j1 - j0 == width else sum(j0 <= j < j1 for j in skip)
         singular += at_singular
-        p, q = axes.b_pairs[i]
+        p, q = b_pairs[i]
+        masks = row_masks[i]
         if not p:
             # fact F5: every point but the origin, whose line is taken out,
             # has the edge cubic x^2 (x - 1)
-            head, _, tail = _record_line(
-                axes.b_texts[i], "%", B0_ROW_VERDICT.level, B0_ROW_VERDICT.reason,
-                B0_ROW_VERDICT.residuals, space.e21_form, ts,
-            ).partition("%")
-            row = head + (tail + head).join(axes.c_texts[j0:j1]) + tail
+            head, _, tail = (template % (
+                b_texts[i], "%", B0_ROW_VERDICT.level, B0_ROW_VERDICT.reason, _B0_ROW_RESIDUALS,
+            )).partition("%")
+            row = head + (tail + head).join(c_texts[j0:j1]) + tail
             lines.append(row.replace(head + "0" + tail, ""))
             counts[2] += j1 - j0 - at_singular
             continue
-        for j in _piece_columns(axes.row_masks[i], j0, j1):
+        if not masks[0]:
+            continue  # p and q odd: SCREENED_C_CLASSES[0] is empty
+        for j in _piece_columns(masks, j0, j1):
             if j in skip:
                 continue
-            # grade's level-0 test: the edge discriminant must be a perfect square
-            edge = edge_integer_cubic(p, q, *axes.c_pairs[j])
-            disc = integer_discriminant(*edge)
-            if is_perfect_square(disc) is None:
-                continue
-            b, c = axes.bs[i], axes.cs[j]
-            level, reason, residuals, _, _ = edge_split(b, c, edge, disc)
-            if reason is None:
-                verdict = grade_square(b, c, space.e21_form, edge, disc)
-                level, reason, residuals = verdict.level, verdict.reason, verdict.residuals
+            a3, a2, a1, a0 = edge = edge_integer_cubic(p, q, *c_pairs[j])
+            if not a0:
+                # the discriminant is a1^2 (a2^2 - 4 a3 a1) and 0 is a root:
+                # one square test decides grade's level 0 and the roots
+                residuals = _root_zero_residuals(a3, a2, a1)
+                if residuals is None:
+                    continue
+                level, reason = 2, "edge-root-nonpositive"
             else:
-                residuals = [_ratio_text(n, d) for n, d in residuals]
+                # grade's level-0 test: the edge discriminant must be a perfect square
+                disc = integer_discriminant(a3, a2, a1, a0)
+                if is_perfect_square(disc) is None:
+                    continue
+                b, c = axes.bs[i], axes.cs[j]
+                level, reason, residuals, _, _ = edge_split(b, c, edge, disc)
+                if reason is None:
+                    verdict = grade_square(b, c, space.e21_form, edge, disc)
+                    level, reason, residuals = verdict.level, verdict.reason, verdict.residuals
+                else:
+                    residuals = [_ratio_text(n, d) for n, d in residuals]
+                residuals = ", ".join(['"%s"' % r for r in residuals])
             counts[level] += 1
-            line = _record_line(
-                axes.b_texts[i], axes.c_texts[j], level, reason, residuals, space.e21_form, ts
-            )
+            line = template % (b_texts[i], c_texts[j], level, reason, residuals)
             lines.append(line)
             if level == LEVEL_PERFECT:
                 hits.append(line)
@@ -739,7 +785,9 @@ def run(
     if checkpoint_path:
         # a missing directory or a file fails here, before any block is graded
         # or the output is touched, rather than at the first checkpoint write
-        os.scandir(os.path.dirname(checkpoint_path) or ".").close()
+        directory = os.path.dirname(checkpoint_path) or "."
+        if not S_ISDIR(os.stat(directory).st_mode):
+            raise NotADirectoryError(ENOTDIR, os.strerror(ENOTDIR), directory)
     total = grid_size(space)
     cursor = 0
     counts = {level: 0 for level in LEVELS}
@@ -747,16 +795,24 @@ def run(
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, counts, singular = _load_checkpoint(checkpoint_path, space)
-    # a resumed run keeps the records before its cursor; a fresh one starts empty
-    if output_path:
+    # a resumed run keeps the records before its cursor; a fresh one parses
+    # no line: it truncates its output as it opens it, and a hits file in place
+    opening = _APPEND
+    if output_path and cursor:
         _truncate_records_beyond(output_path, space, cursor)
         _truncate_records_beyond(hits_path_for(output_path), space, cursor)
+    elif output_path:
+        opening |= os.O_TRUNC
+        try:
+            os.truncate(hits_path_for(output_path), 0)
+        except FileNotFoundError:
+            pass
 
     resumed_at = cursor
     starts = range(cursor, total, block_size)[:max_blocks]
     header = _checkpoint_header(space)
 
-    out = os.open(output_path, _APPEND, 0o666) if output_path else None
+    out = os.open(output_path, opening, 0o666) if output_path else None
     hits_out = None
     stopped_on_hit = False
     results = _block_results(space, starts, total, jobs)

@@ -39,7 +39,13 @@ the 2-adic cells and the odd moduli of fact F4 (see the search module)
 prove every other point to be at level 0.  It drops the singular columns
 by index, takes stage 2's edge cubic and discriminant on to ``edge_split``,
 and builds no Fraction or Verdict; only a survivor past level 2 goes on
-through ``grade_square``.  On the row b = 0 it takes a further shortcut,
+through ``grade_square``.  Where the edge cubic's a0 is 0 (e30 = 0) it
+calls neither: the discriminant is a1^2 (a2^2 - 4 a3 a1), so stage 2's
+test is that a2^2 - 4 a3 a1 is a square (as it is when a1 = 0), and the
+roots are 0 and (-a2 -+ r) / (2 a3), r its isqrt.  With the root 0 the
+point is at level 2, "edge-root-nonpositive", and its residuals are the
+nonpositive roots, ascending: what ``root_numerators``' a0 = 0 branch
+and ``edge_split`` return.  On the row b = 0 it takes a further shortcut,
 fact F5: it writes one fixed level-2 verdict at every point but the
 origin, grading none.  ``grade`` never takes that shortcut or consults
 the sieve's masks, so grading every point checks both against the

@@ -185,6 +185,21 @@ def test_edge_integer_cubic_is_primitive_cleared_edge_cubic_height_8():
     assert checked == 7454
 
 
+def test_edge_integer_cubic_is_cleared_edge_cubic_on_random_points():
+    # numerators and denominators up to 10^6, where the products that the
+    # integer path shares carry many digits: still primitive, a3 > 0, and
+    # the cleared path's monic edge cubic
+    from math import gcd
+
+    rng = random.Random(29)
+    for _ in range(400):
+        b, c = random_nonsingular(rng, 10**6)
+        a3, a2, a1, a0 = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
+        assert a3 > 0 and gcd(a3, a2, a1, a0) == 1, (b, c)
+        monic = CubicPoly(F(a2, a3), F(a1, a3), F(a0, a3))
+        assert monic == edge_cubic(eval_coefficients_cleared(b, c, E21_COMMON)), (b, c)
+
+
 def test_edge_cubic_sign_convention():
     cs = REFERENCE_POINT_VALUES._replace(e10=F(6), e20=F(11), e30=F(6))
     cubic = edge_cubic(cs)

@@ -527,30 +527,38 @@ def test_fresh_start_parses_no_earlier_line(monkeypatch, tmp_path):
 
 def test_each_record_serialized_once(monkeypatch, tmp_path):
     # the worker builds each record's line once, and the run writes it as
-    # built: the template is filled once per survivor off the row b = 0 and
-    # once for that row, whose 22 lines are cut from it
+    # built: the block renders one template, which is filled once per
+    # survivor off the row b = 0 and once for that row, whose 22 lines are
+    # cut from it
     import cuboidsearch.search as search_module
 
     built = []
     templates = []
+    fills = []
     process_block = search_module._process_block
-    record_line = search_module._record_line
+    record_template = search_module._record_template
+
+    class CountedTemplate(str):
+        def __mod__(self, fields):
+            fills.append(fields)
+            return str.__mod__(self, fields)
 
     def recording_block(*args):
         result = process_block(*args)
         built.extend(result["lines"].splitlines(keepends=True))
         return result
 
-    def counting_line(*args):
-        templates.append(record_line(*args))
-        return templates[-1]
+    def counting_template(*args, **kwargs):
+        templates.append(record_template(*args, **kwargs))
+        return CountedTemplate(templates[-1])
 
     monkeypatch.setattr(search_module, "_process_block", recording_block)
-    monkeypatch.setattr(search_module, "_record_line", counting_line)
+    monkeypatch.setattr(search_module, "_record_template", counting_template)
     space = SearchSpace(height=4)
     run(space, jobs=1, checkpoint_path=None, output_path=None)
     assert len(built) == 32
-    assert len(templates) == 10 + 1
+    assert len(templates) == 1
+    assert len(fills) == 10 + 1
     built.clear()
     out = tmp_path / "records.jsonl"
     run(space, jobs=1, checkpoint_path=None, output_path=str(out))
@@ -788,14 +796,90 @@ def test_records_replay_through_grade(tmp_path):
         assert [str(r) for r in verdict.residuals] == record["residuals"]
 
 
+def root_zero_points(space, sieve):
+    """The points off b = 0, nonsingular and kept by the first ``sieve`` masks, with a0 = 0.
+
+    Yields (b, c, b_text, c_text, edge) in cursor order.
+    """
+    axes = _axes(space)
+    for i, (p, q) in enumerate(axes.b_pairs):
+        if not p:
+            continue
+        for j in _piece_columns(axes.row_masks[i][:sieve], 0, len(axes.cs)):
+            edge = edge_integer_cubic(p, q, *axes.c_pairs[j])
+            if j not in axes.singular[i] and not edge[3]:
+                yield axes.bs[i], axes.cs[j], axes.b_texts[i], axes.c_texts[j], edge
+
+
+# The 2-adic mask and the first 11 moduli sieve every full grid up to H=24,
+# and each larger grid adds moduli, so at H=30 these masks keep every point
+# that any full grid with H <= 30 keeps.  CI's ranged H=40 space is taken
+# with its own masks.
+ROOT_ZERO_SPACES = [
+    (SearchSpace(height=30), 12),
+    (SearchSpace(height=40, b_min=F(-3, 2), b_max=F(5, 3), c_min=F(-2), c_max=F(7, 3)), None),
+]
+
+
+@pytest.mark.parametrize("space, sieve", ROOT_ZERO_SPACES)
+def test_root_zero_closed_form_is_edge_split_at_every_kept_point(space, sieve):
+    # at every kept point on e30 = 0 the closed form's line is the line the
+    # integer edge stage and _ratio_text give, and grade's verdict
+    from cuboidsearch.search import (
+        _ratio_text, _record_line, _record_template, _root_zero_residuals,
+    )
+
+    template = _record_template(space.e21_form, "T")
+    zeros = set()
+    for b, c, b_text, c_text, edge in root_zero_points(space, sieve):
+        residuals = _root_zero_residuals(*edge[:3])
+        verdict = grade(b, c, space.e21_form)
+        disc = integer_discriminant(*edge)
+        if is_perfect_square(disc) is None:
+            assert residuals is None and verdict.level == 0, (b, c)
+            continue
+        level, reason, pairs, _, _ = edge_split(b, c, edge, disc)
+        texts = [_ratio_text(n, d) for n, d in pairs]
+        line = template % (b_text, c_text, 2, "edge-root-nonpositive", residuals)
+        assert line == _record_line(b_text, c_text, level, reason, texts, space.e21_form, "T")
+        assert [verdict.level, verdict.reason, [str(r) for r in verdict.residuals]] == [
+            2, "edge-root-nonpositive", texts,
+        ], (b, c)
+        zeros.add(texts.count("0"))
+    # some residual lists hold a quadratic root equal to 0 beside the root 0
+    assert zeros == {1, 2}
+
+
+def test_root_zero_closed_form_on_a_box():
+    # every x (a3 x^2 + a2 x + a1) in a box, a1 = 0 and double roots
+    # included: level 0 exactly when edge_split's square test fails, and
+    # else its residuals
+    from cuboidsearch.search import _ratio_text, _root_zero_residuals
+
+    split = 0
+    for a3, a2, a1 in itertools.product(range(1, 7), range(-13, 14), range(-13, 14)):
+        edge = (a3, a2, a1, 0)
+        disc = integer_discriminant(*edge)
+        residuals = _root_zero_residuals(a3, a2, a1)
+        if is_perfect_square(disc) is None:
+            assert residuals is None, edge
+            continue
+        level, reason, pairs, _, _ = edge_split(None, None, edge, disc)
+        assert (level, reason) == (2, "edge-root-nonpositive"), edge
+        assert residuals == ", ".join('"%s"' % _ratio_text(n, d) for n, d in pairs), edge
+        split += 1
+    assert split > 6 * 27
+
+
 def test_stop_on_hit(monkeypatch, tmp_path):
     # no real hit is known; inject one to exercise the halt and the hit file
     import cuboidsearch.search as search_module
 
-    # the target is a real level-2 point, so it passes the sieve and the
-    # level-0 test and reaches the grading stage
-    target = (F(1, 2), F(1, 2))
-    assert grade(*target).level == 2
+    # the target is a real level-1 point off e30 = 0, so it passes the sieve
+    # and the level-0 test and reaches the grading stage (the survivors on
+    # e30 = 0 are written in closed form and do not)
+    target = (F(-3, 2), F(7, 8))
+    assert grade(*target).level == 1
     graded = []
 
     def fake_stage(b, c, *args):
@@ -807,7 +891,7 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     monkeypatch.setattr(search_module, "edge_split", fake_stage)
     out = str(tmp_path / "records.jsonl")
     summary = run(
-        SearchSpace(height=2),
+        SearchSpace(height=8, b_min=F(-3, 2), b_max=F(0), c_min=F(-1), c_max=F(1)),
         jobs=1,
         checkpoint_path=None,
         output_path=out,
@@ -831,7 +915,9 @@ def test_short_writes_give_the_same_files(monkeypatch, tmp_path):
     # the hits file and the checkpoint, through a resume's rewrite too
     import cuboidsearch.search as search_module
 
-    target = (F(1, 2), F(1, 2))
+    # a level-1 point off e30 = 0, in the first run's blocks, so a resume
+    # rewrites the hits file as well as the output
+    target = (F(-3, 2), F(7, 8))
 
     def fake_stage(b, c, *args):
         # one injected level-6 record, so that the hits file is written
@@ -842,7 +928,8 @@ def test_short_writes_give_the_same_files(monkeypatch, tmp_path):
     monkeypatch.setattr(search_module, "edge_split", fake_stage)
     # ts and updated masked
     monkeypatch.setattr(search_module, "_now", lambda: "T")
-    space = SearchSpace(height=6)
+    space = SearchSpace(height=8, b_min=F(-3, 2), b_max=F(0), c_min=F(0), c_max=F(1))
+    assert point_index(space, *target) < 150
 
     def files(tag):
         out, ck = str(tmp_path / f"{tag}.jsonl"), str(tmp_path / f"{tag}.json")
@@ -1174,9 +1261,9 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
     assert summary["counts"] == {0: len(points), 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
     assert summary["singular"] == sum(1 for b, c in points if classify(b, c)) == 1
     assert load_records(out) == []
-    # the patches are live: the row b = 1/2 holds a survivor, (1/2, 1/2),
-    # which reaches each of them in turn
-    live = SearchSpace(height=12, b_min=F(1, 2), b_max=F(1, 2), c_min=F(1, 2), c_max=F(3))
+    # the patches are live: the row b = -3/2 holds a survivor off e30 = 0,
+    # (-3/2, 7/8), which reaches each of them in turn
+    live = SearchSpace(height=12, b_min=F(-3, 2), b_max=F(-3, 2), c_min=F(1, 2), c_max=F(3))
     with pytest.raises(AssertionError, match="edge_integer_cubic called"):
         run(live, jobs=1, checkpoint_path=None, output_path=None)
     monkeypatch.setattr(search_module, "edge_integer_cubic", edge_integer_cubic)
@@ -1184,20 +1271,23 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
         run(live, jobs=1, checkpoint_path=None, output_path=None)
 
 
-def test_grade_never_sees_a_singular_point(monkeypatch):
+def test_grade_never_sees_a_singular_point(monkeypatch, tmp_path):
     # the search drops the singular columns by index before grading, even
-    # where t is a square there (the origin has t = 0)
+    # where t is a square there (the origin has t = 0): no point whose edge
+    # cubic is built, the first step at every kept column, is singular
     import cuboidsearch.search as search_module
 
     graded = []
 
-    def checked_stage(b, c, *args):
+    def checked_cubic(p, q, r, s):
+        b, c = F(p, q), F(r, s)
         assert not classify(b, c), (b, c)
         graded.append((b, c))
-        return edge_split(b, c, *args)
+        return edge_integer_cubic(p, q, r, s)
 
-    monkeypatch.setattr(search_module, "edge_split", checked_stage)
-    summary = run(SearchSpace(height=8), jobs=1, checkpoint_path=None, output_path=None)
+    monkeypatch.setattr(search_module, "edge_integer_cubic", checked_cubic)
+    out = str(tmp_path / "records.jsonl")
+    summary = run(SearchSpace(height=8), jobs=1, checkpoint_path=None, output_path=out)
     assert summary["singular"] == sum(
         1 for b, c in enumerate_points(SearchSpace(height=8)) if classify(b, c)
     )
@@ -1205,7 +1295,11 @@ def test_grade_never_sees_a_singular_point(monkeypatch):
     # that row below check it against grade; every survivor off it is graded
     row = len(fraction_values(8)) - 1
     assert all(b != 0 for b, _ in graded)
-    assert len(graded) == sum(summary["counts"].values()) - summary["counts"][0] - row > 0
+    survivors = [
+        (parse_rational(r["b"]), parse_rational(r["c"])) for r in load_records(out) if r["b"] != "0"
+    ]
+    assert len(survivors) == sum(summary["counts"].values()) - summary["counts"][0] - row > 0
+    assert set(survivors) <= set(graded)
 
 
 # --- the row b = 0 (fact F5) ---------------------------------------------------
@@ -1238,7 +1332,7 @@ def graded_every_point(space):
 
 
 def forbid_graded_path(monkeypatch):
-    """Make the sieve's AND, the discriminant test, the singular columns and both stages raise."""
+    """Make the sieve's AND, the discriminant test, the singular columns and the grading raise."""
     import cuboidsearch.search as search_module
 
     def never(name):
@@ -1248,7 +1342,8 @@ def forbid_graded_path(monkeypatch):
         return called
 
     for name in (
-        "_piece_columns", "edge_integer_cubic", "singular_columns", "edge_split", "grade_square",
+        "_piece_columns", "edge_integer_cubic", "singular_columns", "_root_zero_residuals",
+        "edge_split", "grade_square",
     ):
         monkeypatch.setattr(search_module, name, never(name))
 
@@ -1256,15 +1351,19 @@ def forbid_graded_path(monkeypatch):
 def test_forbidden_graded_path_is_live(monkeypatch):
     # off the row b = 0 the names forbid_graded_path patches are reached:
     # singular_columns when the tables are built, the others by a search
-    # of the row b = 1/2, whose point (1/2, 1/2) is a record.  grade_square
-    # is reached only past level 2, which no point of the grids searched
-    # here reaches
+    # of the rows -3/2 <= b <= 1/2, whose first survivor, (-1/2, 0), is on
+    # e30 = 0, and whose (-3/2, 7/8) is a record off it.  grade_square is
+    # reached only past level 2, which no point of the grids searched here
+    # reaches
     import cuboidsearch.search as search_module
 
-    names = ("singular_columns", "_piece_columns", "edge_integer_cubic", "edge_split")
+    names = (
+        "singular_columns", "_piece_columns", "edge_integer_cubic", "_root_zero_residuals",
+        "edge_split",
+    )
     seams = {name: getattr(search_module, name) for name in names}
     forbid_graded_path(monkeypatch)
-    space = SearchSpace(height=12, b_min=F(1, 2), b_max=F(1, 2))
+    space = SearchSpace(height=12, b_min=F(-3, 2), b_max=F(1, 2))
     with pytest.raises(AssertionError, match="singular_columns called"):
         _axes.__wrapped__(space)
     monkeypatch.setattr(search_module, "singular_columns", seams["singular_columns"])
@@ -1272,7 +1371,8 @@ def test_forbidden_graded_path_is_live(monkeypatch):
         with pytest.raises(AssertionError, match=f"{name} called"):
             run(space, jobs=1)
         monkeypatch.setattr(search_module, name, seams[name])
-    assert run(space, jobs=1)["counts"][2] > 0
+    counts = run(space, jobs=1)["counts"]
+    assert counts[1] > 0 and counts[2] > 0
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
