@@ -11,8 +11,9 @@ e12).  The verifier's `grade` calls each stage only for the points that
 reach it; `eval_coefficients` checks the point and evaluates all three.
 The edge stage, the only one most graded points reach, runs in integers:
 ``edge_integer_cubic`` gives the primitive integer edge cubic that
-``grade_square`` solves, and ``edge_coefficients`` reads e10, e20, e30 off it as
-ratios of its coefficients; the other two stages run in Fractions.
+``grade`` tests and solves, and ``edge_coefficients`` reads e10, e20, e30
+off it as ratios of its coefficients; the other two stages run in
+Fractions.
 
 A second, independent transcription of every formula, as one cleared
 fraction of integer polynomials, lives with the identity checks

@@ -14,9 +14,8 @@ and if so into which roots?  The answer is computed exactly:
      perfect-square test on ``integer_discriminant(P)``, before any root
      search.  ``rational_roots`` runs it and then calls the integer split
      core ``root_numerators`` (steps 3 and 4), whose precondition is a
-     square discriminant.  The verifier calls the core on its edge cubic
-     only where the discriminant is known to be a square: ``grade`` and
-     the search test it before they hand a point to ``edge_split``.
+     square discriminant.  ``grade`` calls the core on its edge cubic
+     only after its own square test on the discriminant.
   3. find the largest root y of g by integer Newton steps from above,
      starting at Samuelson's bound on the largest root.  Above the larger
      critical point g is increasing and convex, so the floored Newton

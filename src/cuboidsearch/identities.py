@@ -31,7 +31,8 @@ fact F1, that its factor G has no rational zero but the origin.
 Three more back the search's 2-adic sieve, fact F3: the cells of
 (v2(b), v2(c)) in which t = q^8 s^8 S is never a square.  Modulo 2^k,
 ``check_s_two_adic_cells`` enumerates the cells outright, over the
-representatives of P^1 that F4 below uses too (``p1_points``);
+representatives of P^1 that the search's sieve and F4 below use
+(``search.p1_points``);
 ``check_s_sigma_rule`` proves the involution sigma(b, c) = (-b, 2/c) that
 mirrors two proven cells onto two more; and ``check_s_zero_column``
 covers the point c = 0, which sigma misses.
@@ -61,6 +62,7 @@ from .coefficients import (
     SingularPoint,
     check_e21_form,
 )
+from .search import _prime_of, p1_points
 from .singularity import classify
 from .verifier import EDGE_DISC_S
 
@@ -443,16 +445,6 @@ class ResidueClassCheck(NamedTuple):
 
     table: tuple[tuple[bool, ...], ...]
     failures: tuple[tuple[int, int, int | None], ...]
-
-
-def _prime_of(m: int) -> int:
-    return next(d for d in range(2, m + 1) if m % d == 0)
-
-
-def p1_points(m: int) -> list[tuple[int, int]]:
-    """Representatives of P^1(Z/m), m = l^k: (x, 1) for every x, then (1, y) for y in lZ/m."""
-    ell = _prime_of(m)
-    return [(x, 1) for x in range(m)] + [(1, y) for y in range(0, m, ell)]
 
 
 def p1_class(p: int, q: int, m: int) -> tuple[int, int]:

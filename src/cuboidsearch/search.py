@@ -4,21 +4,21 @@ The search enumerates every reduced fraction of bounded height for each of
 the two parameters.  A residue sieve drops most in-range points one b row
 piece at a time, and at each point it keeps the search runs ``grade``'s
 own level-0 test: the integer discriminant of ``edge_integer_cubic`` must
-be a perfect square.  On e30 = 0, where the cubic's a0 is 0, one isqrt
-decides that test and the roots, and the survivor is written at level 2
-in closed form (``_root_zero_residuals``); every ``grid-h4`` survivor off
-b = 0 is one.  The other survivors go on to the verifier's integer edge
-stage, ``edge_split``, with that cubic and discriminant, so nothing is
-classified or computed twice.  Every survivor is at level 1 or higher.
-At levels 1 and 2 its residuals are written with one gcd each
-(``_ratio_text``), so no Fraction or Verdict is built; a survivor past
-level 2 goes on through ``grade_square``.  Each record is one fill, in
-the worker that graded it, of a JSONL template rendered once per block
-(``_record_template``); the run appends each block's lines to the output
-with one ``os.write``, with no text-file layer or user-space buffer
-(``_write_all``).  Singular points are counted
-but not graded or logged: along the two singular curves they are endless
-and carry no search information.
+be a perfect square.  Every survivor is at level 1 or higher.  On
+e30 = 0, where the cubic's a0 is 0, one isqrt decides that test and the
+roots, and the survivor is written at level 2 in closed form
+(``_root_zero_residuals``), with one gcd per residual, no Fraction or
+Verdict built and nothing classified or computed twice; every
+``grid-h4`` survivor off b = 0 is one.  The other survivors, 8 at H=30
+and at most 24 up to H=400, all at level 1, are handed to ``grade``, which
+classifies the point and builds its cubic again; their residuals are
+written as the str of the verdict's Fractions.  Each record is one fill,
+in the worker that graded it, of a JSONL template rendered once per
+block (``_record_template``); the run appends each block's lines to the
+output with one ``os.write``, with no text-file layer or user-space
+buffer (``_write_all``).  Singular points are counted but not graded or
+logged: along the two singular curves they are endless and carry no
+search information.
 
 The sieve drops the columns at which t = q^8 s^8 S has no square residue
 for some modulus, as the bit arrays of M. Stoll's ratpoints do.  Each row
@@ -96,17 +96,18 @@ from .coefficients import E21_PRINTED, check_e21_form, edge_integer_cubic
 from .cubic import integer_discriminant, is_perfect_square
 from .rationals import format_rational, height as height_of, parse_rational
 from .singularity import singular_columns
-from .verifier import EDGE_DISC_S, LEVEL_PERFECT, Verdict, edge_split, grade_square
+from .verifier import EDGE_DISC_S, LEVEL_PERFECT, Verdict, grade
 
 CHECKPOINT_VERSION = 2
 # The smallest block, of 2^18..2^21 points, whose work outweighs the
-# checkpoint write after it and its pool future: with the checkpoint, a
-# jobs=1 run at H=30 and H=60 is within 10% of the same run without it;
-# jobs=2 beats jobs=1 at H=60 and H=100; and at H=12 jobs=2 is no slower,
-# since any grid of one block (up to H=20) starts no pool.  At 2^18, on
-# 2 vCPUs, the checkpoint's median cost was 5% at H=30 and 9.7% at H=60
-# (45 fresh-process pairs each), and jobs=2 took 0.87 of jobs=1's time
-# at H=60 and H=100.  The larger candidates pass too.
+# checkpoint write after it: with the checkpoint, a jobs=1 run at H=30 and
+# H=60 is within 10% of the same run without it (at 2^18, on 2 vCPUs, the
+# checkpoint's median cost was 5% at H=30 and 9.7% at H=60, 45
+# fresh-process pairs each), and any grid of one block (up to H=20)
+# starts no pool.  The pool does not pay on 2 vCPUs: fresh jobs=2 runs
+# with checkpoint and output took 1.2-1.4 times jobs=1's wall time at
+# H=60, 1.2-1.3 at H=100 and 1.5-1.6 at H=200 (medians of 3 to 7
+# alternating runs, two samples).
 DEFAULT_BLOCK_SIZE = 1 << 18
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
 # The 2-adic sieve: by v2(b), the c classes (v2(c) clamped to -1..2, c = 0
@@ -154,13 +155,19 @@ def residue_moduli(size: int) -> tuple[int, ...]:
 
 # Fact F5 (identities.check_b0_row): at b = 0 and any c != 0 the point is
 # nonsingular and its edge cubic is x^3 - x^2 = x^2 (x - 1), which splits with
-# the double root 0, so grade_square returns this verdict there.
+# the double root 0, so grade returns this verdict there.
 B0_ROW_VERDICT = Verdict(
     2, "edge-root-nonpositive", residuals=(Fraction(0), Fraction(0)),
     edges=(Fraction(0), Fraction(0), Fraction(1)),
 )
-# its residuals as a record lists them
-_B0_ROW_RESIDUALS = ", ".join(['"%s"' % r for r in B0_ROW_VERDICT.residuals])
+
+
+def _residual_texts(residuals) -> str:
+    """Residuals as a record lists them, between its brackets: each one's str, quoted."""
+    return ", ".join(['"%s"' % r for r in residuals])
+
+
+_B0_ROW_RESIDUALS = _residual_texts(B0_ROW_VERDICT.residuals)
 
 
 class CheckpointMismatch(RuntimeError):
@@ -236,8 +243,8 @@ def _p1_classes(m: int, pairs) -> list[int]:
     ]
 
 
-def _p1_points(m: int) -> list[tuple[int, int]]:
-    """The representatives of the classes of ``_p1_classes``, in class order."""
+def p1_points(m: int) -> list[tuple[int, int]]:
+    """Representatives of P^1(Z/m), m = l^k, in ``_p1_classes``' order: (x, 1), then (1, y), l | y."""
     ell = _prime_of(m)
     return [(x, 1) for x in range(m)] + [(1, y) for y in range(0, m, ell)]
 
@@ -249,12 +256,12 @@ _S_COLUMNS = tuple(zip(*EDGE_DISC_S))
 def _square_classes(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
     """For each row class given, whether t has a square residue mod m at each column class.
 
-    t is evaluated at the class representatives ``_p1_points``: at (p : q)
+    t is evaluated at the class representatives ``p1_points``: at (p : q)
     and (r : s) it is the sum of S[i][j] p^i q^(8-i) r^j s^(8-j), so each
     representative's vector of a^k b^(8-k) mod m is built once and serves
     as row and as column.
     """
-    powers = [tuple(a**k * b ** (8 - k) % m for k in range(9)) for a, b in _p1_points(m)]
+    powers = [tuple(a**k * b ** (8 - k) % m for k in range(9)) for a, b in p1_points(m)]
     squares = {y * y % m for y in range(m)}
     table = {}
     for kappa in row_classes:
@@ -287,8 +294,8 @@ def _two_adic_cells(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
         r, s = ((n | modulus) & -(n | modulus) for n in point)
         return r.bit_length() - s.bit_length()
 
-    columns = [max(v2(4, point), -1) for point in _p1_points(4)]
-    rows = [v2(m, point) for point in _p1_points(m)]
+    columns = [max(v2(4, point), -1) for point in p1_points(4)]
+    rows = [v2(m, point) for point in p1_points(m)]
     return {
         kappa: tuple(v in SCREENED_C_CLASSES.get(rows[kappa], range(-1, 3)) for v in columns)
         for kappa in row_classes
@@ -529,12 +536,6 @@ def _record_template(e21_form: str, ts: str) -> str:
     ) % (e21_form, ts)
 
 
-def _record_line(b, c, level: int, reason: str, residuals, e21_form: str, ts: str) -> str:
-    """The JSONL line of a record; b, c and each residual a Fraction or its "p/q" string."""
-    residuals = ", ".join(['"%s"' % r for r in residuals])
-    return _record_template(e21_form, ts) % (b, c, level, reason, residuals)
-
-
 def _ratio_text(n: int, d: int) -> str:
     """str(Fraction(n, d)) for d > 0, with one gcd, or none for n = 0."""
     if not n:
@@ -552,7 +553,7 @@ def _root_zero_residuals(a3: int, a2: int, a1: int) -> str | None:
     the roots are 0 and (-a2 -+ r) / (2 a3), r the isqrt, so the point is
     at level 2, "edge-root-nonpositive", and its residuals are the
     nonpositive roots, ascending: those of the quadratic, then 0.  That is
-    what ``root_numerators``' a0 = 0 branch and ``edge_split`` give.
+    what ``root_numerators``' a0 = 0 branch and ``grade`` give.
     """
     root = is_perfect_square(a2 * a2 - 4 * a3 * a1)
     if root is None:
@@ -568,8 +569,8 @@ def _root_zero_residuals(a3: int, a2: int, a1: int) -> str | None:
 
 def make_record(b: Fraction, c: Fraction, verdict, e21_form: str) -> dict:
     """The record of a verdict at (b, c), as the search writes it, stamped now."""
-    line = _record_line(b, c, verdict.level, verdict.reason, verdict.residuals, e21_form, _now())
-    return json.loads(line)
+    fields = (b, c, verdict.level, verdict.reason, _residual_texts(verdict.residuals))
+    return json.loads(_record_template(e21_form, _now()) % fields)
 
 
 def load_records(path: str) -> list[dict]:
@@ -659,11 +660,13 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     no column.  In each other piece, every column that the sieve keeps
     gets ``grade``'s discriminant test.  A point whose edge cubic has
     a0 = 0, on e30 = 0, is decided and written in closed form
-    (``_root_zero_residuals``); the other survivors go on to ``edge_split``
-    and, past level 2, ``grade_square``, whose docstring gives why they
-    need no further singularity or square test.  Every record is one fill
-    of the block's template, with the block's one timestamp: ``lines``
-    holds them all and ``hits`` the level-6 ones.
+    (``_root_zero_residuals``); any other survivor is handed to ``grade``.
+    The sieve drops only points at which t = q^8 s^8 S is not a square,
+    and off the row b = 0 a nonsingular point has b, f1, f2, Q and, by
+    fact F1, G nonzero, so the factorization b^2 G^2 S / (4 f1^6 f2^6 Q^2)
+    of the edge discriminant puts each of them at level 0.  Every record
+    is one fill of the block's template, with the block's one timestamp:
+    ``lines`` holds them all and ``hits`` the level-6 ones.
     """
     axes = _axes(space)
     width = len(axes.cs)
@@ -703,7 +706,7 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
         for j in _piece_columns(masks, j0, j1):
             if j in skip:
                 continue
-            a3, a2, a1, a0 = edge = edge_integer_cubic(p, q, *c_pairs[j])
+            a3, a2, a1, a0 = edge_integer_cubic(p, q, *c_pairs[j])
             if not a0:
                 # the discriminant is a1^2 (a2^2 - 4 a3 a1) and 0 is a root:
                 # one square test decides grade's level 0 and the roots
@@ -713,17 +716,11 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
                 level, reason = 2, "edge-root-nonpositive"
             else:
                 # grade's level-0 test: the edge discriminant must be a perfect square
-                disc = integer_discriminant(a3, a2, a1, a0)
-                if is_perfect_square(disc) is None:
+                if is_perfect_square(integer_discriminant(a3, a2, a1, a0)) is None:
                     continue
-                b, c = axes.bs[i], axes.cs[j]
-                level, reason, residuals, _, _ = edge_split(b, c, edge, disc)
-                if reason is None:
-                    verdict = grade_square(b, c, space.e21_form, edge, disc)
-                    level, reason, residuals = verdict.level, verdict.reason, verdict.residuals
-                else:
-                    residuals = [_ratio_text(n, d) for n, d in residuals]
-                residuals = ", ".join(['"%s"' % r for r in residuals])
+                verdict = grade(axes.bs[i], axes.cs[j], space.e21_form)
+                level, reason = verdict.level, verdict.reason
+                residuals = _residual_texts(verdict.residuals)
             counts[level] += 1
             line = template % (b_texts[i], c_texts[j], level, reason, residuals)
             lines.append(line)

@@ -24,32 +24,24 @@ level needs:
   2. build the edge cubic as a primitive integer cubic and compute its
      discriminant once; a discriminant that is not a perfect square puts
      the point at level 0, with the discriminant as residual;
-  3. from here on ``grade_square``, which assumes a nonsingular point with
-     a square edge discriminant.  ``edge_split`` splits the edge cubic
-     with the core ``cubic.root_numerators``: a cubic that does not split
-     is at level 1, again with the discriminant as residual, and one with
-     a root <= 0 at level 2, with those roots as residuals.  It works in
-     integers and gives each residual as a numerator/denominator pair;
+  3. split the edge cubic with the integer core ``cubic.root_numerators``:
+     a cubic that does not split is at level 1, again with the
+     discriminant as residual, and one with a root <= 0 at level 2, with
+     those roots as residuals;
   4. compute e01, e02, e03 and split the diagonal cubic;
   5. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
-The search applies stage 2 only at the points its residue sieve keeps:
-the 2-adic cells and the odd moduli of fact F4 (see the search module)
-prove every other point to be at level 0.  It drops the singular columns
-by index, takes stage 2's edge cubic and discriminant on to ``edge_split``,
-and builds no Fraction or Verdict; only a survivor past level 2 goes on
-through ``grade_square``.  Where the edge cubic's a0 is 0 (e30 = 0) it
-calls neither: the discriminant is a1^2 (a2^2 - 4 a3 a1), so stage 2's
-test is that a2^2 - 4 a3 a1 is a square (as it is when a1 = 0), and the
-roots are 0 and (-a2 -+ r) / (2 a3), r its isqrt.  With the root 0 the
-point is at level 2, "edge-root-nonpositive", and its residuals are the
-nonpositive roots, ascending: what ``root_numerators``' a0 = 0 branch
-and ``edge_split`` return.  On the row b = 0 it takes a further shortcut,
-fact F5: it writes one fixed level-2 verdict at every point but the
-origin, grading none.  ``grade`` never takes that shortcut or consults
-the sieve's masks, so grading every point checks both against the
-definition.
+The search applies stage 2's test only at the points its residue sieve
+keeps: the 2-adic cells and the odd moduli of fact F4 prove every other
+point to be at level 0.  It drops the singular columns by index and
+writes two kinds of survivor in closed form (see the search module): the
+row b = 0, by fact F5, and the points on e30 = 0, where the edge cubic's
+a0 is 0 and one isqrt decides the test and the roots.  Every other
+survivor is handed to ``grade``, which classifies it and builds its
+cubic again; up to H=400 there are at most 24 such points, all at level
+1.  ``grade`` never takes the shortcuts or consults the sieve's masks,
+so grading every point checks them against the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -185,8 +177,10 @@ def pythagorean_check(
 def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     """Run the whole pipeline on one point and report the deepest level reached.
 
-    The stages run in the order the module docstring gives; past level 0
-    they are ``grade_square``'s.
+    The stages run in the order the module docstring gives.  Under the
+    printed e21 form, a point where that form's extra denominator factor
+    vanishes cannot be checked against the auxiliary equations, so it caps
+    at level 4 with reason "e21-printed-pole".
     """
     check_e21_form(e21_form)
     flags = classify(b, c)
@@ -196,79 +190,14 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     disc = integer_discriminant(*edge)
     if is_perfect_square(disc) is None:
         return Verdict(0, "disc-nonsquare", residuals=(Fraction(disc, edge[0] ** 4),))
-    return grade_square(b, c, e21_form, edge, disc)
-
-
-def edge_split(
-    b: Fraction,
-    c: Fraction,
-    edge: tuple[int, int, int, int] | None = None,
-    disc: int | None = None,
-) -> tuple:
-    """Levels 1 and 2 in integers, at a nonsingular point with a square edge discriminant.
-
-    Splits ``edge``, the point's ``edge_integer_cubic`` (built here when the
-    caller has not), with ``root_numerators``, and computes its
-    ``integer_discriminant``, unless given as ``disc``, only when it does
-    not split.  Returns (level, reason, residuals, ys, den), each residual
-    an exact (numerator, denominator) pair with a positive denominator, not
-    reduced:
-
-      * (1, "edge-no-split", the edge cubic's discriminant disc / a3^4,
-        None, None);
-      * (2, "edge-root-nonpositive", the roots y / den <= 0, the sorted root
-        numerators ys, den = 2 a3);
-      * (3, None, (), ys, den) when every root is positive: the point is
-        past level 2, and ``grade_square`` goes on from the roots ys / den.
-    """
-    if edge is None:
-        edge = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
     ys = root_numerators(*edge)
     if ys is None:
-        if disc is None:
-            disc = integer_discriminant(*edge)
         # the edge cubic's own discriminant is disc / a3^4, a3^4 a square
-        return (1, "edge-no-split", ((disc, edge[0] ** 4),), None, None)
-    den = 2 * edge[0]
-    if ys[0] <= 0:
-        return (2, "edge-root-nonpositive", tuple((y, den) for y in ys if y <= 0), ys, den)
-    return (3, None, (), ys, den)
-
-
-def grade_square(
-    b: Fraction,
-    c: Fraction,
-    e21_form: str = E21_PRINTED,
-    edge: tuple[int, int, int, int] | None = None,
-    disc: int | None = None,
-) -> Verdict:
-    """``grade`` from the edge split on, at a nonsingular point with a square edge discriminant.
-
-    ``edge`` and ``disc`` are the point's ``edge_integer_cubic`` and its
-    ``integer_discriminant`` when the caller has them; ``edge_split``
-    decides levels 1 and 2 from them.  The e21 form, the singularity and
-    the square test are not checked, so the caller must know them:
-
-      * ``grade`` has just checked all three;
-      * the search validates the form in ``SearchSpace``, drops the
-        singular columns by index (a table of ``singular_columns``),
-        and runs ``grade``'s own square test on ``edge_integer_cubic`` at
-        the points its residue sieve keeps, calling this only past level 2.
-        The sieve drops only points at which t = q^8 s^8 S is not a
-        square, and off the row b = 0 a nonsingular point has b, f1,
-        f2, Q and, by fact F1, G nonzero, so the factorization b^2 G^2 S / (4 f1^6 f2^6 Q^2)
-        of the edge cubic's discriminant makes each of them a point at
-        which ``grade`` fails its square test.
-
-    Under the printed e21 form, a point where that form's extra denominator
-    factor vanishes cannot be checked against the auxiliary equations, so
-    it caps at level 4 with reason "e21-printed-pole".
-    """
-    level, reason, residuals, ys, den = edge_split(b, c, edge, disc)
-    edges = None if ys is None else tuple(Fraction(y, den) for y in ys)
-    if reason is not None:
-        residuals = tuple(Fraction(n, d) for n, d in residuals)
-        return Verdict(level, reason, residuals=residuals, edges=edges)
+        return Verdict(1, "edge-no-split", residuals=(Fraction(disc, edge[0] ** 4),))
+    edges = tuple(Fraction(y, 2 * edge[0]) for y in ys)
+    if edges[0] <= 0:
+        bad = tuple(x for x in edges if x <= 0)
+        return Verdict(2, "edge-root-nonpositive", residuals=bad, edges=edges)
 
     diagonals = rational_roots(diagonal_cubic(diagonal_coefficients(b, c)))
     if diagonals is None:

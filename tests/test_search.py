@@ -36,9 +36,9 @@ from cuboidsearch.search import (
 )
 from cuboidsearch import verifier
 from cuboidsearch.coefficients import edge_integer_cubic
-from cuboidsearch.cubic import integer_discriminant, is_perfect_square
+from cuboidsearch.cubic import integer_discriminant, is_perfect_square, root_numerators
 from cuboidsearch.singularity import classify
-from cuboidsearch.verifier import Verdict, edge_split, grade, grade_square
+from cuboidsearch.verifier import Verdict, grade
 
 F = Fraction
 
@@ -731,10 +731,9 @@ def test_config_digest_distinguishes_spaces():
     assert config_digest(SearchSpace(height=2)) == config_digest(SearchSpace(height=2))
 
 
-# The reasons of levels 1 to 6, read off the Verdicts that verifier builds
-# and the integer tuples of its edge stage.
+# The reasons of levels 1 to 6, read off the Verdicts that verifier builds.
 REASONS = sorted(
-    set(re.findall(r'(?:Verdict)?\(\s*([1-6]),\s*"([a-z0-9-]+)"', inspect.getsource(verifier)))
+    set(re.findall(r'Verdict\(\s*([1-6]),\s*"([a-z0-9-]+)"', inspect.getsource(verifier)))
 )
 RECORD_KEYS = ["b", "c", "e21_form", "level", "reason", "residuals", "ts"]
 
@@ -762,7 +761,8 @@ def test_record_line_is_json_dumps():
             "e21_form": e21_form,
             "ts": ts,
         }
-        line = search_module._record_line(b, c, int(level), reason, residuals, e21_form, ts)
+        texts = ", ".join('"%s"' % r for r in residuals)
+        line = search_module._record_template(e21_form, ts) % (b, c, int(level), reason, texts)
         assert line == json.dumps(record, sort_keys=True) + "\n"
         assert json.loads(line) == record
         made = make_record(b, c, verdict, e21_form)
@@ -823,50 +823,43 @@ ROOT_ZERO_SPACES = [
 
 @pytest.mark.parametrize("space, sieve", ROOT_ZERO_SPACES)
 def test_root_zero_closed_form_is_edge_split_at_every_kept_point(space, sieve):
-    # at every kept point on e30 = 0 the closed form's line is the line the
-    # integer edge stage and _ratio_text give, and grade's verdict
-    from cuboidsearch.search import (
-        _ratio_text, _record_line, _record_template, _root_zero_residuals,
-    )
+    # at every kept point on e30 = 0 the closed form decides grade's level
+    # 0, and past it its line is the line of grade's verdict, which the
+    # edge split puts at level 2
+    from cuboidsearch.search import _record_template, _root_zero_residuals
 
     template = _record_template(space.e21_form, "T")
     zeros = set()
     for b, c, b_text, c_text, edge in root_zero_points(space, sieve):
         residuals = _root_zero_residuals(*edge[:3])
         verdict = grade(b, c, space.e21_form)
-        disc = integer_discriminant(*edge)
-        if is_perfect_square(disc) is None:
-            assert residuals is None and verdict.level == 0, (b, c)
+        assert (residuals is None) == (verdict.level == 0), (b, c)
+        if residuals is None:
             continue
-        level, reason, pairs, _, _ = edge_split(b, c, edge, disc)
-        texts = [_ratio_text(n, d) for n, d in pairs]
+        assert (verdict.level, verdict.reason) == (2, "edge-root-nonpositive"), (b, c)
+        texts = ", ".join('"%s"' % r for r in verdict.residuals)
         line = template % (b_text, c_text, 2, "edge-root-nonpositive", residuals)
-        assert line == _record_line(b_text, c_text, level, reason, texts, space.e21_form, "T")
-        assert [verdict.level, verdict.reason, [str(r) for r in verdict.residuals]] == [
-            2, "edge-root-nonpositive", texts,
-        ], (b, c)
-        zeros.add(texts.count("0"))
+        assert line == template % (b_text, c_text, verdict.level, verdict.reason, texts), (b, c)
+        zeros.add(verdict.residuals.count(0))
     # some residual lists hold a quadratic root equal to 0 beside the root 0
     assert zeros == {1, 2}
 
 
 def test_root_zero_closed_form_on_a_box():
     # every x (a3 x^2 + a2 x + a1) in a box, a1 = 0 and double roots
-    # included: level 0 exactly when edge_split's square test fails, and
-    # else its residuals
-    from cuboidsearch.search import _ratio_text, _root_zero_residuals
+    # included: level 0 exactly when the integer discriminant is not a
+    # square, and else the roots <= 0 of root_numerators, over 2 a3
+    from cuboidsearch.search import _root_zero_residuals
 
     split = 0
     for a3, a2, a1 in itertools.product(range(1, 7), range(-13, 14), range(-13, 14)):
         edge = (a3, a2, a1, 0)
-        disc = integer_discriminant(*edge)
         residuals = _root_zero_residuals(a3, a2, a1)
-        if is_perfect_square(disc) is None:
+        if is_perfect_square(integer_discriminant(*edge)) is None:
             assert residuals is None, edge
             continue
-        level, reason, pairs, _, _ = edge_split(None, None, edge, disc)
-        assert (level, reason) == (2, "edge-root-nonpositive"), edge
-        assert residuals == ", ".join('"%s"' % _ratio_text(n, d) for n, d in pairs), edge
+        texts = ['"%s"' % F(y, 2 * a3) for y in root_numerators(*edge) if y <= 0]
+        assert residuals == ", ".join(texts), edge
         split += 1
     assert split > 6 * 27
 
@@ -876,19 +869,19 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     import cuboidsearch.search as search_module
 
     # the target is a real level-1 point off e30 = 0, so it passes the sieve
-    # and the level-0 test and reaches the grading stage (the survivors on
-    # e30 = 0 are written in closed form and do not)
+    # and the level-0 test and is handed to grade (the survivors on e30 = 0
+    # are written in closed form and are not)
     target = (F(-3, 2), F(7, 8))
     assert grade(*target).level == 1
     graded = []
 
-    def fake_stage(b, c, *args):
+    def fake_grade(b, c, *args):
         graded.append((b, c))
         if (b, c) == target:
-            return (6, "perfect-cuboid", (), None, None)
-        return edge_split(b, c, *args)
+            return Verdict(6, "perfect-cuboid")
+        return grade(b, c, *args)
 
-    monkeypatch.setattr(search_module, "edge_split", fake_stage)
+    monkeypatch.setattr(search_module, "grade", fake_grade)
     out = str(tmp_path / "records.jsonl")
     summary = run(
         SearchSpace(height=8, b_min=F(-3, 2), b_max=F(0), c_min=F(-1), c_max=F(1)),
@@ -919,13 +912,13 @@ def test_short_writes_give_the_same_files(monkeypatch, tmp_path):
     # rewrites the hits file as well as the output
     target = (F(-3, 2), F(7, 8))
 
-    def fake_stage(b, c, *args):
+    def fake_grade(b, c, *args):
         # one injected level-6 record, so that the hits file is written
         if (b, c) == target:
-            return (6, "perfect-cuboid", (), None, None)
-        return edge_split(b, c, *args)
+            return Verdict(6, "perfect-cuboid")
+        return grade(b, c, *args)
 
-    monkeypatch.setattr(search_module, "edge_split", fake_stage)
+    monkeypatch.setattr(search_module, "grade", fake_grade)
     # ts and updated masked
     monkeypatch.setattr(search_module, "_now", lambda: "T")
     space = SearchSpace(height=8, b_min=F(-3, 2), b_max=F(0), c_min=F(0), c_max=F(1))
@@ -1134,42 +1127,6 @@ def test_grade_puts_every_sieved_point_at_level_0_height_16(monkeypatch):
     assert seen == 372  # the points the masks keep, 0.37% of the grid, 319 of them at b = 0
 
 
-@functools.lru_cache(maxsize=None)
-def square_discriminant_points(height):
-    """Every nonsingular point of the grid at which grade's edge discriminant is a square.
-
-    Found by the search's per-point test, ``grade``'s own, on every point:
-    no mask is consulted.
-    """
-    values = fraction_values(height)
-    points = []
-    for b in values:
-        for c in values:
-            if classify(b, c):
-                continue
-            edge = edge_integer_cubic(*b.as_integer_ratio(), *c.as_integer_ratio())
-            disc = integer_discriminant(*edge)
-            if is_perfect_square(disc) is not None:
-                points.append((b, c, edge, disc))
-    return points
-
-
-@pytest.mark.parametrize("e21_form", ["printed", "common"])
-def test_stage_matches_grade_at_every_kernel_survivor_height_16(e21_form):
-    # exhaustive: the search grades the nonsingular points that pass the
-    # discriminant test with grade_square alone, from the edge cubic and
-    # discriminant of the test, skipping the form check, the singularity
-    # test and the square test; at every such point of the H=16 grid it
-    # must give grade's verdict
-    graded = 0
-    for b, c, edge, disc in square_discriminant_points(16):
-        verdict = grade(b, c, e21_form)
-        assert verdict.level >= 1, (b, c)
-        assert grade_square(b, c, e21_form, edge, disc) == verdict, (b, c)
-        graded += 1
-    assert graded == 371  # the search's records at H=16
-
-
 def test_unsieved_search_is_grade_at_every_point_height_8(monkeypatch, tmp_path):
     # with the sieve's AND made to keep every column, the discriminant test
     # alone decides level 0 at every point off b = 0, the singular ones
@@ -1252,7 +1209,7 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
         return called
 
     monkeypatch.setattr(search_module, "edge_integer_cubic", never("edge_integer_cubic"))
-    monkeypatch.setattr(search_module, "edge_split", never("edge_split"))
+    monkeypatch.setattr(search_module, "grade", never("grade"))
     space = SearchSpace(height=12, b_min=F(1), b_max=F(1), c_min=F(1, 2), c_max=F(3))
     out = str(tmp_path / "records.jsonl")
     summary = run(space, jobs=1, checkpoint_path=None, output_path=out, block_size=7)
@@ -1267,7 +1224,7 @@ def test_fibre_in_empty_row_completes_at_level_0(monkeypatch, tmp_path):
     with pytest.raises(AssertionError, match="edge_integer_cubic called"):
         run(live, jobs=1, checkpoint_path=None, output_path=None)
     monkeypatch.setattr(search_module, "edge_integer_cubic", edge_integer_cubic)
-    with pytest.raises(AssertionError, match="edge_split called"):
+    with pytest.raises(AssertionError, match="grade called"):
         run(live, jobs=1, checkpoint_path=None, output_path=None)
 
 
@@ -1343,7 +1300,7 @@ def forbid_graded_path(monkeypatch):
 
     for name in (
         "_piece_columns", "edge_integer_cubic", "singular_columns", "_root_zero_residuals",
-        "edge_split", "grade_square",
+        "grade",
     ):
         monkeypatch.setattr(search_module, name, never(name))
 
@@ -1352,14 +1309,12 @@ def test_forbidden_graded_path_is_live(monkeypatch):
     # off the row b = 0 the names forbid_graded_path patches are reached:
     # singular_columns when the tables are built, the others by a search
     # of the rows -3/2 <= b <= 1/2, whose first survivor, (-1/2, 0), is on
-    # e30 = 0, and whose (-3/2, 7/8) is a record off it.  grade_square is
-    # reached only past level 2, which no point of the grids searched here
-    # reaches
+    # e30 = 0, and whose (-3/2, 7/8) is a record off it
     import cuboidsearch.search as search_module
 
     names = (
         "singular_columns", "_piece_columns", "edge_integer_cubic", "_root_zero_residuals",
-        "edge_split",
+        "grade",
     )
     seams = {name: getattr(search_module, name) for name in names}
     forbid_graded_path(monkeypatch)
@@ -1438,11 +1393,11 @@ def test_b0_row_pieces_join_to_one_line_per_column(monkeypatch):
     origin = cs.index(F(0))
     assert 0 < origin < len(cs) - 5
 
+    template = search_module._record_template(space.e21_form, "T")
+
     def per_column(j0, j1):
         return "".join(
-            search_module._record_line(F(0), c, 2, "edge-root-nonpositive", ("0", "0"),
-                                       space.e21_form, "T")
-            for c in cs[j0:j1] if c
+            template % (0, c, 2, "edge-root-nonpositive", '"0", "0"') for c in cs[j0:j1] if c
         )
 
     pieces = [(origin, origin + 1), (origin, origin + 5), (0, origin + 1), (0, origin),

@@ -18,13 +18,13 @@ from cuboidsearch.coefficients import (
 from cuboidsearch.cubic import integer_discriminant, is_perfect_square, rational_roots
 from cuboidsearch.identities import eval_coefficients_cleared
 from cuboidsearch.search import SearchSpace, fraction_values
+from cuboidsearch import verifier
 from cuboidsearch.singularity import SingularFlag, classify
 from cuboidsearch.verifier import (
     PERMUTATIONS,
     Verdict,
     auxiliary_residuals,
     check_pairings,
-    edge_split,
     grade,
     pythagorean_check,
 )
@@ -177,10 +177,10 @@ def test_grade_square_disc_without_splitting():
 
 def test_edge_split_matches_the_fraction_path_height_8():
     # exhaustive: at every nonsingular point of the H=8 grid with a square
-    # edge discriminant, the integer stage against the edge cubic built from
-    # the Fraction coefficients and split by rational_roots, with that
-    # cubic's own discriminant as the level-1 residual and its roots <= 0 as
-    # the level-2 ones; every residual denominator is positive
+    # edge discriminant, grade's integer edge split against the edge cubic
+    # built from the Fraction coefficients and split by rational_roots,
+    # with that cubic's own discriminant as the level-1 residual and its
+    # roots <= 0 as the level-2 ones
     levels = {1: 0, 2: 0}
     for b, c in enumerate_points(SearchSpace(height=8)):
         if classify(b, c):
@@ -189,24 +189,27 @@ def test_edge_split_matches_the_fraction_path_height_8():
         disc = discriminant(cubic)
         if is_rational_square(disc) is None:
             continue
-        level, reason, residuals, ys, den = edge_split(b, c)
+        verdict = grade(b, c)
         roots = rational_roots(cubic)
         if roots is None:
-            expected = (1, "edge-no-split", (disc,))
-            assert ys is None and den is None
+            expected = (1, "edge-no-split", (disc,), None)
         else:
-            expected = (2, "edge-root-nonpositive", tuple(r for r in roots if r <= 0))
-            assert tuple(F(y, den) for y in ys) == roots, (b, c)
-        assert (level, reason, tuple(F(n, d) for n, d in residuals)) == expected, (b, c)
-        assert all(d > 0 for _, d in residuals), (b, c)
-        levels[level] += 1
+            expected = (2, "edge-root-nonpositive", tuple(r for r in roots if r <= 0), roots)
+        assert (verdict.level, verdict.reason, verdict.residuals, verdict.edges) == expected, (
+            b, c,
+        )
+        levels[verdict.level] += 1
     assert levels == {1: 1, 2: 113}  # the H=8 search's records
 
 
 def test_edge_split_past_level_two(monkeypatch):
-    # (3x - 1)(2x - 1)(3x - 2) has the positive roots 1/3, 1/2, 2/3: the
-    # stage hands them on with no reason and no residual
-    assert edge_split(F(1), F(1), edge=(18, -27, 13, -2)) == (3, None, (), (12, 18, 24), 36)
+    # (3x - 1)(2x - 1)(3x - 2) has the positive roots 1/3, 1/2, 2/3: as the
+    # edge cubic of the nonsingular point (1, 1) it takes grade past level
+    # 2, with those roots as the edges, to the point's diagonal cubic
+    monkeypatch.setattr(verifier, "edge_integer_cubic", lambda p, q, r, s: (18, -27, 13, -2))
+    verdict = grade(F(1), F(1))
+    assert (verdict.level, verdict.reason) == (3, "diag-no-split")
+    assert verdict.edges == (F(1, 3), F(1, 2), F(2, 3))
 
 
 def test_grade_edge_root_nonpositive():
