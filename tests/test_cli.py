@@ -364,8 +364,15 @@ def test_search_empty_path_exit_code(tmp_path, capsys, monkeypatch, checkpoint, 
         ("o.jsonl.tmp", "o.jsonl"),
         ("o.jsonl.hits.tmp", "o.jsonl"),
         ("sub/../ck.json", "./ck.json"),
+        # the checkpoint's .tmp is "sub/..tmp" and "sub/...tmp", which
+        # abspath of the checkpoint with ".tmp" appended would not name
+        ("sub/.", "sub/..tmp"),
+        ("sub/..", "sub/...tmp"),
     ],
-    ids=["output", "output-is-tmp", "hits", "output-tmp", "hits-tmp", "normalised"],
+    ids=[
+        "output", "output-is-tmp", "hits", "output-tmp", "hits-tmp", "normalised",
+        "dot-tmp", "dotdot-tmp",
+    ],
 )
 def test_search_output_on_checkpoint_exit_code(tmp_path, capsys, monkeypatch, checkpoint, output):
     # the checkpoint write used to replace the records written to the same file

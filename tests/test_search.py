@@ -901,6 +901,32 @@ def test_stop_on_hit(monkeypatch, tmp_path):
     assert target in graded
 
 
+# a level-1 point off e30 = 0, index 179 of the 1,350 points of HIT_SPACE,
+# at which a level-6 verdict is injected so that the hits file is written
+HIT = (F(-3, 2), F(7, 8))
+HIT_SPACE = SearchSpace(height=8, b_min=F(-3, 2), b_max=F(0), c_min=F(-1), c_max=F(1))
+# blocks of 179 points: the first cut lies just before HIT
+HIT_BLOCK = 179
+
+
+def inject_hit(monkeypatch):
+    """Make the search grade HIT at level 6, and mask ``ts`` and ``updated``."""
+    import cuboidsearch.search as search_module
+
+    def fake_grade(b, c, *args):
+        if (b, c) == HIT:
+            return Verdict(6, "perfect-cuboid")
+        return grade(b, c, *args)
+
+    monkeypatch.setattr(search_module, "grade", fake_grade)
+    monkeypatch.setattr(search_module, "_now", lambda: "T")
+
+
+def output_hits_checkpoint(out, ck):
+    with open(out, "rb") as a, open(hits_path_for(out), "rb") as b, open(ck, "rb") as c:
+        return a.read(), b.read(), c.read()
+
+
 def test_short_writes_give_the_same_files(monkeypatch, tmp_path):
     # os.write may take fewer bytes than it is given; the write path must
     # loop until every byte is out, so runs whose writes take at most 7
@@ -908,29 +934,18 @@ def test_short_writes_give_the_same_files(monkeypatch, tmp_path):
     # the hits file and the checkpoint, through a resume's rewrite too
     import cuboidsearch.search as search_module
 
-    # a level-1 point off e30 = 0, in the first run's blocks, so a resume
-    # rewrites the hits file as well as the output
-    target = (F(-3, 2), F(7, 8))
-
-    def fake_grade(b, c, *args):
-        # one injected level-6 record, so that the hits file is written
-        if (b, c) == target:
-            return Verdict(6, "perfect-cuboid")
-        return grade(b, c, *args)
-
-    monkeypatch.setattr(search_module, "grade", fake_grade)
-    # ts and updated masked
-    monkeypatch.setattr(search_module, "_now", lambda: "T")
+    inject_hit(monkeypatch)
+    # HIT lies in the first run's blocks, so a resume rewrites the hits file
+    # as well as the output
     space = SearchSpace(height=8, b_min=F(-3, 2), b_max=F(0), c_min=F(0), c_max=F(1))
-    assert point_index(space, *target) < 150
+    assert point_index(space, *HIT) < 150
 
     def files(tag):
         out, ck = str(tmp_path / f"{tag}.jsonl"), str(tmp_path / f"{tag}.json")
         first = run(space, checkpoint_path=ck, output_path=out, block_size=50, max_blocks=3)
         assert first["interrupted"]
         assert run(space, checkpoint_path=ck, output_path=out, block_size=50)["completed"]
-        with open(out, "rb") as a, open(hits_path_for(out), "rb") as b, open(ck, "rb") as c:
-            return a.read(), b.read(), c.read()
+        return output_hits_checkpoint(out, ck)
 
     whole = files("whole")
     assert all(whole) and whole[1].count(b"\n") == 1
@@ -944,6 +959,82 @@ def test_short_writes_give_the_same_files(monkeypatch, tmp_path):
     monkeypatch.setattr(search_module.os, "write", short_write)
     assert files("short") == whole
     assert max(sizes) > 7 and len(sizes) > sum(map(len, whole)) // 7
+
+
+# --- resume after torn writes ---------------------------------------------------
+#
+# A process killed at any moment leaves files that these tests write
+# directly: the .tmp of an atomic write, and records written after the last
+# checkpoint.  Each resume must leave the bytes of a run never interrupted.
+
+
+def uninterrupted_files(tmp_path):
+    out, ck = str(tmp_path / "straight.jsonl"), str(tmp_path / "straight.json")
+    assert run(HIT_SPACE, checkpoint_path=ck, output_path=out, block_size=HIT_BLOCK)["completed"]
+    files = output_hits_checkpoint(out, ck)
+    assert files[1].count(b"\n") == 1 and b'"level": 6' in files[1]
+    return files
+
+
+def cut_run(tmp_path, blocks):
+    """Paths of a run stopped after ``blocks`` blocks, as a kill between blocks leaves it."""
+    out, ck = str(tmp_path / "records.jsonl"), str(tmp_path / "checkpoint.json")
+    summary = run(HIT_SPACE, checkpoint_path=ck, output_path=out, block_size=HIT_BLOCK,
+                  max_blocks=blocks)
+    assert summary["cursor"] == blocks * HIT_BLOCK
+    return out, ck
+
+
+def resume(out, ck):
+    assert run(HIT_SPACE, checkpoint_path=ck, output_path=out, block_size=HIT_BLOCK)["completed"]
+    return output_hits_checkpoint(out, ck)
+
+
+@pytest.mark.parametrize("blocks", [0, 1])
+def test_resume_ignores_stale_tmp_files(monkeypatch, tmp_path, blocks):
+    # a kill inside _atomic_write leaves the .tmp it was writing: half of a
+    # later checkpoint, and part of the output that a resume's truncation
+    # was writing back.  With blocks = 0 no checkpoint was ever completed,
+    # so the resume starts afresh next to the stale .tmp files.
+    inject_hit(monkeypatch)
+    straight = uninterrupted_files(tmp_path)
+    out, ck = cut_run(tmp_path, blocks)
+    assert os.path.exists(ck) == bool(blocks)
+    with open(ck + ".tmp", "wb") as handle:
+        handle.write(straight[2][: len(straight[2]) // 2])
+    with open(out + ".tmp", "wb") as handle:
+        handle.write(straight[0][: len(straight[0]) // 3])
+    assert resume(out, ck) == straight
+    # the checkpoint's .tmp was overwritten and renamed by the first checkpoint
+    # write; the output's by the truncation of a resume from a cursor, while a
+    # fresh start truncates the output in place and never opens its .tmp
+    assert not os.path.exists(ck + ".tmp")
+    assert os.path.exists(out + ".tmp") == (not blocks)
+
+
+def test_resume_drops_a_hit_written_past_the_checkpoint(monkeypatch, tmp_path):
+    # a kill after a block's records and its hit were written, but before its
+    # checkpoint, leaves the hits file ahead of the checkpoint's cursor: the
+    # hit is the first point at or past it, so a resume that kept the records
+    # at the cursor would write it twice
+    inject_hit(monkeypatch)
+    straight = uninterrupted_files(tmp_path)
+    out, ck = cut_run(tmp_path, 1)
+    assert not os.path.exists(hits_path_for(out))
+    assert point_index(HIT_SPACE, *HIT) == HIT_BLOCK
+
+    def index(line):
+        record = json.loads(line)
+        return point_index(HIT_SPACE, parse_rational(record["b"]), parse_rational(record["c"]))
+
+    lines = straight[0].splitlines(keepends=True)
+    block = [line for line in lines if HIT_BLOCK <= index(line) < 2 * HIT_BLOCK]
+    assert block[0] == straight[1]
+    with open(out, "ab") as handle:
+        handle.write(b"".join(block) + block[-1][:20])
+    with open(hits_path_for(out), "ab") as handle:
+        handle.write(straight[1])
+    assert resume(out, ck) == straight
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
