@@ -28,18 +28,19 @@ Two more checks, run on their own, back the verifier's level-0 test: the
 factored edge discriminant (``check_edge_discriminant_factorization``) and
 fact F1, that its factor G has no rational zero but the origin.
 
-Three more back the search's 2-adic sieve, fact F3: the cells of
+Three more back the sieve module's 2-adic sieve, fact F3: the cells of
 (v2(b), v2(c)) in which t = q^8 s^8 S is never a square.  Modulo 2^k,
 ``check_s_two_adic_cells`` enumerates the cells outright, over the
-representatives of P^1 that the search's sieve and F4 below use
-(``search.p1_points``);
-``check_s_sigma_rule`` proves the involution sigma(b, c) = (-b, 2/c) that
-mirrors two proven cells onto two more; and ``check_s_zero_column``
-covers the point c = 0, which sigma misses.
+sieve's own representatives of P^1 (``sieve.p1_points``), which F4 below
+uses too, classed by the sieve's ``v2``; ``check_s_sigma_rule`` proves
+the involution sigma(b, c) = (-b, 2/c) that mirrors two proven cells
+onto two more; and ``check_s_zero_column`` covers the point c = 0, which
+sigma misses.
 
-One more backs the search's residue sieve, fact F4: for an odd prime
-power m, ``check_s_residue_classes`` builds the table of the class pairs
-of P^1(Z/m) x P^1(Z/m) at which t has a square residue, and checks it
+One more backs the sieve's odd moduli, fact F4: for an odd prime power
+m, ``check_s_residue_classes`` checks the sieve's own table of the class
+pairs of P^1(Z/m) x P^1(Z/m) at which t has a square residue
+(``sieve.square_classes``), and its class map (``sieve.p1_classes``),
 against t evaluated at every pair (p, q) mod m.
 
 One more, also run on its own, backs the search's closed-form row
@@ -62,9 +63,8 @@ from .coefficients import (
     SingularPoint,
     check_e21_form,
 )
-from .search import _prime_of, p1_points
+from .sieve import EDGE_DISC_S, p1_classes, p1_points, prime_of, square_classes, v2
 from .singularity import classify
-from .verifier import EDGE_DISC_S
 
 
 # Symbolic forms of the three factors, used by the identity checks, by
@@ -184,7 +184,7 @@ def eval_coefficients_cleared(
     return CoefficientSet(**values)
 
 
-# The factor G of the edge discriminant, laid out as verifier.EDGE_DISC_S.
+# The factor G of the edge discriminant, laid out as sieve.EDGE_DISC_S.
 # By F1 it vanishes at no nonsingular rational point, so level 0 tests S alone.
 EDGE_DISC_G = (
     (0, 0, -2, 4, -1, 0, 0),
@@ -254,7 +254,7 @@ def check_edge_discriminant_factorization(
     18 a2 a1 a0 - 4 a2^3 a0 + a2^2 a1^2 - 4 a1^3 - 27 a0^2, multiplied by
     M = d10^3 d20^3 d30^2, is a polynomial; the check expands
     4 f1^6 f2^6 Q^2 * (M * disc) and M * b^2 G^2 S and compares them.  G
-    comes from EDGE_DISC_G and S from the table the verifier evaluates;
+    comes from EDGE_DISC_G and S from the table the sieve evaluates;
     tests pass altered tables as a negative control.
     """
     n2, d2 = -_E10_NUM, SHARED_DENOMINATOR_POLY
@@ -347,11 +347,11 @@ TWO_ADIC_CELLS = frozenset((v, kappa) for v in range(-2, 3) for kappa in range(-
 
 
 def _two_adic_points(m: int, v: int, low: int, high: int) -> list[tuple[int, int]]:
-    """The points of ``p1_points(m)``, m = 2^k, whose ratio's v2, clamped to low..high, is v."""
-    def v2(n):  # an entry 0 counts as divisible by m, so odd unit multiples share v2
-        return ((n | m) & -(n | m)).bit_length() - 1
+    """The points of ``p1_points(m)``, m = 2^k, whose ratio's ``v2``, clamped to low..high, is v.
 
-    return [(r, s) for r, s in p1_points(m) if min(max(v2(r) - v2(s), low), high) == v]
+    ``v2`` reads an entry 0 as divisible by m, so odd unit multiples share it.
+    """
+    return [point for point in p1_points(m) if min(max(v2(m, point), low), high) == v]
 
 
 def _homogeneous_horner(coeffs: tuple[int, ...], num: int, den: int) -> int:
@@ -447,18 +447,6 @@ class ResidueClassCheck(NamedTuple):
     failures: tuple[tuple[int, int, int | None], ...]
 
 
-def p1_class(p: int, q: int, m: int) -> tuple[int, int]:
-    """The index in ``p1_points(m)`` of the class of (p, q), l not dividing both, and a unit.
-
-    The unit u gives (p, q) = u * representative mod m: u = q when l does
-    not divide q, and u = p otherwise.
-    """
-    ell = _prime_of(m)
-    if q % ell:
-        return p * pow(q, -1, m) % m, q % m
-    return m + q * pow(p, -1, m) % m // ell, p % m
-
-
 def check_s_residue_classes(m: int, s_table: tuple = EDGE_DISC_S) -> ResidueClassCheck:
     """Check fact F4 modulo the prime power m: t's square residues depend only on classes.
 
@@ -469,38 +457,33 @@ def check_s_residue_classes(m: int, s_table: tuple = EDGE_DISC_S) -> ResidueClas
     depends only on the classes of (p : q) and (r : s) in P^1(Z/m), and
     the table at the class representatives decides it.
 
-    The check is by machine.  Every pair (p, q) mod m that l does not
-    divide twice must be a unit multiple of its class representative, and
-    for each, t at every column representative must agree with the table
-    of its class.  By the degree in (r, s), that covers every (p, q, r, s).
-    The degrees are read off the table's shape, so a table of another
-    degree is checked as such; tests pass one as a negative control.
+    The check is by machine, on the sieve's own code: the table is
+    ``square_classes``' and each pair's class is ``p1_classes``'.  Every
+    pair (p, q) mod m that l does not divide twice must be u times its
+    class representative, u = q when l does not divide q and u = p
+    otherwise, a unit either way; and t evaluated at it and every column
+    representative must agree with the table at its class.  By the degree
+    in (r, s), that covers every (p, q, r, s).  The degrees are read off
+    the table's shape, so a table of another degree is checked as such;
+    tests pass one as a negative control.
     """
-    ell = _prime_of(m)
+    ell = prime_of(m)
     points = p1_points(m)
+    table = tuple(square_classes(m, range(len(points)), s_table).values())
     squares = {y * y % m for y in range(m)}
     columns = tuple(zip(*s_table))
-
-    def row(p, q):
-        return tuple(_homogeneous_horner(column, p, q) % m for column in columns)
-
-    def square_at(values):
-        return tuple(_homogeneous_horner(values, r, s) % m in squares for r, s in points)
-
-    table = tuple(square_at(row(p, q)) for p, q in points)
+    pairs = [(p, q) for p in range(m) for q in range(m) if p % ell or q % ell]
     failures = []
-    for p in range(m):
-        for q in range(m):
-            if p % ell == 0 and q % ell == 0:
-                continue
-            k, unit = p1_class(p, q, m)
-            x, y = points[k]
-            if unit % ell == 0 or (unit * x - p) % m or (unit * y - q) % m:
-                failures.append((p, q, None))
-                continue
-            failures += [
-                (p, q, kappa)
-                for kappa, square in enumerate(square_at(row(p, q)))
-                if square != table[k][kappa]
-            ]
+    for (p, q), k in zip(pairs, p1_classes(m, pairs)):
+        unit = q if q % ell else p
+        x, y = points[k]
+        if (unit * x - p) % m or (unit * y - q) % m:
+            failures.append((p, q, None))
+            continue
+        row = tuple(_homogeneous_horner(column, p, q) % m for column in columns)
+        failures += [
+            (p, q, kappa)
+            for kappa, (r, s) in enumerate(points)
+            if (_homogeneous_horner(row, r, s) % m in squares) != table[k][kappa]
+        ]
     return ResidueClassCheck(table, tuple(failures))

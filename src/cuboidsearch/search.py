@@ -5,9 +5,9 @@ the two parameters.  A residue sieve drops most in-range points one b row
 piece at a time, and at each point it keeps the search runs ``grade``'s
 own level-0 test: the integer discriminant of ``edge_integer_cubic`` must
 be a perfect square.  Every survivor is at level 1 or higher.  On
-e30 = 0, where the cubic's a0 is 0, one isqrt decides that test and the
-roots, and the survivor is written at level 2 in closed form
-(``_root_zero_residuals``), with one gcd per residual, no Fraction or
+e30 = 0, where the cubic's a0 is 0, ``root_numerators``' one isqrt
+decides that test and gives the roots, and the survivor is written at
+level 2, its residuals the roots <= 0 with one gcd each, no Fraction or
 Verdict built and nothing classified or computed twice; every
 ``grid-h4`` survivor off b = 0 is one.  The other survivors, 8 at H=30
 and at most 24 up to H=400, all at level 1, are handed to ``grade``, which
@@ -20,19 +20,13 @@ buffer (``_write_all``).  Singular points are counted but not graded or
 logged: along the two singular curves they are endless and carry no
 search information.
 
-The sieve drops the columns at which t = q^8 s^8 S has no square residue
-for some modulus, as the bit arrays of M. Stoll's ratpoints do.  Each row
-holds one column bitset per modulus, each built by ``_class_masks`` from a
-table of the kept pairs of a row's and a column's class in P^1: the cells
-of (v2(b), v2(c)) outside those the identities module proves empty
-(``SCREENED_C_CLASSES``, 55-59% of the grid; a row with p and q odd keeps
-no column), read off the classes in P^1(Z/8) x P^1(Z/4), and for each odd
-modulus m that ``residue_moduli`` picks for the grid's size from
-``RESIDUE_MODULI`` the pairs in P^1(Z/m) at which t has a square residue
-(fact F4).  A row piece ANDs its row's masks and tests only the set bits:
-off b = 0, 1,410 points of the 148M at H=100, of which 398 are records.
-The points dropped are counted at level 0.  ``_axes`` builds what
-depends only on the space once, so the block loop does per-point work.
+The sieve module drops the columns at which t = q^8 s^8 S has no square
+residue for some modulus, as the bit arrays of M. Stoll's ratpoints do
+(facts F3 and F4): ``_axes`` holds each row's masks from
+``sieve.row_masks``, and a row piece tests only the columns that
+``sieve.piece_columns`` reads off their AND.  The points dropped are
+counted at level 0.  ``_axes`` builds what depends only on the space
+once, so the block loop does per-point work.
 
 The row b = 0 skips all of that.  There S(0, c) = 4c^4 is a square, so
 the sieve and the discriminant test would keep every column, and by fact F5
@@ -64,11 +58,12 @@ Determinism is the backbone of everything here:
     past the stored cursor (written but not yet checkpointed when the
     process died) are dropped before continuing, so an
     interrupted run converges to exactly the uninterrupted output; a run
-    with no checkpoint starts its output empty.  A version-1 checkpoint
-    counted every grid position, in range or not; it is refused with
-    CheckpointMismatch rather than misread, and so is a file that is not
-    JSON or lacks a field or gives one the wrong type, or whose counts do
-    not add up to its cursor within the grid.
+    with no checkpoint starts its output empty and removes the .tmp files
+    that an interrupted resume left beside the output and its hits file.
+    A version-1 checkpoint counted every grid position, in range or not;
+    it is refused with CheckpointMismatch rather than misread, and so is a
+    file that is not JSON or lacks a field or gives one the wrong type, or
+    whose counts do not add up to its cursor within the grid.
 
 Rationals are serialized as exact "p/q" strings, never floats.  Records and
 checkpoints are written by filling fixed templates (``_record_template``,
@@ -82,21 +77,22 @@ import hashlib
 import json
 import os
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from errno import ENOTDIR
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd
-from operator import and_, mul, or_
 from stat import S_ISDIR
 from typing import Callable, NamedTuple
 
 from .coefficients import E21_PRINTED, check_e21_form, edge_integer_cubic
-from .cubic import integer_discriminant, is_perfect_square
+from .cubic import integer_discriminant, is_perfect_square, root_numerators
 from .rationals import format_rational, height as height_of, parse_rational
+from .sieve import piece_columns, row_masks
 from .singularity import singular_columns
-from .verifier import EDGE_DISC_S, LEVEL_PERFECT, Verdict, grade
+from .verifier import LEVEL_PERFECT, Verdict, grade
 
 CHECKPOINT_VERSION = 2
 # The smallest block, of 2^18..2^21 points, whose work outweighs the
@@ -110,49 +106,6 @@ CHECKPOINT_VERSION = 2
 # alternating runs, two samples).
 DEFAULT_BLOCK_SIZE = 1 << 18
 LEVELS = tuple(range(LEVEL_PERFECT + 1))
-# The 2-adic sieve: by v2(b), the c classes (v2(c) clamped to -1..2, c = 0
-# in 2) that a row screens.  Every other cell (v2(b), class) with
-# |v2(b)| <= 2 is empty: t = q^8 s^8 S is never a square there
-# (identities.check_s_two_adic_cells mod 2^6 and 2^10, and the sigma
-# mirror), so its points are at level 0.  Other rows screen every column.
-SCREENED_C_CLASSES = {0: (), 1: (0, 1), 2: (0, 1), -1: (-1, 2), -2: (-1, 2)}
-# The odd moduli m = l^k of the residue sieve.  t is a form of bidegree
-# (8, 8) in (p, q) and (r, s), so scaling either pair by a unit mod m
-# multiplies t by a unit eighth power, a square: whether t has a square
-# residue mod m depends only on the classes of (p : q) and (r : s) in
-# P^1(Z/m) (fact F4, identities.check_s_residue_classes).  A perfect
-# square has a square residue, so a point whose class pair has none is at
-# level 0.  The output does not depend on which moduli sieve, so the set
-# is in neither the config digest nor the checkpoint.
-#
-# How many sieve a grid, by measured cost (2-vCPU Xeon, Python 3.11.7,
-# warm jobs=1 runs).  Off b = 0, each odd prime past 37 keeps about half of
-# the points the sieve still passes, nearly all of them level 0: at H=100
-# the moduli up to 37 keep 214,737 points there, those up to 71 keep 1,410,
-# and 398 are records.  Each point kept costs the discriminant test, 5-12
-# us.  A prime costs its tables, 2-5 ms at H=30, 6-13 ms at H=100 and 25-45
-# ms at H=200 for 41..71, and one AND per row.  The points a prime removes
-# grow with the grid's size and its costs with the width, so each doubling
-# of the size pays for about one more prime: ``residue_moduli`` adds one
-# past 37 per bit of the size past 19.  That is none up to H=24, 41 from
-# H=26, 41..43 at H=30, 41..61 at H=60 and 41..71 from H=100 on:
-#   * H=16 (17 bits): 41 would remove 36 of 138 points, 0.2 ms, for 2.2 ms
-#     of tables; at H=4 (10 bits) the 10 columns kept are all records;
-#   * H=30 (21 bits): 41 and 43 save 3.3 and 2.1 ms for 2 ms of tables
-#     each, and 47 saves 1.0 ms;
-#   * H=60 (25 bits): 41..53 pay, and the runs up to 53, 59, 61 and 67
-#     are within 3 ms of each other;
-#   * H=100 and H=200: each of 41..71 pays or breaks even, and at H=200
-#     73..89 gain nothing more (1.47, 1.41, 1.43 s up to 71, 79, 89).
-# The prime powers 25, 27 and 49 did not pay at H=30 when measured.
-RESIDUE_MODULI = (9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
-
-
-def residue_moduli(size: int) -> tuple[int, ...]:
-    """The moduli that sieve a grid of ``size`` points: the first 11, one more per bit past 19."""
-    return RESIDUE_MODULI[:11 + max(0, size.bit_length() - 19)]
-
-
 # Fact F5 (identities.check_b0_row): at b = 0 and any c != 0 the point is
 # nonsingular and its edge cubic is x^3 - x^2 = x^2 (x - 1), which splits with
 # the double root 0, so grade returns this verdict there.
@@ -224,112 +177,14 @@ class _Axes(NamedTuple):
     singular: tuple[tuple[int, ...], ...]
 
 
-def _prime_of(m: int) -> int:
-    """The prime l of a prime power m = l^k."""
-    return next(d for d in range(2, m + 1) if m % d == 0)
-
-
-def _p1_classes(m: int, pairs) -> list[int]:
-    """The class in P^1(Z/m) of each coprime pair (a, b), m = l^k.
-
-    Class x < m is the point (x : 1), for b prime to l; class m + y/l is
-    the point (1 : y), y a multiple of l, for l dividing b.
-    """
-    ell = _prime_of(m)
-    inverse = [pow(a, -1, m) if a % ell else 0 for a in range(m)]
-    return [
-        a * inverse[b % m] % m if b % ell else m + b * inverse[a % m] % m // ell
-        for a, b in pairs
-    ]
-
-
-def p1_points(m: int) -> list[tuple[int, int]]:
-    """Representatives of P^1(Z/m), m = l^k, in ``_p1_classes``' order: (x, 1), then (1, y), l | y."""
-    ell = _prime_of(m)
-    return [(x, 1) for x in range(m)] + [(1, y) for y in range(0, m, ell)]
-
-
-# Column j holds the coefficients of c^j in S, as a polynomial in b.
-_S_COLUMNS = tuple(zip(*EDGE_DISC_S))
-
-
-def _square_classes(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
-    """For each row class given, whether t has a square residue mod m at each column class.
-
-    t is evaluated at the class representatives ``p1_points``: at (p : q)
-    and (r : s) it is the sum of S[i][j] p^i q^(8-i) r^j s^(8-j), so each
-    representative's vector of a^k b^(8-k) mod m is built once and serves
-    as row and as column.
-    """
-    powers = [tuple(a**k * b ** (8 - k) % m for k in range(9)) for a, b in p1_points(m)]
-    squares = {y * y % m for y in range(m)}
-    table = {}
-    for kappa in row_classes:
-        row = [sum(map(mul, column, powers[kappa])) for column in _S_COLUMNS]
-        table[kappa] = tuple(sum(map(mul, row, power)) % m in squares for power in powers)
-    return table
-
-
-def _column_bits(classes: bytes) -> dict[int, int]:
-    """For each class that occurs, the bitset of the columns j with classes[j] in it.
-
-    The classes, last column first, are read as a base-2 numeral with a 1
-    where the class is the one wanted, so no loop runs per column.
-    """
-    last_first = classes[::-1]
-    return {
-        kappa: int(last_first.translate(b"0" * kappa + b"1" + b"0" * (255 - kappa)), 2)
-        for kappa in set(classes)
-    }
-
-
-def _two_adic_cells(m: int, row_classes) -> dict[int, tuple[bool, ...]]:
-    """For each row class given, whether ``SCREENED_C_CLASSES`` keeps each column class.
-
-    Rows are classed in P^1(Z/m), m = 2^k >= 8, columns in P^1(Z/4), by the
-    v2 of the representative's ratio, a 0 entry read as divisible by m or 4;
-    v2(c) is clamped to -1..2, and |v2(b)| >= 3, as at b = 0, keeps all.
-    """
-    def v2(modulus, point):
-        r, s = ((n | modulus) & -(n | modulus) for n in point)
-        return r.bit_length() - s.bit_length()
-
-    columns = [max(v2(4, point), -1) for point in p1_points(4)]
-    rows = [v2(m, point) for point in p1_points(m)]
-    return {
-        kappa: tuple(v in SCREENED_C_CLASSES.get(rows[kappa], range(-1, 3)) for v in columns)
-        for kappa in row_classes
-    }
-
-
-def _class_masks(row_m: int, col_m: int, keep, b_pairs: tuple, c_pairs: tuple) -> list[int]:
-    """Each row's column mask: the columns whose class pair ``keep`` keeps.
-
-    ``keep(row_m, classes)`` flags, for each row class in P^1(Z/row_m) that
-    occurs, the kept column classes in P^1(Z/col_m).  A row class's mask,
-    shared by its rows, ORs the kept column classes' bitsets.
-    """
-    classes = _p1_classes(col_m, c_pairs)
-    columns = _column_bits(bytes(classes))
-    rows = classes if (row_m, b_pairs) == (col_m, c_pairs) else _p1_classes(row_m, b_pairs)
-    masks = {
-        kappa: reduce(or_, (bits for k, bits in columns.items() if kept[k]), 0)
-        for kappa, kept in keep(row_m, set(rows)).items()
-    }
-    return [masks[kappa] for kappa in rows]
-
-
 @lru_cache(maxsize=16)
 def _axes(space: SearchSpace) -> _Axes:
     """The in-range b and c values, in (height, value) order, and their constants.
 
     Each value's (numerator, denominator) pair and an index keyed by it,
     each value's str, each row's in-range singular columns, and each
-    row's column masks of the residue sieve (``_class_masks``), as bitsets
-    with bit j for column j: its 2-adic mask first, then one mask per
-    modulus of ``residue_moduli``.  A row holds references to masks shared
-    by its class, so the masks take O(classes x width) memory; the AND of
-    a row is formed per row piece.
+    row's column masks of the residue sieve (``sieve.row_masks``); the AND
+    of a row is formed per row piece.
     """
     values = fraction_values(space.height)
 
@@ -341,11 +196,6 @@ def _axes(space: SearchSpace) -> _Axes:
     b_pairs = tuple(b.as_integer_ratio() for b in bs)
     c_pairs = b_pairs if cs == bs else tuple(c.as_integer_ratio() for c in cs)
     c_index = {pair: j for j, pair in enumerate(c_pairs)}
-    masks = [_class_masks(8, 4, _two_adic_cells, b_pairs, c_pairs)]
-    masks += [
-        _class_masks(m, m, _square_classes, b_pairs, c_pairs)
-        for m in residue_moduli(len(bs) * len(cs))
-    ]
     # fact F5: the origin is the row b = 0's one singular point
     singular = tuple(
         tuple(c_index[rs] for rs in (singular_columns(p, q) if p else [(0, 1)]) if rs in c_index)
@@ -353,7 +203,7 @@ def _axes(space: SearchSpace) -> _Axes:
     )
     return _Axes(
         bs, cs, {pair: i for i, pair in enumerate(b_pairs)}, c_index, b_pairs, c_pairs,
-        tuple(map(str, bs)), tuple(map(str, cs)), tuple(zip(*masks)), singular,
+        tuple(map(str, bs)), tuple(map(str, cs)), row_masks(b_pairs, c_pairs), singular,
     )
 
 
@@ -544,29 +394,6 @@ def _ratio_text(n: int, d: int) -> str:
     return "%d" % (n // g) if d == g else "%d/%d" % (n // g, d // g)
 
 
-def _root_zero_residuals(a3: int, a2: int, a1: int) -> str | None:
-    """The residual texts of a point whose edge cubic has a0 = 0, or None at level 0.
-
-    The cubic is x (a3 x^2 + a2 x + a1), and its discriminant is
-    a1^2 (a2^2 - 4 a3 a1): a square exactly when a2^2 - 4 a3 a1 is one,
-    as it is when a1 = 0, so this is ``grade``'s level-0 test.  Past it
-    the roots are 0 and (-a2 -+ r) / (2 a3), r the isqrt, so the point is
-    at level 2, "edge-root-nonpositive", and its residuals are the
-    nonpositive roots, ascending: those of the quadratic, then 0.  That is
-    what ``root_numerators``' a0 = 0 branch and ``grade`` give.
-    """
-    root = is_perfect_square(a2 * a2 - 4 * a3 * a1)
-    if root is None:
-        return None
-    den = a3 + a3
-    texts = '"0"'
-    # each quadratic root <= 0 goes before the rest, the higher one first
-    for y in (-a2 + root, -a2 - root):
-        if y <= 0:
-            texts = '"%s", %s' % (_ratio_text(y, den), texts)
-    return texts
-
-
 def make_record(b: Fraction, c: Fraction, verdict, e21_form: str) -> dict:
     """The record of a verdict at (b, c), as the search writes it, stamped now."""
     fields = (b, c, verdict.level, verdict.reason, _residual_texts(verdict.residuals))
@@ -635,22 +462,6 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None
 # --- block grading ----------------------------------------------------------
 
 
-def _piece_columns(masks: tuple[int, ...], j0: int, j1: int) -> list[int]:
-    """The columns j0 <= j < j1, ascending, whose bit is set in every mask.
-
-    No mask has a bit past its row's end, so a whole row is not cut.
-    """
-    bits = reduce(and_, masks) >> j0
-    if bits >> (j1 - j0):
-        bits &= (1 << (j1 - j0)) - 1
-    columns = []
-    while bits:
-        low = bits & -bits
-        columns.append(j0 + low.bit_length() - 1)
-        bits ^= low
-    return columns
-
-
 def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     """Count one cursor block, grading only level-0 survivors. Pure; runs in workers.
 
@@ -659,8 +470,8 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
     its columns' texts (fact F5); a row whose 2-adic mask is empty keeps
     no column.  In each other piece, every column that the sieve keeps
     gets ``grade``'s discriminant test.  A point whose edge cubic has
-    a0 = 0, on e30 = 0, is decided and written in closed form
-    (``_root_zero_residuals``); any other survivor is handed to ``grade``.
+    a0 = 0, on e30 = 0, is decided and written from ``root_numerators``'
+    closed form; any other survivor is handed to ``grade``.
     The sieve drops only points at which t = q^8 s^8 S is not a square,
     and off the row b = 0 a nonsingular point has b, f1, f2, Q and, by
     fact F1, G nonzero, so the factorization b^2 G^2 S / (4 f1^6 f2^6 Q^2)
@@ -702,18 +513,20 @@ def _process_block(space: SearchSpace, start: int, end: int) -> dict:
             counts[2] += j1 - j0 - at_singular
             continue
         if not masks[0]:
-            continue  # p and q odd: SCREENED_C_CLASSES[0] is empty
-        for j in _piece_columns(masks, j0, j1):
+            continue  # p and q odd: sieve.SCREENED_C_CLASSES[0] is empty
+        for j in piece_columns(masks, j0, j1):
             if j in skip:
                 continue
             a3, a2, a1, a0 = edge_integer_cubic(p, q, *c_pairs[j])
             if not a0:
                 # the discriminant is a1^2 (a2^2 - 4 a3 a1) and 0 is a root:
-                # one square test decides grade's level 0 and the roots
-                residuals = _root_zero_residuals(a3, a2, a1)
-                if residuals is None:
+                # the cubic splits exactly when the discriminant is a square,
+                # and then a root <= 0 puts the point at level 2
+                ys = root_numerators(a3, a2, a1, 0)
+                if ys is None:
                     continue
                 level, reason = 2, "edge-root-nonpositive"
+                residuals = ", ".join(['"%s"' % _ratio_text(y, a3 + a3) for y in ys if y <= 0])
             else:
                 # grade's level-0 test: the edge discriminant must be a perfect square
                 if is_perfect_square(integer_discriminant(a3, a2, a1, a0)) is None:
@@ -800,10 +613,13 @@ def run(
         _truncate_records_beyond(hits_path_for(output_path), space, cursor)
     elif output_path:
         opening |= os.O_TRUNC
-        try:
-            os.truncate(hits_path_for(output_path), 0)
-        except FileNotFoundError:
-            pass
+        hits_path = hits_path_for(output_path)
+        with suppress(FileNotFoundError):
+            os.truncate(hits_path, 0)
+        # the .tmp files of an interrupted resume's truncation
+        for stale in (output_path + ".tmp", hits_path + ".tmp"):
+            with suppress(FileNotFoundError):
+                os.unlink(stale)
 
     resumed_at = cursor
     starts = range(cursor, total, block_size)[:max_blocks]

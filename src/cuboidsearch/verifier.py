@@ -32,16 +32,17 @@ level needs:
   5. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
 
-The search applies stage 2's test only at the points its residue sieve
-keeps: the 2-adic cells and the odd moduli of fact F4 prove every other
-point to be at level 0.  It drops the singular columns by index and
-writes two kinds of survivor in closed form (see the search module): the
-row b = 0, by fact F5, and the points on e30 = 0, where the edge cubic's
-a0 is 0 and one isqrt decides the test and the roots.  Every other
-survivor is handed to ``grade``, which classifies it and builds its
-cubic again; up to H=400 there are at most 24 such points, all at level
-1.  ``grade`` never takes the shortcuts or consults the sieve's masks,
-so grading every point checks them against the definition.
+The search applies stage 2's test only at the points that the sieve
+module's residue sieve keeps: the 2-adic cells of fact F3 and the odd
+moduli of fact F4 prove every other point to be at level 0.  It drops the
+singular columns by index and writes two kinds of survivor in closed form
+(see the search module): the row b = 0, by fact F5, and the points on
+e30 = 0, where the edge cubic's a0 is 0 and one isqrt decides the test
+and the roots.  Every other survivor is handed to ``grade``, which
+classifies it and builds its cubic again; up to H=400 there are at most
+24 such points, all at level 1.  ``grade`` never takes the shortcuts or
+consults the sieve's masks, so grading every point checks them against
+the definition.
 
 Root extraction returns unordered multisets, while the auxiliary equations
 are written with fixed indices.  Their three left-hand sides are invariant
@@ -73,24 +74,6 @@ from .singularity import SingularityClass, classify
 PERMUTATIONS = tuple(itertools.permutations((0, 1, 2)))
 
 LEVEL_PERFECT = 6
-
-# The edge cubic's discriminant factors as
-#
-#     disc = b^2 * G^2 * S / (4 * f1^6 * f2^6 * Q^2)
-#
-# with f1, f2 and Q the singular factors.  Row i, column j holds the
-# coefficient of b^i c^j in S; identities holds G and proves the identity.
-EDGE_DISC_S = (
-    (0, 0, 0, 0, 4, 0, 0, 0, 0),
-    (0, 0, 0, 40, 0, -20, 0, 0, 0),
-    (0, 0, 132, 64, -236, 32, 33, 0, 0),
-    (0, 160, 432, -904, 0, 452, -108, -20, 0),
-    (32, 784, -888, -1448, 2368, -724, -222, 98, 2),
-    (192, 960, -3904, 3816, 0, -1908, 976, -120, -12),
-    (400, -560, -1948, 5784, -6036, 2892, -487, -70, 25),
-    (320, -1440, 2480, -1800, 0, 900, -620, 180, -20),
-    (64, -384, 992, -1440, 1284, -720, 248, -48, 4),
-)
 
 
 class Verdict(NamedTuple):

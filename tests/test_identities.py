@@ -18,20 +18,20 @@ from cuboidsearch.identities import (
     check_s_sigma_rule,
     check_s_two_adic_cells,
     check_s_zero_column,
-    p1_class,
-    p1_points,
     run_identity_checks,
 )
-from cuboidsearch.search import (
-    B0_ROW_VERDICT,
+from cuboidsearch.search import B0_ROW_VERDICT, fraction_values
+from cuboidsearch.sieve import (
+    EDGE_DISC_S,
     RESIDUE_MODULI,
     SCREENED_C_CLASSES,
     _class_masks,
-    _piece_columns,
-    _square_classes,
-    fraction_values,
+    p1_classes,
+    p1_points,
+    piece_columns,
+    square_classes,
 )
-from cuboidsearch.verifier import EDGE_DISC_S, grade
+from cuboidsearch.verifier import grade
 
 
 def test_all_four_identities_pass():
@@ -257,20 +257,37 @@ def primitive_pairs(m, ell):
     return [(p, q) for p in range(m) for q in range(m) if p % ell or q % ell]
 
 
+def forms(pairs, m):
+    """Each pair's vector (a^k b^(8-k) mod m) for k = 0..8, by which t is a bilinear form."""
+    return {(a, b): [a**k * b ** (8 - k) % m for k in range(9)] for a, b in pairs}
+
+
+def row_of(form, m):
+    """The coefficients, mod m, of t = sum S[i][j] p^i q^(8-i) r^j s^(8-j) in r^j s^(8-j)."""
+    return [sum(EDGE_DISC_S[i][j] * form[i] for i in range(9)) % m for j in range(9)]
+
+
+def square_at(row, form, m, squares):
+    """Whether t, given by the row's coefficients and the column's vector, is a square mod m."""
+    return sum(a * w for a, w in zip(row, form)) % m in squares
+
+
 @pytest.mark.parametrize(
     "m, ell", [(5, 5), (9, 3), (25, 5), (27, 3), (37, 37), (8, 2), (64, 2)]
 )
 def test_every_pair_is_a_unit_multiple_of_its_representative(m, ell):
-    # the representatives are a complete system: each pair mod m that l
-    # does not divide twice is a unit multiple of its class's
-    # representative, and every class holds exactly phi(m) pairs, so no
-    # two representatives are unit multiples of each other; at m = 2^k
-    # this is the enumeration that the 2-adic cell checks (F3) rest on
+    # the sieve's representatives are a complete system: its class map
+    # sends each pair mod m that l does not divide twice to a class whose
+    # representative the pair is a unit multiple of, and every class holds
+    # exactly phi(m) pairs, so no two representatives are unit multiples of
+    # each other; at m = 2^k this is the enumeration that the 2-adic cell
+    # checks (F3) rest on
     points = p1_points(m)
     assert len(points) == m + m // ell
     sizes = [0] * len(points)
-    for p, q in primitive_pairs(m, ell):
-        k, unit = p1_class(p, q, m)
+    pairs = primitive_pairs(m, ell)
+    for (p, q), k in zip(pairs, p1_classes(m, pairs)):
+        unit = q if q % ell else p
         x, y = points[k]
         assert unit % ell and (unit * x - p) % m == 0 and (unit * y - q) % m == 0, (p, q)
         sizes[k] += 1
@@ -279,43 +296,39 @@ def test_every_pair_is_a_unit_multiple_of_its_representative(m, ell):
 
 @pytest.mark.parametrize("m", RESIDUE_MODULI)
 def test_residue_class_tables_hold_and_are_the_search_tables(m):
-    # t at every (p, q) and column representative agrees with the table of
-    # its class, and the search's table and masks are this table
+    # t at every (p, q) and column representative agrees with the sieve's
+    # table at its class, and the sieve's mask of each value of height <= 8
+    # keeps exactly the columns at which t has a square residue mod m
     check = check_s_residue_classes(m)
     assert check.failures == ()
-    n = len(check.table)
-    search_table = _square_classes(m, range(n))
-    assert tuple(search_table[k] for k in range(n)) == check.table
     # some class pair has no square residue, or the modulus would sieve nothing
     assert not all(all(row) for row in check.table)
-    values = fraction_values(8)
-    pairs = [(v.numerator, v.denominator) for v in values]
-    masks = _class_masks(m, m, _square_classes, pairs, pairs)
-    for b, mask in zip(values, masks):
-        row = check.table[p1_class(b.numerator, b.denominator, m)[0]]
+    pairs = [v.as_integer_ratio() for v in fraction_values(8)]
+    vectors = forms(pairs, m)
+    squares = {y * y % m for y in range(m)}
+    for pair, mask in zip(pairs, _class_masks(m, m, square_classes, pairs, pairs)):
+        row = row_of(vectors[pair], m)
         expected = [
-            j for j, c in enumerate(values) if row[p1_class(c.numerator, c.denominator, m)[0]]
+            j for j, column in enumerate(pairs) if square_at(row, vectors[column], m, squares)
         ]
-        assert _piece_columns((mask,), 0, len(values)) == expected, b
+        assert piece_columns((mask,), 0, len(pairs)) == expected, pair
 
 
 @pytest.mark.parametrize("m", [m for m in RESIDUE_MODULI if m <= 13])
 def test_residue_class_table_on_every_four_tuple(m):
-    # direct evaluation of t = sum a[i][j] p^i q^(8-i) r^j s^(8-j) mod m at
-    # every (p, q, r, s) with neither pair divisible by l, against the table
+    # direct evaluation of t mod m at every (p, q, r, s) with neither pair
+    # divisible by l, against the sieve's table at the sieve's classes
     ell = min(d for d in range(2, m + 1) if m % d == 0)
     table = check_s_residue_classes(m).table
     squares = {y * y % m for y in range(m)}
     pairs = primitive_pairs(m, ell)
-    powers = {(a, b): [a**k * b ** (8 - k) for k in range(9)] for a, b in pairs}
+    vectors = forms(pairs, m)
+    classes = dict(zip(pairs, p1_classes(m, pairs)))
     for p, q in pairs:
-        row = [
-            sum(EDGE_DISC_S[i][j] * powers[p, q][i] for i in range(9)) % m for j in range(9)
-        ]
-        classes = table[p1_class(p, q, m)[0]]
+        row = row_of(vectors[p, q], m)
+        kept = table[classes[p, q]]
         for r, s in pairs:
-            t = sum(a * w for a, w in zip(row, powers[r, s])) % m
-            assert (t in squares) == classes[p1_class(r, s, m)[0]], (p, q, r, s)
+            assert square_at(row, vectors[r, s], m, squares) == kept[classes[r, s]], (p, q, r, s)
 
 
 def test_residue_class_check_detects_altered_table():

@@ -1,4 +1,7 @@
-"""What the search loads: the pipeline's modules, no others of the package, and no unused pool."""
+"""What the search loads: the pipeline's modules, no others of the package, and no unused pool.
+
+The proofs, in turn, load the sieve module but not the search.
+"""
 
 import os
 import subprocess
@@ -27,9 +30,20 @@ def test_search_import_loads_only_the_pipeline():
         "cuboidsearch.cubic",
         "cuboidsearch.rationals",
         "cuboidsearch.search",
+        "cuboidsearch.sieve",
         "cuboidsearch.singularity",
         "cuboidsearch.verifier",
     ]
+
+
+def test_identities_import_does_not_load_the_search():
+    # the proofs read the sieve module's own code, not the search's
+    env = dict(os.environ, PYTHONPATH=SRC)
+    script = "import sys, cuboidsearch.identities; print('cuboidsearch.search' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False"]
 
 
 def test_cli_search_loads_neither_identities_nor_the_pool(tmp_path):

@@ -15,12 +15,9 @@ from conftest import enumerate_points
 from cuboidsearch.rationals import height, parse_rational
 from cuboidsearch.search import (
     DEFAULT_BLOCK_SIZE,
-    RESIDUE_MODULI,
-    SCREENED_C_CLASSES,
     CheckpointMismatch,
     SearchSpace,
     _axes,
-    _piece_columns,
     canonical_records,
     config_digest,
     e21_form_discrepancies,
@@ -30,10 +27,10 @@ from cuboidsearch.search import (
     load_records,
     make_record,
     point_index,
-    residue_moduli,
     run,
     space_config,
 )
+from cuboidsearch.sieve import RESIDUE_MODULI, SCREENED_C_CLASSES, piece_columns, residue_moduli
 from cuboidsearch import verifier
 from cuboidsearch.coefficients import edge_integer_cubic
 from cuboidsearch.cubic import integer_discriminant, is_perfect_square, root_numerators
@@ -805,7 +802,7 @@ def root_zero_points(space, sieve):
     for i, (p, q) in enumerate(axes.b_pairs):
         if not p:
             continue
-        for j in _piece_columns(axes.row_masks[i][:sieve], 0, len(axes.cs)):
+        for j in piece_columns(axes.row_masks[i][:sieve], 0, len(axes.cs)):
             edge = edge_integer_cubic(p, q, *axes.c_pairs[j])
             if j not in axes.singular[i] and not edge[3]:
                 yield axes.bs[i], axes.cs[j], axes.b_texts[i], axes.c_texts[j], edge
@@ -821,17 +818,27 @@ ROOT_ZERO_SPACES = [
 ]
 
 
+def root_zero_residuals(edge):
+    """The residual texts the search writes at a point on e30 = 0, or None at level 0."""
+    from cuboidsearch.search import _ratio_text
+
+    ys = root_numerators(*edge)
+    if ys is None:
+        return None
+    return ", ".join(['"%s"' % _ratio_text(y, 2 * edge[0]) for y in ys if y <= 0])
+
+
 @pytest.mark.parametrize("space, sieve", ROOT_ZERO_SPACES)
 def test_root_zero_closed_form_is_edge_split_at_every_kept_point(space, sieve):
-    # at every kept point on e30 = 0 the closed form decides grade's level
-    # 0, and past it its line is the line of grade's verdict, which the
-    # edge split puts at level 2
-    from cuboidsearch.search import _record_template, _root_zero_residuals
+    # at every kept point on e30 = 0, root_numerators' None is grade's
+    # level 0, and past it the line of the roots <= 0 is the line of
+    # grade's verdict, which the edge split puts at level 2
+    from cuboidsearch.search import _record_template
 
     template = _record_template(space.e21_form, "T")
     zeros = set()
     for b, c, b_text, c_text, edge in root_zero_points(space, sieve):
-        residuals = _root_zero_residuals(*edge[:3])
+        residuals = root_zero_residuals(edge)
         verdict = grade(b, c, space.e21_form)
         assert (residuals is None) == (verdict.level == 0), (b, c)
         if residuals is None:
@@ -847,14 +854,13 @@ def test_root_zero_closed_form_is_edge_split_at_every_kept_point(space, sieve):
 
 def test_root_zero_closed_form_on_a_box():
     # every x (a3 x^2 + a2 x + a1) in a box, a1 = 0 and double roots
-    # included: level 0 exactly when the integer discriminant is not a
-    # square, and else the roots <= 0 of root_numerators, over 2 a3
-    from cuboidsearch.search import _root_zero_residuals
-
+    # included: root_numerators gives None exactly when the integer
+    # discriminant is not a square, and else the search's texts are the
+    # str of the roots <= 0, over 2 a3
     split = 0
     for a3, a2, a1 in itertools.product(range(1, 7), range(-13, 14), range(-13, 14)):
         edge = (a3, a2, a1, 0)
-        residuals = _root_zero_residuals(a3, a2, a1)
+        residuals = root_zero_residuals(edge)
         if is_perfect_square(integer_discriminant(*edge)) is None:
             assert residuals is None, edge
             continue
@@ -1004,12 +1010,17 @@ def test_resume_ignores_stale_tmp_files(monkeypatch, tmp_path, blocks):
         handle.write(straight[2][: len(straight[2]) // 2])
     with open(out + ".tmp", "wb") as handle:
         handle.write(straight[0][: len(straight[0]) // 3])
+    with open(hits_path_for(out) + ".tmp", "wb") as handle:
+        handle.write(straight[1][: len(straight[1]) // 2])
     assert resume(out, ck) == straight
     # the checkpoint's .tmp was overwritten and renamed by the first checkpoint
-    # write; the output's by the truncation of a resume from a cursor, while a
-    # fresh start truncates the output in place and never opens its .tmp
+    # write; the output's by the truncation of a resume from a cursor, and a
+    # fresh start removes the output's and the hits file's
     assert not os.path.exists(ck + ".tmp")
-    assert os.path.exists(out + ".tmp") == (not blocks)
+    assert not os.path.exists(out + ".tmp")
+    # a resume rewrites the hits file only where one exists, and none was
+    # written before the cursor
+    assert os.path.exists(hits_path_for(out) + ".tmp") == bool(blocks)
 
 
 def test_resume_drops_a_hit_written_past_the_checkpoint(monkeypatch, tmp_path):
@@ -1195,17 +1206,17 @@ def test_grade_puts_every_sieved_point_at_level_0_height_16(monkeypatch):
     # first mask of a row) and all the masks together (fact F4).  The
     # masks are built for every modulus of RESIDUE_MODULI, though a grid
     # this small is sieved by the first 11 alone, and kept out of the cache
-    import cuboidsearch.search as search_module
+    import cuboidsearch.sieve as sieve_module
 
     space = SearchSpace(height=16)
     assert residue_moduli(grid_size(space)) == RESIDUE_MODULI[:11]
-    monkeypatch.setattr(search_module, "residue_moduli", lambda size: RESIDUE_MODULI)
+    monkeypatch.setattr(sieve_module, "residue_moduli", lambda size: RESIDUE_MODULI)
     axes = _axes.__wrapped__(space)
     width = len(axes.cs)
     skipped = seen = 0
     for b, masks in zip(axes.bs, axes.row_masks):
-        screened = set(_piece_columns(masks[:1], 0, width))
-        kept = set(_piece_columns(masks, 0, width))
+        screened = set(piece_columns(masks[:1], 0, width))
+        kept = set(piece_columns(masks, 0, width))
         assert kept <= screened, b
         for j, c in enumerate(axes.cs):
             if j not in kept:
@@ -1225,7 +1236,7 @@ def test_unsieved_search_is_grade_at_every_point_height_8(monkeypatch, tmp_path)
     # still be grade at every point
     import cuboidsearch.search as search_module
 
-    monkeypatch.setattr(search_module, "_piece_columns", lambda masks, j0, j1: range(j0, j1))
+    monkeypatch.setattr(search_module, "piece_columns", lambda masks, j0, j1: range(j0, j1))
     space = SearchSpace(height=8)
     counts, singular, records = graded_every_point(space)
     out = str(tmp_path / "records.jsonl")
@@ -1257,16 +1268,16 @@ def test_sieve_screens_the_kept_classes():
     for b, masks in zip(axes.bs, axes.row_masks):
         kept = SCREENED_C_CLASSES.get(v2(b)) if b else None
         for j0, j1 in ((0, width), (3, 40), (17, 18)):
-            columns = _piece_columns(masks[:1], j0, j1)
+            columns = piece_columns(masks[:1], j0, j1)
             if kept is None:
                 assert columns == list(range(j0, j1)), b
             else:
                 expected = [j for j in range(j0, j1) if c_class(axes.cs[j]) in kept]
                 assert columns == expected, b
             common = set(range(j0, j1)).intersection(
-                *(_piece_columns((mask,), j0, j1) for mask in masks)
+                *(piece_columns((mask,), j0, j1) for mask in masks)
             )
-            assert _piece_columns(masks, j0, j1) == sorted(common), b
+            assert piece_columns(masks, j0, j1) == sorted(common), b
     assert c_class(F(0)) == 2
     assert [c_class(c) for c in (F(1, 8), F(-1, 2), F(3), F(-6, 5), F(12), F(16, 3))] == [
         -1, -1, 0, 1, 2, 2,
@@ -1390,8 +1401,7 @@ def forbid_graded_path(monkeypatch):
         return called
 
     for name in (
-        "_piece_columns", "edge_integer_cubic", "singular_columns", "_root_zero_residuals",
-        "grade",
+        "piece_columns", "edge_integer_cubic", "singular_columns", "root_numerators", "grade",
     ):
         monkeypatch.setattr(search_module, name, never(name))
 
@@ -1404,8 +1414,7 @@ def test_forbidden_graded_path_is_live(monkeypatch):
     import cuboidsearch.search as search_module
 
     names = (
-        "singular_columns", "_piece_columns", "edge_integer_cubic", "_root_zero_residuals",
-        "grade",
+        "singular_columns", "piece_columns", "edge_integer_cubic", "root_numerators", "grade",
     )
     seams = {name: getattr(search_module, name) for name in names}
     forbid_graded_path(monkeypatch)

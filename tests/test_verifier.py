@@ -344,7 +344,7 @@ def test_staged_grade_matches_reference_height_4(monkeypatch):
         return called
 
     seams = {
-        name: getattr(search_module, name) for name in ("_piece_columns", "edge_integer_cubic")
+        name: getattr(search_module, name) for name in ("piece_columns", "edge_integer_cubic")
     }
     for name in seams:
         monkeypatch.setattr(search_module, name, never(name))
