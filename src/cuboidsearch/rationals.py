@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: int() would read other scripts' digits too
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 class RationalParseError(ValueError):
@@ -30,13 +31,14 @@ def parse_rational(text: str) -> Fraction:
                 f"{text!r} is a decimal; write an exact fraction instead (e.g. 1/2, not 0.5)"
             )
         raise RationalParseError(f"{text!r} is not a rational of the form p/q or p")
-    if "/" in s:
-        num_text, den_text = s.split("/")
-        den = int(den_text)
-        if den == 0:
-            raise RationalParseError(f"{text!r} has a zero denominator")
-        return Fraction(int(num_text), den)
-    return Fraction(int(s))
+    num_text, _, den_text = s.partition("/")
+    try:
+        num, den = int(num_text), int(den_text or 1)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise RationalParseError(f"{text[:20]!r}... has too many digits") from None
+    if den == 0:
+        raise RationalParseError(f"{text!r} has a zero denominator")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction) -> str:

@@ -57,9 +57,11 @@ Determinism is the backbone of everything here:
     returned, so they are in the kernel.  On resume, any records at or
     past the stored cursor (written but not yet checkpointed when the
     process died) are dropped before continuing, so an
-    interrupted run converges to exactly the uninterrupted output; a run
-    with no checkpoint starts its output empty and removes the .tmp files
-    that an interrupted resume left beside the output and its hits file.
+    interrupted run converges to exactly the uninterrupted output.  Those
+    records, and any torn line, can only form a suffix of the output and
+    of its hits file, so each is cut in place after its last record before
+    the cursor, and a run with no checkpoint cuts both to empty, reading
+    none of their lines; neither file is ever rewritten through a .tmp.
     A version-1 checkpoint counted every grid position, in range or not;
     it is refused with CheckpointMismatch rather than misread, and so is a
     file that is not JSON or lacks a field or gives one the wrong type, or
@@ -77,7 +79,6 @@ import hashlib
 import json
 import os
 from collections import deque
-from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from errno import ENOTDIR
@@ -432,31 +433,35 @@ def hits_path_for(output_path: str) -> str:
 
 
 def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None:
-    """Drop records at or past the cursor, torn lines and non-records.
+    """Cut ``path`` in place after its last record before the cursor.
 
-    Used at the start of a resumed run with output: such records were
-    written after the last checkpoint write and will be regenerated.  The
-    lines kept are written back as they were read, stripped.
+    Used at the start of every run with output.  Records are written in
+    cursor order, so what must go is a suffix: records at or past the
+    cursor, written after the last checkpoint write and to be regenerated,
+    torn lines and lines that are not records.  The scan reads back from
+    the end and parses only the lines it drops and the record it keeps; a
+    last line with no newline is torn and dropped unread.  At cursor 0 the
+    file is emptied without being read.  A missing file is left missing.
     """
-    if not os.path.exists(path):
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
         return
-    kept = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
+    with handle:
+        data = handle.read() if cursor else b""
+        end = data.rfind(b"\n") + 1
+        while end:
+            start = data.rfind(b"\n", 0, end - 1) + 1
             try:
-                record = json.loads(line)
+                record = json.loads(data[start:end])
                 b, c = record["b"], record["c"]
-                if not (isinstance(b, str) and isinstance(c, str)):
-                    continue
-                index = point_index(space, parse_rational(b), parse_rational(c))
+                if (isinstance(b, str) and isinstance(c, str)
+                        and point_index(space, parse_rational(b), parse_rational(c)) < cursor):
+                    break
             except (ValueError, KeyError, TypeError):
-                continue  # torn write from a hard kill, or not a record
-            if index < cursor:
-                kept.append(line)
-    _atomic_write(path, "".join(line + "\n" for line in kept))
+                pass  # torn write from a hard kill, or not a record
+            end = start
+        handle.truncate(end)
 
 
 # --- block grading ----------------------------------------------------------
@@ -587,9 +592,9 @@ def run(
     if "" in (checkpoint_path, output_path):
         raise ValueError("an empty checkpoint or output path names no file")
     if checkpoint_path and output_path:
-        # the files a run writes, each with the .tmp of its atomic writes
-        paths = (checkpoint_path, output_path, hits_path_for(output_path))
-        written = [os.path.abspath(p + tail) for p in paths for tail in ("", ".tmp")]
+        # the files a run writes, the checkpoint's with the .tmp of its atomic writes
+        paths = (checkpoint_path, checkpoint_path + ".tmp", output_path, hits_path_for(output_path))
+        written = [os.path.abspath(p) for p in paths]
         if len(set(written)) < len(written):
             raise ValueError("the output or its .hits file shares a file with the checkpoint")
     if checkpoint_path:
@@ -605,27 +610,17 @@ def run(
 
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, counts, singular = _load_checkpoint(checkpoint_path, space)
-    # a resumed run keeps the records before its cursor; a fresh one parses
-    # no line: it truncates its output as it opens it, and a hits file in place
-    opening = _APPEND
-    if output_path and cursor:
+    # a resumed run keeps the records before its cursor; a fresh one empties
+    # the files unread
+    if output_path:
         _truncate_records_beyond(output_path, space, cursor)
         _truncate_records_beyond(hits_path_for(output_path), space, cursor)
-    elif output_path:
-        opening |= os.O_TRUNC
-        hits_path = hits_path_for(output_path)
-        with suppress(FileNotFoundError):
-            os.truncate(hits_path, 0)
-        # the .tmp files of an interrupted resume's truncation
-        for stale in (output_path + ".tmp", hits_path + ".tmp"):
-            with suppress(FileNotFoundError):
-                os.unlink(stale)
 
     resumed_at = cursor
     starts = range(cursor, total, block_size)[:max_blocks]
     header = _checkpoint_header(space)
 
-    out = os.open(output_path, opening, 0o666) if output_path else None
+    out = os.open(output_path, _APPEND, 0o666) if output_path else None
     hits_out = None
     stopped_on_hit = False
     results = _block_results(space, starts, total, jobs)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -356,34 +357,63 @@ def test_search_empty_path_exit_code(tmp_path, capsys, monkeypatch, checkpoint, 
 
 
 @pytest.mark.parametrize(
-    "checkpoint, output",
+    "checkpoint, output, expected",
     [
-        ("ck.json", "ck.json"),
-        ("ck.json", "ck.json.tmp"),
-        ("o.jsonl.hits", "o.jsonl"),
-        ("o.jsonl.tmp", "o.jsonl"),
-        ("o.jsonl.hits.tmp", "o.jsonl"),
-        ("sub/../ck.json", "./ck.json"),
+        ("ck.json", "ck.json", cli.EXIT_INVALID),
+        ("ck.json", "ck.json.tmp", cli.EXIT_INVALID),
+        ("o.jsonl.hits", "o.jsonl", cli.EXIT_INVALID),
+        # the output and its hits file are cut in place, never written through
+        # a .tmp, so the checkpoint may take those names
+        ("o.jsonl.tmp", "o.jsonl", cli.EXIT_OK),
+        ("o.jsonl.hits.tmp", "o.jsonl", cli.EXIT_OK),
+        ("sub/../ck.json", "./ck.json", cli.EXIT_INVALID),
         # the checkpoint's .tmp is "sub/..tmp" and "sub/...tmp", which
         # abspath of the checkpoint with ".tmp" appended would not name
-        ("sub/.", "sub/..tmp"),
-        ("sub/..", "sub/...tmp"),
+        ("sub/.", "sub/..tmp", cli.EXIT_INVALID),
+        ("sub/..", "sub/...tmp", cli.EXIT_INVALID),
     ],
     ids=[
         "output", "output-is-tmp", "hits", "output-tmp", "hits-tmp", "normalised",
         "dot-tmp", "dotdot-tmp",
     ],
 )
-def test_search_output_on_checkpoint_exit_code(tmp_path, capsys, monkeypatch, checkpoint, output):
+def test_search_output_on_checkpoint_exit_code(
+    tmp_path, capsys, monkeypatch, checkpoint, output, expected
+):
     # the checkpoint write used to replace the records written to the same file
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(
         capsys, "search", "--height", "4", "--quiet",
         "--checkpoint", checkpoint, "--output", output,
     )
-    assert code == cli.EXIT_INVALID
+    assert code == expected
+    if expected == cli.EXIT_OK:
+        assert "cursor=529/529" in out
+        assert json.loads((tmp_path / checkpoint).read_text(encoding="utf-8"))["cursor"] == 529
+        assert sorted(os.listdir(tmp_path)) == sorted([checkpoint, output])
+        return
     assert out == ""
     assert err.count("\n") == 1 and "invalid input" in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter's int() reads any number of digits",
+)
+@pytest.mark.parametrize("command", ["classify", "coeffs", "solve", "verify", "search"])
+def test_over_long_rational_exit_code(tmp_path, capsys, command):
+    # int() refuses more digits than sys.get_int_max_str_digits() with a
+    # plain ValueError, which used to escape as a traceback and exit 1
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    argv = [command, digits, "1"]
+    if command == "search":
+        argv = ["search", "--height", "4", "--b-min", digits, "--quiet",
+                "--checkpoint", str(tmp_path / "ck.json"), "--output", str(tmp_path / "o.jsonl")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INVALID
+    assert out == ""
+    assert err.count("\n") == 1 and "invalid rational" in err and "too many digits" in err
     assert os.listdir(tmp_path) == []
 
 

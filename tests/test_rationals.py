@@ -46,3 +46,10 @@ def test_height():
     assert height(Fraction(5)) == 5
     assert height(Fraction(-1, 8)) == 8
     assert height(Fraction(22, 7)) == 22
+
+
+# 3/4, 3 and 1/2 in Arabic-Indic, fullwidth and Devanagari digits, which int() reads
+@pytest.mark.parametrize("text", ["٣/4", "３", "१/२"])
+def test_parse_rejects_digits_that_are_not_ascii(text):
+    with pytest.raises(RationalParseError):
+        parse_rational(text)

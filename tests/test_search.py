@@ -5,7 +5,12 @@ import inspect
 import itertools
 import json
 import os
+import random
 import re
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -999,28 +1004,29 @@ def resume(out, ck):
 @pytest.mark.parametrize("blocks", [0, 1])
 def test_resume_ignores_stale_tmp_files(monkeypatch, tmp_path, blocks):
     # a kill inside _atomic_write leaves the .tmp it was writing: half of a
-    # later checkpoint, and part of the output that a resume's truncation
-    # was writing back.  With blocks = 0 no checkpoint was ever completed,
-    # so the resume starts afresh next to the stale .tmp files.
+    # later checkpoint.  With blocks = 0 no checkpoint was ever completed, so
+    # the resume starts afresh next to the stale .tmp files.  The output and
+    # hits file are cut in place, so their .tmp files, as an older version's
+    # resume left them, are foreign files that a run neither reads nor removes.
     inject_hit(monkeypatch)
     straight = uninterrupted_files(tmp_path)
     out, ck = cut_run(tmp_path, blocks)
     assert os.path.exists(ck) == bool(blocks)
+    foreign = {
+        out + ".tmp": straight[0][: len(straight[0]) // 3],
+        hits_path_for(out) + ".tmp": straight[1][: len(straight[1]) // 2],
+    }
     with open(ck + ".tmp", "wb") as handle:
         handle.write(straight[2][: len(straight[2]) // 2])
-    with open(out + ".tmp", "wb") as handle:
-        handle.write(straight[0][: len(straight[0]) // 3])
-    with open(hits_path_for(out) + ".tmp", "wb") as handle:
-        handle.write(straight[1][: len(straight[1]) // 2])
+    for path, data in foreign.items():
+        with open(path, "wb") as handle:
+            handle.write(data)
     assert resume(out, ck) == straight
-    # the checkpoint's .tmp was overwritten and renamed by the first checkpoint
-    # write; the output's by the truncation of a resume from a cursor, and a
-    # fresh start removes the output's and the hits file's
+    # the checkpoint's .tmp was overwritten and renamed by the first checkpoint write
     assert not os.path.exists(ck + ".tmp")
-    assert not os.path.exists(out + ".tmp")
-    # a resume rewrites the hits file only where one exists, and none was
-    # written before the cursor
-    assert os.path.exists(hits_path_for(out) + ".tmp") == bool(blocks)
+    for path, data in foreign.items():
+        with open(path, "rb") as handle:
+            assert handle.read() == data
 
 
 def test_resume_drops_a_hit_written_past_the_checkpoint(monkeypatch, tmp_path):
@@ -1046,6 +1052,116 @@ def test_resume_drops_a_hit_written_past_the_checkpoint(monkeypatch, tmp_path):
     with open(hits_path_for(out), "ab") as handle:
         handle.write(straight[1])
     assert resume(out, ck) == straight
+
+
+def test_resume_parses_only_the_lines_it_cuts(monkeypatch, tmp_path):
+    # records are written in cursor order, so a resume reads each file back
+    # from its end: it parses the lines it cuts and the one record it keeps,
+    # and drops a torn last line unread
+    import cuboidsearch.search as search_module
+
+    inject_hit(monkeypatch)
+    straight = uninterrupted_files(tmp_path)
+    out, ck = cut_run(tmp_path, 2)
+    with open(out, "rb") as handle:
+        kept = handle.read().splitlines(keepends=True)
+    tail = straight[0].splitlines(keepends=True)[len(kept):len(kept) + 3] + [b"not json\n", b"\n"]
+    with open(out, "ab") as handle:
+        handle.write(b"".join(tail) + tail[0][:20])
+    with open(hits_path_for(out), "rb") as handle:
+        hit = handle.read()
+    assert hit == straight[1]  # the hit lies before the cursor
+    with open(hits_path_for(out), "ab") as handle:
+        handle.write(b"[1]\n")
+    with open(ck, "rb") as handle:
+        checkpoint = handle.read()
+    parsed = []
+    loads = json.loads
+
+    def counting_loads(text, *args, **kwargs):
+        parsed.append(text.encode() if isinstance(text, str) else bytes(text))
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(search_module.json, "loads", counting_loads)
+    assert run(HIT_SPACE, checkpoint_path=ck, output_path=out, block_size=HIT_BLOCK)["completed"]
+    monkeypatch.undo()
+    inject_hit(monkeypatch)
+    assert parsed == [checkpoint, *reversed(tail), kept[-1], b"[1]\n", hit]
+    assert output_hits_checkpoint(out, ck) == straight
+
+
+def test_resume_cuts_the_output_and_hits_file_in_place(monkeypatch, tmp_path):
+    # the files keep their inodes: a resume truncates them, with no .tmp and no rename
+    inject_hit(monkeypatch)
+    straight = uninterrupted_files(tmp_path)
+    out, ck = cut_run(tmp_path, 2)
+    paths = (out, hits_path_for(out))
+    inodes = [os.stat(path).st_ino for path in paths]
+    with open(out, "ab") as handle:
+        handle.write(straight[0][-40:])
+    assert resume(out, ck) == straight
+    assert [os.stat(path).st_ino for path in paths] == inodes
+
+
+# The search under inject_hit on the H=30 grid in 4,115 blocks of 300
+# points, with a checkpoint and an output: about 0.35 s of work on a 2-vCPU
+# Xeon.  It prints a line once its imports are done, so that kill delays
+# count from the start of the search.
+KILLED_CHILD = """
+import sys, types
+sys.path.insert(0, sys.argv[1])
+from test_search import SearchSpace, inject_hit, run
+inject_hit(types.SimpleNamespace(setattr=setattr))
+print(flush=True)
+summary = run(SearchSpace(height=30), checkpoint_path=sys.argv[2], output_path=sys.argv[3],
+              block_size=300)
+sys.exit(not summary["completed"])
+"""
+
+
+def test_real_kills_converge_to_the_uninterrupted_files(tmp_path):
+    # a process killed by SIGKILL at any moment, then run again until a run
+    # completes by itself, leaves the uninterrupted run's bytes in the
+    # output, the hits file and the checkpoint (ts and updated masked), and
+    # no other file.  With jobs=1 no pool worker outlives a kill.  The
+    # property holds for every kill time, so the seeded delays cannot make
+    # the test flake on a correct program
+    import cuboidsearch
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuboidsearch.__file__)))
+
+    def start(directory):
+        directory.mkdir(exist_ok=True)
+        child = subprocess.Popen(
+            [sys.executable, "-c", KILLED_CHILD, os.path.dirname(os.path.abspath(__file__)),
+             str(directory / "ck.json"), str(directory / "out.jsonl")],
+            stdout=subprocess.PIPE, env=env,
+        )
+        assert child.stdout.readline() == b"\n"
+        child.stdout.close()
+        return child
+
+    def files(directory):
+        return {name: (directory / name).read_bytes() for name in os.listdir(directory)}
+
+    straight = start(tmp_path / "straight")
+    began = time.monotonic()
+    assert straight.wait(timeout=120) == 0
+    work = time.monotonic() - began
+    rng = random.Random(30)
+    kills = 0
+    while True:
+        child = start(tmp_path / "killed")
+        time.sleep(rng.uniform(0, work))
+        child.kill()
+        if child.wait(timeout=120) == 0:
+            break
+        assert child.returncode == -signal.SIGKILL and kills < 50
+        kills += 1
+    assert kills
+    reference = files(tmp_path / "straight")
+    assert sorted(reference) == ["ck.json", "out.jsonl", "out.jsonl.hits"]
+    assert files(tmp_path / "killed") == reference
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
