@@ -6,6 +6,14 @@ rejected so no float ever enters the pipeline.  Arguments not in lowest
 terms are reduced with a notice on stderr.  The identities module loads
 only in the two subcommands that read it, identities and classify.
 
+The four point commands, classify, coeffs, solve and verify, share one
+path.  ``_point`` parses b and c, refuses a singular point for coeffs and
+solve (exit 3, its flags on stderr), and starts the payload with b, c
+and, where the command has the option, e21_form.  Each command adds its
+values to that payload as strings (``_texts``), and its text lines are
+built from the payload, so the text and JSON forms print the same values.
+Every command's output goes through ``_emit``.
+
 Exit codes:
   0  normal completion
   2  level-6 hit found under --stop-on-hit
@@ -25,6 +33,7 @@ from fractions import Fraction
 from .coefficients import (
     E21_FORMS,
     E21_PRINTED,
+    CoefficientSet,
     E21DenominatorPole,
     diagonal_coefficients,
     diagonal_cubic,
@@ -48,7 +57,6 @@ EXIT_IDENTITY = 6
 # search's range options; a negative value may follow one as its own argument
 _BOUND_OPTIONS = ("--b-min", "--b-max", "--c-min", "--c-max")
 _FACTOR_KEYS = ("first_curve", "second_curve", "third_variety")
-_COEFF_ORDER = ("e10", "e20", "e30", "e01", "e02", "e03", "e21", "e11", "e12")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,6 +85,10 @@ def _join_negative_bounds(argv: list[str]) -> list[str]:
     return joined
 
 
+class _Refused(Exception):
+    """A well-formed argument the command refuses; main prints the reason and exits 3."""
+
+
 def _notice(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
@@ -87,6 +99,32 @@ def _rational(args, text: str) -> Fraction:
     if format_rational(value) != text.strip().lstrip("+"):
         _notice(args, f"notice: reduced {text} to {format_rational(value)}")
     return value
+
+
+def _texts(values) -> list[str] | None:
+    """Each rational's string; None stays None."""
+    return None if values is None else [format_rational(value) for value in values]
+
+
+def _flags(flags) -> list[str]:
+    return sorted(flag.value for flag in flags)
+
+
+def _point(args, refuse_singular: bool) -> tuple[Fraction, Fraction, dict]:
+    """The point's b and c, and its payload's first keys: b, c and any e21_form.
+
+    With ``refuse_singular``, a singular point raises ``_Refused`` naming its
+    flags: coeffs and solve have no value there.
+    """
+    b = _rational(args, args.b)
+    c = _rational(args, args.c)
+    flags = _flags(classify(b, c)) if refuse_singular else None
+    if flags:
+        raise _Refused("singular: " + ", ".join(flags))
+    payload = {"b": format_rational(b), "c": format_rational(c)}
+    if "e21_form" in args:
+        payload["e21_form"] = args.e21_form  # solve only echoes it: neither cubic reads e21
+    return b, c, payload
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -101,146 +139,70 @@ def cmd_identities(args) -> int:
     from .identities import run_identity_checks
 
     results = run_identity_checks()
-    failed = False
     for result in results:
-        if args.output_format == "json":
-            print(
-                json.dumps(
-                    {
-                        "identity": result.name,
-                        "pass": result.passed,
-                        "difference": result.detail,
-                    },
-                    sort_keys=True,
-                )
-            )
-        elif result.passed:
-            print(f"PASS {result.name}")
-        else:
-            print(f"FAIL {result.name}: difference = {result.detail}")
-        failed = failed or not result.passed
-    return EXIT_IDENTITY if failed else EXIT_OK
+        payload = {"identity": result.name, "pass": result.passed, "difference": result.detail}
+        text = (f"PASS {result.name}" if result.passed
+                else f"FAIL {result.name}: difference = {result.detail}")
+        _emit(args, payload, [text])
+    return EXIT_OK if all(result.passed for result in results) else EXIT_IDENTITY
 
 
 def cmd_classify(args) -> int:
     from .identities import factor_values
 
-    b = _rational(args, args.b)
-    c = _rational(args, args.c)
-    flags = sorted(flag.value for flag in classify(b, c))
-    values = factor_values(b, c)
-    payload = {
-        "b": format_rational(b),
-        "c": format_rational(c),
-        "flags": flags,
-    }
-    lines = ["flags: " + (", ".join(flags) if flags else "(none)")]
-    for key, value in zip(_FACTOR_KEYS, values):
-        payload[key] = format_rational(value)
-        lines.append(f"{key}={format_rational(value)}")
-    _emit(args, payload, lines)
+    b, c, payload = _point(args, refuse_singular=False)
+    payload["flags"] = _flags(classify(b, c))
+    payload.update(zip(_FACTOR_KEYS, _texts(factor_values(b, c))))
+    lines = ["flags: " + (", ".join(payload["flags"]) or "(none)")]
+    _emit(args, payload, lines + [f"{key}={payload[key]}" for key in _FACTOR_KEYS])
     return EXIT_OK
 
 
-def _refuse_singular(b: Fraction, c: Fraction) -> bool:
-    flags = classify(b, c)
-    if flags:
-        print("singular: " + ", ".join(sorted(flag.value for flag in flags)), file=sys.stderr)
-    return bool(flags)
-
-
 def cmd_coeffs(args) -> int:
-    b = _rational(args, args.b)
-    c = _rational(args, args.c)
-    if _refuse_singular(b, c):
-        return EXIT_INVALID
+    b, c, payload = _point(args, refuse_singular=True)
     try:
-        cs = eval_coefficients(b, c, args.e21_form)
+        values = eval_coefficients(b, c, args.e21_form)
     except E21DenominatorPole:
-        print(
-            "e21 denominator (printed form) vanishes here; "
-            "re-run with --e21-form common",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
-    payload = {
-        "b": format_rational(b),
-        "c": format_rational(c),
-        "e21_form": args.e21_form,
-    }
-    lines = []
-    for name in _COEFF_ORDER:
-        value = format_rational(getattr(cs, name))
-        payload[name] = value
-        lines.append(f"{name}={value}")
-    _emit(args, payload, lines)
+        raise _Refused(
+            "e21 denominator (printed form) vanishes here; re-run with --e21-form common"
+        ) from None
+    payload.update(zip(CoefficientSet._fields, _texts(values)))
+    _emit(args, payload, [f"{name}={payload[name]}" for name in CoefficientSet._fields])
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    b = _rational(args, args.b)
-    c = _rational(args, args.c)
-    if _refuse_singular(b, c):
-        return EXIT_INVALID
-    payload = {
-        "b": format_rational(b),
-        "c": format_rational(c),
-        "e21_form": args.e21_form,  # echoed only: neither cubic reads e21
-    }
+    b, c, payload = _point(args, refuse_singular=True)
     lines = []
-    edge = edge_cubic(edge_coefficients(b, c))
-    diagonal = diagonal_cubic(diagonal_coefficients(b, c))
-    for label, cubic in (("edge", edge), ("diagonal", diagonal)):
-        roots = rational_roots(cubic)
-        if roots is None:
-            payload[label] = {"splits": False, "roots": None}
-            lines.append(f"{label}: no full rational splitting")
-        else:
-            payload[label] = {
-                "splits": True,
-                "roots": [format_rational(r) for r in roots],
-            }
-            lines.append(f"{label}: " + " ".join(format_rational(r) for r in roots))
+    for label, cubic in (
+        ("edge", edge_cubic(edge_coefficients(b, c))),
+        ("diagonal", diagonal_cubic(diagonal_coefficients(b, c))),
+    ):
+        roots = _texts(rational_roots(cubic))
+        payload[label] = {"splits": roots is not None, "roots": roots}
+        lines.append(f"{label}: " + (" ".join(roots) if roots else "no full rational splitting"))
     _emit(args, payload, lines)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    b = _rational(args, args.b)
-    c = _rational(args, args.c)
+    b, c, payload = _point(args, refuse_singular=False)
     verdict = grade(b, c, args.e21_form)
-    flags = sorted(flag.value for flag in verdict.flags)
-
-    def triple(values):
-        return None if values is None else [format_rational(v) for v in values]
-
-    payload = {
-        "b": format_rational(b),
-        "c": format_rational(c),
-        "e21_form": args.e21_form,
-        "level": verdict.level,
-        "reason": verdict.reason,
-        "flags": flags,
-        "residuals": [format_rational(r) for r in verdict.residuals],
-        "edges": triple(verdict.edges),
-        "diagonals": triple(verdict.diagonals),
-        "pairing": list(verdict.pairing) if verdict.pairing else None,
-    }
-    lines = [f"level={verdict.level}", f"reason={verdict.reason}"]
-    if flags:
-        lines.append("singular: " + ", ".join(flags))
-    if verdict.residuals:
-        lines.append(
-            "residuals: " + " ".join(format_rational(r) for r in verdict.residuals)
-        )
-    if verdict.edges:
-        lines.append("edges: " + " ".join(format_rational(r) for r in verdict.edges))
-    if verdict.diagonals:
-        lines.append(
-            "diagonals: " + " ".join(format_rational(r) for r in verdict.diagonals)
-        )
-    if verdict.pairing:
-        lines.append("pairing: " + " ".join(str(i) for i in verdict.pairing))
+    payload.update(
+        level=verdict.level,
+        reason=verdict.reason,
+        flags=_flags(verdict.flags),
+        residuals=_texts(verdict.residuals),
+        edges=_texts(verdict.edges),
+        diagonals=_texts(verdict.diagonals),
+        pairing=list(verdict.pairing) if verdict.pairing else None,
+    )
+    lines = [f"{key}={payload[key]}" for key in ("level", "reason")]
+    if payload["flags"]:
+        lines.append("singular: " + ", ".join(payload["flags"]))
+    for key in ("residuals", "edges", "diagonals", "pairing"):
+        if payload[key]:
+            lines.append(f"{key}: " + " ".join(map(str, payload[key])))
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -315,41 +277,19 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_identities)
 
-    p = sub.add_parser(
-        "classify",
-        parents=[common],
-        help="report which singular subvarieties contain a point",
-    )
-    p.add_argument("b", help='rational, e.g. "1/2" or "3"')
-    p.add_argument("c", help="rational")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser(
-        "coeffs",
-        parents=[common, form],
-        help="evaluate all nine coefficients exactly at a nonsingular point",
-    )
-    p.add_argument("b", help="rational")
-    p.add_argument("c", help="rational")
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser(
-        "solve",
-        parents=[common, form],
-        help="solve both cubics at a point over the rationals",
-    )
-    p.add_argument("b", help="rational")
-    p.add_argument("c", help="rational")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common, form],
-        help="run the full graded verification pipeline on one point",
-    )
-    p.add_argument("b", help="rational")
-    p.add_argument("c", help="rational")
-    p.set_defaults(func=cmd_verify)
+    for name, parents, help_text, func in (
+        ("classify", [common], "report which singular subvarieties contain a point",
+         cmd_classify),
+        ("coeffs", [common, form],
+         "evaluate all nine coefficients exactly at a nonsingular point", cmd_coeffs),
+        ("solve", [common, form], "solve both cubics at a point over the rationals", cmd_solve),
+        ("verify", [common, form], "run the full graded verification pipeline on one point",
+         cmd_verify),
+    ):
+        p = sub.add_parser(name, parents=parents, help=help_text)
+        p.add_argument("b", help='rational, e.g. "1/2" or "3"')
+        p.add_argument("c", help="rational")
+        p.set_defaults(func=func)
 
     p = sub.add_parser(
         "search",
@@ -390,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except RationalParseError as exc:
         print(f"cuboidsearch: invalid rational: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except _Refused as exc:
+        print(exc, file=sys.stderr)
         return EXIT_INVALID
     except CheckpointMismatch as exc:
         print(f"cuboidsearch: checkpoint mismatch: {exc}", file=sys.stderr)

@@ -62,6 +62,8 @@ Determinism is the backbone of everything here:
     of its hits file, so each is cut in place after its last record before
     the cursor, and a run with no checkpoint cuts both to empty, reading
     none of their lines; neither file is ever rewritten through a .tmp.
+    An output that is a device or a pipe is appended to and never cut, so
+    a stream resumed after a kill may repeat the records past the cursor.
     A version-1 checkpoint counted every grid position, in range or not;
     it is refused with CheckpointMismatch rather than misread, and so is a
     file that is not JSON or lacks a field or gives one the wrong type, or
@@ -85,7 +87,7 @@ from errno import ENOTDIR
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from stat import S_ISDIR
+from stat import S_ISDIR, S_ISREG
 from typing import Callable, NamedTuple
 
 from .coefficients import E21_PRINTED, check_e21_form, edge_integer_cubic
@@ -441,13 +443,16 @@ def _truncate_records_beyond(path: str, space: SearchSpace, cursor: int) -> None
     torn lines and lines that are not records.  The scan reads back from
     the end and parses only the lines it drops and the record it keeps; a
     last line with no newline is torn and dropped unread.  At cursor 0 the
-    file is emptied without being read.  A missing file is left missing.
+    file is emptied without being read.  A missing file is left missing, and
+    only a regular file is cut: a device such as /dev/null or a pipe cannot
+    be, and the run appends to it.
     """
     try:
-        handle = open(path, "r+b")
+        if not S_ISREG(os.stat(path).st_mode):
+            return
     except FileNotFoundError:
         return
-    with handle:
+    with open(path, "r+b") as handle:
         data = handle.read() if cursor else b""
         end = data.rfind(b"\n") + 1
         while end:

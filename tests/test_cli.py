@@ -462,3 +462,13 @@ def test_search_stop_on_hit_exit_code(monkeypatch, tmp_path, capsys):
     )
     assert code == cli.EXIT_HIT
     assert "stopped on level-6 hit" in out
+
+
+def test_search_output_to_the_null_device(tmp_path, capsys):
+    # a device cannot be cut, so the run appends to it, fresh and resumed
+    argv = ["search", "--height", "4", "--quiet", "--checkpoint", str(tmp_path / "ck.json"),
+            "--output", os.devnull]
+    for visited in (529, 0):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == f"visited={visited} singular=28 cursor=529/529"

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -1657,3 +1658,95 @@ def test_b0_row_cut_at_the_origin_and_resumed(tmp_path, jobs):
     assert third["completed"]
     assert third["counts"] == counts and third["singular"] == singular
     assert records_in_order(out) == records
+
+
+# --- outputs that are not regular files -------------------------------------------
+#
+# A device or a pipe cannot be cut, so a run appends to it whether it is
+# fresh or resumed.
+
+
+def masked(data):
+    """File bytes with each record's ts and the checkpoint's updated masked."""
+    return re.sub(rb'"(ts|updated)": "[^"]*"', rb'"\1": "T"', data)
+
+
+def test_output_to_the_null_device_fresh_and_resumed(tmp_path):
+    space = SearchSpace(height=8)
+    ck = str(tmp_path / "checkpoint.json")
+    first = run(space, checkpoint_path=ck, output_path=os.devnull, block_size=1000, max_blocks=3)
+    assert first["interrupted"] and first["cursor"] == 3000
+    summary = run(space, checkpoint_path=ck, output_path=os.devnull, block_size=1000)
+    assert summary["completed"] and summary["visited"] == grid_size(space) - 3000
+    straight = run(space, checkpoint_path=None, output_path=None)
+    assert [summary["counts"], summary["singular"]] == [straight["counts"], straight["singular"]]
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not os.path.exists(hits_path_for(os.devnull))
+
+
+def test_output_to_a_pipe_fresh_and_resumed(tmp_path):
+    # the read end is opened without blocking before each run and drained
+    # after it; the H=8 output, 18,359 bytes, fits in a pipe's buffer, so no
+    # reader thread is needed and a run that cannot write fails, not hangs
+    space = SearchSpace(height=8)
+    fifo, ck = str(tmp_path / "records.fifo"), str(tmp_path / "checkpoint.json")
+    os.mkfifo(fifo)
+
+    def drained(**kwargs):
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            run(space, checkpoint_path=ck, output_path=fifo, block_size=1000, **kwargs)
+            return b"".join(iter(functools.partial(os.read, reader, 1 << 16), b""))
+        finally:
+            os.close(reader)
+
+    stream = drained(max_blocks=3) + drained()
+    out = str(tmp_path / "straight.jsonl")
+    assert run(space, checkpoint_path=None, output_path=out)["completed"]
+    with open(out, "rb") as handle:
+        expected = handle.read()
+    assert len(expected) == 18_359
+    assert masked(stream) == masked(expected)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+# --- the pool under other start methods -------------------------------------------
+#
+# Linux forks the pool's workers, which inherit the tables; spawn (macOS,
+# Windows) and forkserver (Linux's default from Python 3.14) start fresh
+# interpreters that rebuild them.
+
+START_METHOD_CHILD = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from cuboidsearch.search import SearchSpace, run
+summary = run(SearchSpace(height=12), jobs=2, checkpoint_path=sys.argv[2],
+              output_path=sys.argv[3], block_size=4096)
+sys.exit(not summary["completed"])
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="no pool opens on one CPU")
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_under_start_method_gives_the_in_process_files(tmp_path, method):
+    import multiprocessing
+
+    import cuboidsearch
+
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    space = SearchSpace(height=12)
+    assert len(range(0, grid_size(space), 4096)) == 9
+
+    def files(tag):
+        with open(tmp_path / f"{tag}.jsonl", "rb") as a, open(tmp_path / f"{tag}.json", "rb") as b:
+            return masked(a.read()), masked(b.read())
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cuboidsearch.__file__)))
+    subprocess.run([sys.executable, "-c", START_METHOD_CHILD, method,
+                    str(tmp_path / "pool.json"), str(tmp_path / "pool.jsonl")],
+                   env=env, check=True, timeout=120)
+    assert run(space, checkpoint_path=str(tmp_path / "in-process.json"),
+               output_path=str(tmp_path / "in-process.jsonl"), block_size=4096)["completed"]
+    assert files("pool") == files("in-process")
+    assert files("pool")[0].count(b"\n") == 234
