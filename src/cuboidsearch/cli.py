@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -235,6 +236,10 @@ def cmd_search(args) -> int:
     ]
     if summary["stopped_on_hit"]:
         lines.append("stopped on level-6 hit")
+    if sys.stdout.seekable():
+        # stdout may be the --output file itself (/dev/stdout), which the run appended
+        # to through its own descriptor: write the summary after its records
+        sys.stdout.seek(0, os.SEEK_END)
     _emit(args, payload, lines)
     if summary["stopped_on_hit"]:
         return EXIT_HIT

@@ -30,7 +30,9 @@ and if so into which roots?  The answer is computed exactly:
      the core ``root_numerators`` (steps 3 and 4) returns the root
      numerators over 2*a3, ascending with no sort: the quadratic's two
      roots are roots of g, so they lie at or below the largest root
-     found in step 3, and its isqrt is nonnegative.
+     found in step 3, and its isqrt is nonnegative.  ``root_fractions``
+     turns the numerators into the roots y / (2*a3), each reduced with one
+     gcd and built without ``Fraction``'s constructor.
 
 No floating point is used anywhere.
 """
@@ -210,13 +212,41 @@ def rational_roots(q: CubicPoly) -> Optional[tuple[Fraction, Fraction, Fraction]
     Returns a sorted ascending triple (a multiset: repeated roots appear
     with multiplicity), or None when the cubic does not fully split.
     Clears the denominators and calls ``root_numerators``, with no
-    discriminant test.  Deterministic: equal inputs give bit-identical
-    outputs.
+    discriminant test, and builds the roots with ``root_fractions``.
+    Deterministic: equal inputs give bit-identical outputs.
     """
     a3, a2, a1, a0 = _clear_to_integer_cubic(q)
     ys = root_numerators(a3, a2, a1, a0)
     if ys is None:
         return None
+    return root_fractions(ys, a3)
+
+
+def root_fractions(ys: tuple[int, int, int], a3: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The roots y / (2*a3) of ``root_numerators``' triple, each in lowest terms.
+
+    a3 must be positive.  Each root is made with ``object.__new__`` and
+    its two slots set, with one gcd and no call of ``Fraction``'s
+    constructor, which would check its arguments' types before taking the
+    same gcd.  With g = gcd(y, 2*a3), y // g over 2*a3 // g is coprime
+    with a positive denominator: the normal form that the constructor
+    leaves, so the roots equal ``Fraction(y, 2*a3)`` in value, hash, text
+    and pickle.  ``_numerator`` and ``_denominator`` are all of
+    ``Fraction``'s slots, a layout the tests pin.  The three roots are
+    written out, as a generator over them gave a smaller gain.
+    """
     y0, y1, y2 = ys
     den = 2 * a3
-    return Fraction(y0, den), Fraction(y1, den), Fraction(y2, den)
+    g = math.gcd(y0, den)
+    r0 = object.__new__(Fraction)
+    r0._numerator = y0 // g
+    r0._denominator = den // g
+    g = math.gcd(y1, den)
+    r1 = object.__new__(Fraction)
+    r1._numerator = y1 // g
+    r1._denominator = den // g
+    g = math.gcd(y2, den)
+    r2 = object.__new__(Fraction)
+    r2._numerator = y2 // g
+    r2._denominator = den // g
+    return r0, r1, r2

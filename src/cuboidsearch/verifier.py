@@ -26,8 +26,9 @@ level needs:
      the point at level 0, with the discriminant as residual;
   3. split the edge cubic with the integer core ``cubic.root_numerators``:
      a cubic that does not split is at level 1, again with the
-     discriminant as residual, and one with a root <= 0 at level 2, with
-     those roots as residuals;
+     discriminant as residual.  ``cubic.root_fractions`` builds its roots
+     y / (2*a3) in lowest terms, and one with a root <= 0 is at level 2,
+     with those roots as residuals;
   4. compute e01, e02, e03 and split the diagonal cubic;
   5. compute e21, e11, e12 and check the auxiliary equations, then the
      Pythagorean relations.
@@ -67,7 +68,13 @@ from .coefficients import (
     diagonal_cubic,
     edge_integer_cubic,
 )
-from .cubic import integer_discriminant, is_perfect_square, rational_roots, root_numerators
+from .cubic import (
+    integer_discriminant,
+    is_perfect_square,
+    rational_roots,
+    root_fractions,
+    root_numerators,
+)
 from .singularity import SingularityClass, classify
 
 # All permutations of the three diagonal slots, in lexicographic order.
@@ -177,7 +184,7 @@ def grade(b: Fraction, c: Fraction, e21_form: str = E21_PRINTED) -> Verdict:
     if ys is None:
         # the edge cubic's own discriminant is disc / a3^4, a3^4 a square
         return Verdict(1, "edge-no-split", residuals=(Fraction(disc, edge[0] ** 4),))
-    edges = tuple(Fraction(y, 2 * edge[0]) for y in ys)
+    edges = root_fractions(ys, edge[0])
     if edges[0] <= 0:
         bad = tuple(x for x in edges if x <= 0)
         return Verdict(2, "edge-root-nonpositive", residuals=bad, edges=edges)

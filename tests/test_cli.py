@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -472,3 +473,39 @@ def test_search_output_to_the_null_device(tmp_path, capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == f"visited={visited} singular=28 cursor=529/529"
+
+
+SUMMARY_LINES = [
+    "visited=529 singular=28 cursor=529/529",
+    "levels: 0:497 1:0 2:32 3:0 4:0 5:0 6:0",
+    "hits=0 completed=True",
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("output_format", ["text", "json"])
+@pytest.mark.parametrize("stdout", ["file", "pipe"])
+def test_search_output_to_stdout_keeps_every_record(tmp_path, output_format, stdout):
+    # the records go to stdout through the run's own descriptor, and the summary
+    # follows them: when stdout is a file opened at offset 0, as by the shell's ">",
+    # the summary must not write over the first records
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [sys.executable, "-m", "cuboidsearch", "search", "--height", "4", "--quiet",
+            "--output-format", output_format, "--checkpoint", str(tmp_path / "ck.json"),
+            "--output", "/dev/stdout"]
+    if stdout == "file":
+        with open(tmp_path / "so.txt", "wb") as sink:
+            subprocess.run(argv, stdout=sink, env=env, check=True, timeout=60)
+        lines = (tmp_path / "so.txt").read_text().splitlines()
+    else:
+        lines = subprocess.run(argv, stdout=subprocess.PIPE, env=env, check=True,
+                               timeout=60, text=True).stdout.splitlines()
+    records = [json.loads(line) for line in lines[:32]]
+    assert [record["level"] for record in records] == [2] * 32
+    assert all(len(record) == 7 for record in records)
+    if output_format == "text":
+        assert lines[32:] == SUMMARY_LINES
+    else:
+        [summary] = [json.loads(line) for line in lines[32:]]
+        assert (summary["visited"], summary["cursor"], summary["hits"]) == (529, 529, 0)
+        assert summary["output"] == "/dev/stdout"

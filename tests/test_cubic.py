@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -14,6 +16,7 @@ from cuboidsearch.cubic import (
     integer_discriminant,
     is_perfect_square,
     rational_roots,
+    root_fractions,
     root_numerators,
 )
 
@@ -462,3 +465,59 @@ def test_largest_root_near_double_and_triple_roots(digits):
                     continue
                 expected = bisection_largest_root(a2, b1, b0 + shift)
                 assert _largest_integer_root(a2, b1, b0 + shift) == expected
+
+
+# --- root_fractions, the roots built in lowest terms ------------------------------
+
+
+def assert_constructor_fractions(ys, a3):
+    """root_fractions(ys, a3) is Fraction(y, 2*a3) for each y, exact parts included."""
+    found = root_fractions(ys, a3)
+    expected = tuple(F(y, 2 * a3) for y in ys)
+    assert found == expected
+    assert [(type(r), r.numerator, r.denominator) for r in found] == [
+        (F, r.numerator, r.denominator) for r in expected
+    ]
+
+
+def test_fraction_slot_layout():
+    # root_fractions sets these two slots, which must be all that a Fraction holds
+    assert F.__slots__ == ("_numerator", "_denominator")
+    assert not hasattr(F(1, 2), "__dict__")
+
+
+def test_root_fractions_are_the_constructor_on_a_box():
+    # every y in [-200, 200] in each of the three slots, over every a3 in [1, 100]
+    box = list(range(-200, 201))
+    triples = list(zip(box, box[134:] + box[:134], box[267:] + box[:267]))
+    for a3 in range(1, 101):
+        for ys in triples:
+            assert_constructor_fractions(ys, a3)
+
+
+def test_root_fractions_zero_negative_and_large():
+    big = 2**100
+    assert_constructor_fractions((0, 0, 0), 1)
+    assert_constructor_fractions((-7, 0, 7), 3)
+    assert_constructor_fractions((-big, -big - 1, big + 6), 3)
+    for a3 in (big - 1, big, big + 1, 3**63):
+        for y in (-2 * big, -big - 1, -1, 0, 1, big - 1, big, 2 * a3, 6 * a3, 3**70):
+            assert_constructor_fractions((y, -y, y + 2), a3)
+
+
+def test_root_fractions_behave_as_constructed():
+    found = root_fractions((-9, 0, 14), 6)
+    expected = (F(-9, 12), F(0, 12), F(14, 12))
+    for r, e in zip(found, expected):
+        assert (hash(r), str(r), repr(r)) == (hash(e), str(e), repr(e))
+        assert (r + 1, r - F(1, 3), r * 4, r / 7, r**2, -r, abs(r)) == (
+            e + 1, e - F(1, 3), e * 4, e / 7, e**2, -e, abs(e)
+        )
+        assert (r < F(1, 2), r > F(-1, 2), r == e, r >= e) == (
+            e < F(1, 2), e > F(-1, 2), True, True
+        )
+        for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r), copy.copy(r)):
+            assert type(copied) is F
+            assert (copied.numerator, copied.denominator) == (e.numerator, e.denominator)
+    assert {found[0]: "x"}[expected[0]] == "x"
+    assert found[1] == 0 and not found[1] and found[2] > 1 and int(found[2]) == 1
